@@ -614,7 +614,7 @@ def run_step2_pool(num_clients: int = 8, nodes_per_client: int = 250,
     base = AdaFGLConfig(hidden=64, seed=seed, rounds=step1_rounds,
                         local_epochs=2, personalized_epochs=epochs,
                         sparse_propagation=True, propagation_top_k=32,
-                        step1_backend="serial")
+                        backend="serial")
 
     section: Dict = {
         "config": {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from repro.core import AdaFGL
@@ -24,10 +25,15 @@ from repro.experiments import (
     prepare_clients,
     run_method,
 )
-from repro.autograd import list_array_backends
 from repro.experiments.runner import available_methods
-from repro.federated import list_aggregations, list_backends
+from repro.federated.engine.config import EngineConfig, cli_flag
 from repro.graph import edge_homophily
+
+
+def _engine_flags():
+    """``(knob, flag)`` for every engine knob settable from the shell."""
+    return [(knob, flag) for knob in fields(EngineConfig)
+            if (flag := cli_flag(knob)) is not None]
 
 
 def _settings(args: argparse.Namespace) -> ExperimentSettings:
@@ -38,42 +44,10 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         settings.rounds = args.rounds
     if args.epochs is not None:
         settings.local_epochs = args.epochs
-    if getattr(args, "backend", None) is not None:
-        settings.backend = args.backend
-    if getattr(args, "aggregation", None) is not None:
-        settings.aggregation = args.aggregation
-    if getattr(args, "workers", None) is not None:
-        settings.num_workers = args.workers
-    if getattr(args, "intra_worker", None) is not None:
-        settings.intra_worker = args.intra_worker
-    if getattr(args, "round_mode", None) is not None:
-        settings.round_mode = args.round_mode
-    if getattr(args, "hierarchical", None) is not None:
-        settings.hierarchical = args.hierarchical
-    if getattr(args, "async_buffer", None) is not None:
-        settings.async_buffer = args.async_buffer
-    if getattr(args, "staleness_cap", None) is not None:
-        settings.staleness_cap = args.staleness_cap
-    if getattr(args, "delta_codec", None) is not None:
-        settings.delta_codec = args.delta_codec
-    if getattr(args, "delta_top_k", None) is not None:
-        settings.delta_top_k = args.delta_top_k
-    if getattr(args, "delta_bits", None) is not None:
-        settings.delta_bits = args.delta_bits
-    if getattr(args, "transport", None) is not None:
-        settings.transport = args.transport
-    if getattr(args, "on_worker_failure", None) is not None:
-        settings.on_worker_failure = args.on_worker_failure
-    if getattr(args, "round_timeout", None) is not None:
-        settings.round_timeout = args.round_timeout
-    if getattr(args, "checkpoint_every", None) is not None:
-        settings.checkpoint_every = args.checkpoint_every
-    if getattr(args, "checkpoint_dir", None) is not None:
-        settings.checkpoint_dir = args.checkpoint_dir
-    if getattr(args, "resume_from", None) is not None:
-        settings.resume_from = args.resume_from
-    if getattr(args, "array_backend", None) is not None:
-        settings.array_backend = args.array_backend
+    for knob, flag in _engine_flags():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            setattr(settings, knob.name, value)
     return settings
 
 
@@ -89,76 +63,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=None,
                         help="override the generated dataset size")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", default=None, choices=list_backends(),
-                        help="execution backend for federated local training")
-    parser.add_argument("--array-backend", default=None,
-                        choices=list_array_backends(),
-                        help="array backend for every client's local math "
-                             "(numpy = bitwise reference, jit = numba CSR "
-                             "kernels; default: REPRO_ARRAY_BACKEND or "
-                             "numpy)")
-    parser.add_argument("--aggregation", default=None,
-                        choices=list_aggregations(),
-                        help="server aggregation strategy (methods with a "
-                             "built-in strategy, e.g. fed-pub, keep theirs)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool width (backend=process_pool and "
-                             "AdaFGL Step-2)")
-    parser.add_argument("--intra-worker", default=None,
-                        choices=["auto", "batched", "serial"],
-                        help="how a persistent pool worker trains its "
-                             "resident client shard (auto fuses it through "
-                             "the batched engine when possible)")
-    parser.add_argument("--round-mode", default=None,
-                        choices=["sync", "async"],
-                        help="process-pool round discipline: sync pipelined "
-                             "rounds (exact) or bounded-staleness async "
-                             "rounds")
-    parser.add_argument("--hierarchical", action="store_true", default=None,
-                        help="process-pool workers act as edge aggregators: "
-                             "one pre-aggregated fixed-point partial per "
-                             "shard per round instead of per-client uploads "
-                             "(sync rounds, bitwise-equal to flat FedAvg)")
-    parser.add_argument("--async-buffer", type=int, default=None,
-                        help="async mode: shard reports per server seal")
-    parser.add_argument("--staleness-cap", type=int, default=None,
-                        help="async mode: drop reports older than this many "
-                             "server rounds")
-    parser.add_argument("--delta-codec", default=None,
-                        choices=["bitdelta", "topk", "qtopk"],
-                        help="persistent-pool upload transport: lossless "
-                             "bit deltas, lossy top-k sparsified deltas, or "
-                             "top-k plus uniform quantisation (qtopk)")
-    parser.add_argument("--delta-top-k", type=int, default=None,
-                        help="delta entries kept per parameter with "
-                             "--delta-codec topk/qtopk")
-    parser.add_argument("--delta-bits", type=int, default=None,
-                        help="bits per transported delta value with "
-                             "--delta-codec qtopk")
-    parser.add_argument("--transport", default=None,
-                        choices=["pipe", "tcp"],
-                        help="coordinator-worker channel of the process "
-                             "pool: pipe (in-host, the parity reference) or "
-                             "tcp framed sockets with CRC, heartbeats and "
-                             "reconnect (default: REPRO_TRANSPORT or pipe)")
-    parser.add_argument("--on-worker-failure", default=None,
-                        choices=["fail", "restart", "redistribute"],
-                        help="process-pool crash policy: abort the run, "
-                             "respawn the dead worker in place, or spread "
-                             "its clients over the survivors")
-    parser.add_argument("--round-timeout", type=float, default=None,
-                        help="seconds before a round drops its late shards "
-                             "(the aggregate reweights over the reporters)")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        help="write a resumable checkpoint every N rounds "
-                             "(0 disables; sync rounds only)")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="directory for checkpoint files "
-                             "(default: checkpoints/)")
-    parser.add_argument("--resume-from", default=None,
-                        help="checkpoint file to restore before training "
-                             "(resumes the interrupted run bitwise on the "
-                             "serial/sync paths)")
+    # One flag per EngineConfig knob, unset (None) unless given so the
+    # settings' own defaults — and their REPRO_* overrides — stand.
+    for knob, flag in _engine_flags():
+        if isinstance(knob.default, bool):
+            parser.add_argument(flag, action="store_true", default=None,
+                                help=knob.metadata["help"])
+            continue
+        choices = knob.metadata["choices"]
+        parser.add_argument(
+            flag, default=None, help=knob.metadata["help"],
+            choices=choices() if callable(choices) else choices,
+            type=knob.metadata["parse"] or (
+                str if knob.default is None else type(knob.default)))
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:

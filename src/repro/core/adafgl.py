@@ -16,6 +16,7 @@ from repro.core.knowledge import (
 from repro.core.modules import AdaFGLClientModel
 from repro.core.propagation import PropagationCache
 from repro.federated import FederatedConfig, ProcessPoolBackend
+from repro.federated.engine import EngineConfig, engine_fields
 from repro.graph import Graph, edge_homophily
 from repro.graph.normalize import normalize_adjacency
 from repro.metrics import ClientReport, TrainingHistory, masked_accuracy
@@ -23,8 +24,12 @@ from repro.optim import Adam, clip_grad_norm
 
 
 @dataclass
-class AdaFGLConfig:
+class AdaFGLConfig(EngineConfig):
     """All hyperparameters of the two-step AdaFGL paradigm.
+
+    How Step 1's federated rounds (and the worker pool Step 2 shares with
+    them) execute is the inherited
+    :class:`~repro.federated.engine.EngineConfig`.
 
     The ``use_*`` switches correspond to the ablation components of
     Tables VI and VII:
@@ -64,65 +69,13 @@ class AdaFGLConfig:
     # BENCH_topk.json accuracy-vs-k curve) and falls back to 32 — an explicit
     # integer (or ``None`` for the exact keep-every-entry sparse path) always
     # wins over the registry default.  ``use_propagation_cache`` precomputes
-    # the constant k-hop feature blocks once per client; ``num_workers > 1``
-    # trains the (embarrassingly parallel) Step-2 clients in the persistent
-    # worker pool — shared with Step-1 local training, whose execution
-    # backend auto-promotes to ``process_pool`` unless ``step1_backend`` pins
-    # one explicitly.
+    # the constant k-hop feature blocks once per client.  The inherited
+    # ``num_workers > 1`` trains the (embarrassingly parallel) Step-2
+    # clients in the persistent worker pool — shared with Step-1 local
+    # training, so the engine knobs shape both steps' execution.
     sparse_propagation: bool = False
     propagation_top_k: Union[int, None, str] = "auto"
     use_propagation_cache: bool = True
-    num_workers: int = 0
-    intra_worker: str = "auto"
-
-    # Federation-engine knobs for Step 1 (see repro.federated.engine):
-    # ``step1_backend`` is an execution-backend name ("serial" /
-    # "process_pool" / "batched"); None auto-selects "process_pool" when
-    # ``num_workers > 1``.  ``step1_aggregation`` names the server-side
-    # aggregation strategy ("fedavg" / "topology_weighted" / "trimmed_mean"
-    # / the FedOpt family).  ``round_mode`` selects the process pool's round
-    # discipline — "sync" pipelined-but-exact rounds (default) or "async"
-    # bounded-staleness rounds sealed after ``async_buffer`` shard reports
-    # with staleness capped at ``staleness_cap`` — and ``delta_codec`` its
-    # upload transport ("bitdelta" lossless / "topk" lossy keeping
-    # ``delta_top_k`` entries per parameter with error feedback / "qtopk"
-    # additionally quantising kept entries to ``delta_bits`` bits).
-    # ``worker_speeds`` simulates heterogeneous worker hardware (straggler
-    # benchmarks, deterministic async runs).  Step 2 rides the same
-    # (pipelined) pool, so these knobs shape both steps' execution.
-    step1_backend: Optional[str] = None
-    step1_aggregation: str = "fedavg"
-    round_mode: str = "sync"
-    #: Step-1 workers act as edge aggregators (one fixed-point partial per
-    #: shard per round); sync process-pool rounds only.
-    hierarchical: bool = False
-    async_buffer: int = 1
-    staleness_cap: int = 3
-    delta_codec: str = "bitdelta"
-    delta_top_k: int = 32
-    delta_bits: int = 8
-    worker_speeds: Optional[Sequence[float]] = None
-    #: coordinator↔worker channel of the pool both steps share: ``"pipe"``
-    #: (default) or ``"tcp"`` (framed sockets with CRC/heartbeats/reconnect;
-    #: ``transport_options`` carries the TCP knobs / WAN link spec).
-    transport: str = "pipe"
-    transport_options: Optional[Dict] = None
-
-    # Fault tolerance (see FederatedConfig / the README's fault-tolerance
-    # section): crash policy, round deadline, checkpoint cadence/location,
-    # resume source and the deterministic chaos plan for testing.
-    on_worker_failure: str = "fail"
-    round_timeout: Optional[float] = None
-    checkpoint_every: int = 0
-    checkpoint_dir: str = "checkpoints"
-    resume_from: Optional[str] = None
-    fault_plan: Optional[object] = None
-
-    #: array backend both steps' local math runs under (``numpy`` — the
-    #: bitwise reference — or ``jit``); ``None`` inherits the process
-    #: default.  Travels in the worker payloads, so pool-trained Step-2
-    #: clients select it identically.
-    array_backend: Optional[str] = None
 
     # HCS / label propagation.
     lp_steps: int = 5
@@ -139,29 +92,11 @@ class AdaFGLConfig:
     seed: int = 0
 
     def federated_config(self) -> FederatedConfig:
-        backend = self.step1_backend
-        if backend is None:
-            backend = "process_pool" if self.num_workers > 1 else "serial"
         return FederatedConfig(
-            rounds=self.rounds, local_epochs=self.local_epochs, lr=self.lr,
+            **engine_fields(self), rounds=self.rounds,
+            local_epochs=self.local_epochs, lr=self.lr,
             weight_decay=self.weight_decay, participation=self.participation,
-            seed=self.seed, backend=backend, num_workers=self.num_workers,
-            intra_worker=self.intra_worker,
-            hierarchical=self.hierarchical,
-            aggregation=self.step1_aggregation,
-            round_mode=self.round_mode, async_buffer=self.async_buffer,
-            staleness_cap=self.staleness_cap, delta_codec=self.delta_codec,
-            delta_top_k=self.delta_top_k, delta_bits=self.delta_bits,
-            worker_speeds=self.worker_speeds,
-            transport=self.transport,
-            transport_options=self.transport_options,
-            on_worker_failure=self.on_worker_failure,
-            round_timeout=self.round_timeout,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=self.checkpoint_dir,
-            resume_from=self.resume_from,
-            fault_plan=self.fault_plan,
-            array_backend=self.array_backend)
+            seed=self.seed)
 
 
 #: fallback sparsity when neither the config nor the dataset registry pins one

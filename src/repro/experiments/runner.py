@@ -8,13 +8,15 @@ without touching code.
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import AdaFGL, AdaFGLConfig
 from repro.datasets import load_dataset
 from repro.federated import FederatedConfig
+from repro.federated.engine import EngineConfig, engine_fields
 from repro.fgl import build_baseline, list_baselines
 from repro.graph import Graph
 from repro.metrics import TrainingHistory
@@ -28,14 +30,39 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
+def _env_knob_defaults(cls):
+    """``REPRO_*`` variables replace the defaults of the knobs declaring one.
+
+    The inherited knobs are declared once, in :class:`EngineConfig`, so
+    their defaults cannot be re-declared with an environment-reading factory
+    like the scale fields below; a knob the caller passes always wins.
+    """
+    init = cls.__init__
+
+    @functools.wraps(init)
+    def __init__(self, *args, **kwargs):
+        for knob in fields(EngineConfig):
+            env = knob.metadata["env"]
+            if env and env in os.environ and knob.name not in kwargs:
+                kwargs[knob.name] = _env_int(env, knob.default) \
+                    if isinstance(knob.default, int) else os.environ[env]
+        init(self, *args, **kwargs)
+
+    cls.__init__ = __init__
+    return cls
+
+
+@_env_knob_defaults
 @dataclass
-class ExperimentSettings:
+class ExperimentSettings(EngineConfig):
     """Scale knobs shared by every experiment.
 
-    ``backend`` / ``aggregation`` / ``num_workers`` select the federation
-    engine plug-ins (see :mod:`repro.federated.engine`) for Step-1 training
-    and every FGL baseline; they are forwarded into both
-    :meth:`federated_config` and :meth:`adafgl_config`.
+    The inherited :class:`~repro.federated.engine.EngineConfig` knobs select
+    the federation engine plug-ins for Step-1 training and every FGL
+    baseline; they are forwarded whole into both :meth:`federated_config`
+    and :meth:`adafgl_config`.  ``REPRO_WORKERS`` / ``REPRO_TRANSPORT`` /
+    ``REPRO_ARRAY_BACKEND`` replace the defaults of ``num_workers`` /
+    ``transport`` / ``array_backend``.
     """
 
     num_clients: int = field(default_factory=lambda: _env_int("REPRO_CLIENTS", 5))
@@ -47,108 +74,24 @@ class ExperimentSettings:
     lr: float = 0.01
     participation: float = 1.0
     seed: int = 0
-    #: execution backend name; None = auto (serial, or a process pool for
-    #: Step-1 when ``num_workers > 1``).  An explicit "serial" pins serial.
-    backend: Optional[str] = None
-    aggregation: str = "fedavg"
-    num_workers: int = field(
-        default_factory=lambda: _env_int("REPRO_WORKERS", 0))
-    #: how a persistent process-pool worker trains its resident shard:
-    #: "auto"/"batched" fuse it through the batched engine, "serial" pins
-    #: the per-client loop.
-    intra_worker: str = "auto"
-    #: process-pool round discipline: "sync" (pipelined, exact) or "async"
-    #: (bounded staleness: seal after ``async_buffer`` shard reports, drop
-    #: reports older than ``staleness_cap`` server rounds).
-    round_mode: str = "sync"
-    #: workers act as edge aggregators: one pre-aggregated fixed-point
-    #: partial per shard per round (sync process-pool rounds only).
-    hierarchical: bool = False
-    async_buffer: int = 1
-    staleness_cap: int = 3
-    #: persistent-pool upload transport: "bitdelta" (lossless), "topk"
-    #: (lossy, ``delta_top_k`` entries per parameter, error feedback) or
-    #: "qtopk" (top-k entries quantised to ``delta_bits`` bits per value).
-    delta_codec: str = "bitdelta"
-    delta_top_k: int = 32
-    delta_bits: int = 8
-    #: coordinator↔worker channel ("pipe" or "tcp" framed sockets with
-    #: CRC/heartbeats/reconnect); overridable via ``REPRO_TRANSPORT``.
-    transport: str = field(
-        default_factory=lambda: os.environ.get("REPRO_TRANSPORT", "pipe"))
-    #: array backend for every client's local math ("numpy" — the bitwise
-    #: reference — or "jit"); None inherits the process default
-    #: (``REPRO_ARRAY_BACKEND``, else numpy).
-    array_backend: Optional[str] = field(
-        default_factory=lambda: os.environ.get("REPRO_ARRAY_BACKEND"))
-    #: fault tolerance (see FederatedConfig): worker-crash policy, round
-    #: deadline in seconds, checkpoint cadence/location and resume source.
-    on_worker_failure: str = "fail"
-    round_timeout: Optional[float] = None
-    checkpoint_every: int = 0
-    checkpoint_dir: str = "checkpoints"
-    resume_from: Optional[str] = None
 
     def federated_config(self) -> FederatedConfig:
-        backend = self.backend
-        if backend is None:
-            backend = "process_pool" if self.num_workers > 1 else "serial"
-        return FederatedConfig(rounds=self.rounds,
+        return FederatedConfig(**engine_fields(self), rounds=self.rounds,
                                local_epochs=self.local_epochs, lr=self.lr,
                                participation=self.participation,
-                               seed=self.seed, backend=backend,
-                               aggregation=self.aggregation,
-                               num_workers=self.num_workers,
-                               intra_worker=self.intra_worker,
-                               hierarchical=self.hierarchical,
-                               round_mode=self.round_mode,
-                               async_buffer=self.async_buffer,
-                               staleness_cap=self.staleness_cap,
-                               delta_codec=self.delta_codec,
-                               delta_top_k=self.delta_top_k,
-                               delta_bits=self.delta_bits,
-                               transport=self.transport,
-                               on_worker_failure=self.on_worker_failure,
-                               round_timeout=self.round_timeout,
-                               checkpoint_every=self.checkpoint_every,
-                               checkpoint_dir=self.checkpoint_dir,
-                               resume_from=self.resume_from,
-                               array_backend=self.array_backend)
+                               seed=self.seed)
 
     def adafgl_config(self, **overrides) -> AdaFGLConfig:
         # ``sparse_propagation=True`` is the experiment-runner default since
         # the dense-vs-sparse parity gate landed (``top_k=None`` sparse is
         # numerically identical to dense; the default top-k is an accuracy-
         # preserving approximation tracked by benchmarks/bench_perf.py).
-        config = AdaFGLConfig(rounds=self.rounds,
+        config = AdaFGLConfig(**engine_fields(self), rounds=self.rounds,
                               local_epochs=self.local_epochs, lr=self.lr,
                               hidden=self.hidden,
                               personalized_epochs=self.personalized_epochs,
                               participation=self.participation,
-                              seed=self.seed,
-                              sparse_propagation=True,
-                              # None (the unset default) keeps the engine's
-                              # auto-promotion to a process pool when
-                              # num_workers > 1; an explicit name (including
-                              # "serial") is forwarded verbatim.
-                              step1_backend=self.backend,
-                              step1_aggregation=self.aggregation,
-                              num_workers=self.num_workers,
-                              intra_worker=self.intra_worker,
-                              hierarchical=self.hierarchical,
-                              round_mode=self.round_mode,
-                              async_buffer=self.async_buffer,
-                              staleness_cap=self.staleness_cap,
-                              delta_codec=self.delta_codec,
-                              delta_top_k=self.delta_top_k,
-                              delta_bits=self.delta_bits,
-                              transport=self.transport,
-                              on_worker_failure=self.on_worker_failure,
-                              round_timeout=self.round_timeout,
-                              checkpoint_every=self.checkpoint_every,
-                              checkpoint_dir=self.checkpoint_dir,
-                              resume_from=self.resume_from,
-                              array_backend=self.array_backend)
+                              seed=self.seed, sparse_propagation=True)
         for key, value in overrides.items():
             setattr(config, key, value)
         return config

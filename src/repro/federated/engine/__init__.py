@@ -14,7 +14,9 @@ five FGL baselines and AdaFGL:
   personalized schemes the FED-PUB / GCFL+ baselines declare.
 
 Select both through :class:`~repro.federated.FederatedConfig`
-(``backend=``/``aggregation=``) or the CLI (``--backend``/``--aggregation``).
+(``backend=``/``aggregation=``) or the CLI (``--backend``/``--aggregation``);
+every execution knob is declared once, in
+:class:`~repro.federated.engine.config.EngineConfig`.
 """
 
 from repro.federated.engine.aggregation import (
@@ -54,6 +56,11 @@ from repro.federated.engine.clientstore import (
     ClientStore,
     ModelSpec,
     StoreFederatedTrainer,
+)
+from repro.federated.engine.config import (
+    EngineConfig,
+    check_composition,
+    engine_fields,
 )
 from repro.federated.engine.faults import (
     DOWNLINK_KINDS,
@@ -139,6 +146,9 @@ __all__ = [
     "ClientStore",
     "ModelSpec",
     "StoreFederatedTrainer",
+    "EngineConfig",
+    "check_composition",
+    "engine_fields",
     "AsyncRoundLoop",
     "SyncPipelinedLoop",
     "resolve_round_loop",

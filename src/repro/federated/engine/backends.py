@@ -34,12 +34,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 import numpy as np
 
 from repro.federated.communication import CommunicationTracker
+from repro.federated.engine.config import EngineConfig
 from repro.federated.engine.faults import (
     DOWNLINK_KINDS,
     NETWORK_KINDS,
     TRANSPORT_KINDS,
     WORKER_KINDS,
-    FaultPlan,
     payload_checksum,
 )
 from repro.federated.engine.persistent import (
@@ -55,7 +55,7 @@ from repro.federated.engine.persistent import (
     apply_topk_delta,
     encode_state_delta,
 )
-from repro.federated.engine.transport import TRANSPORTS, make_transport
+from repro.federated.engine.transport import make_transport
 
 
 # ----------------------------------------------------------------------
@@ -287,73 +287,32 @@ class ProcessPoolBackend(ExecutionBackend):
     #: the pipelined round loops can drive this backend round by round
     supports_pipelining = True
 
-    def __init__(self, num_workers: Optional[int] = None,
-                 intra_worker: str = "auto", delta_codec: str = "bitdelta",
-                 delta_top_k: int = 32, delta_bits: int = 8,
-                 worker_speeds: Optional[Sequence[float]] = None,
-                 on_worker_failure: str = "fail",
-                 round_timeout: Optional[float] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 hierarchical: bool = False,
-                 transport: str = "pipe",
-                 transport_options: Optional[Dict] = None, **_unused):
-        if intra_worker not in ("auto", "batched", "serial"):
-            raise ValueError(
-                "intra_worker must be 'auto', 'batched' or 'serial', "
-                f"got {intra_worker!r}")
-        if delta_codec not in ("bitdelta", "topk", "qtopk"):
-            raise ValueError(
-                "delta_codec must be 'bitdelta', 'topk' or 'qtopk', "
-                f"got {delta_codec!r}")
-        if delta_codec in ("topk", "qtopk") and delta_top_k < 1:
-            raise ValueError("delta_top_k must be >= 1")
-        if delta_codec == "qtopk" and not 2 <= int(delta_bits) <= 32:
-            raise ValueError("delta_bits must be in [2, 32]")
-        if worker_speeds is not None:
-            worker_speeds = [float(s) for s in worker_speeds]
-            if not worker_speeds or any(s <= 0 for s in worker_speeds):
-                raise ValueError("worker_speeds must be positive floats")
-        if on_worker_failure not in ("fail", "restart", "redistribute"):
-            raise ValueError(
-                "on_worker_failure must be 'fail', 'restart' or "
-                f"'redistribute', got {on_worker_failure!r}")
-        if round_timeout is not None and round_timeout <= 0:
-            raise ValueError("round_timeout must be positive (or None)")
-        if hierarchical and delta_codec != "bitdelta":
-            raise ValueError(
-                "hierarchical=True requires delta_codec='bitdelta': lossy "
-                "codecs cannot carry the exact fixed-point edge aggregates "
-                f"(got {delta_codec!r})")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {', '.join(TRANSPORTS)}, "
-                f"got {transport!r}")
-        if fault_plan is not None and transport != "tcp":
-            network = sorted(set(fault_plan.scheduled_kinds())
-                             & set(NETWORK_KINDS))
-            if network:
-                raise ValueError(
-                    f"fault plan schedules network events {network} but "
-                    f"transport={transport!r} has no wire to disturb; "
-                    "network fault kinds require transport='tcp'")
+    def __init__(self, num_workers: Optional[int] = None, **knobs):
+        # ``knobs`` are EngineConfig fields (a trainer passes them all; the
+        # ones that shape the round loop rather than the pool are ignored
+        # here).  Their value domains, and the combinations the pool cannot
+        # run, are checked in one place.
+        config = EngineConfig(num_workers=num_workers or 0,
+                              **knobs).validate()
         self.num_workers = num_workers
         #: edge-aggregation mode: workers fold their shard's trained states
         #: locally and ship one (weighted-sum, weight) partial per shard
-        self.hierarchical = bool(hierarchical)
-        self.intra_worker = intra_worker
-        self.delta_codec = delta_codec
-        self.delta_top_k = delta_top_k
-        self.delta_bits = int(delta_bits)
-        self.worker_speeds = worker_speeds
-        self.on_worker_failure = on_worker_failure
-        self.round_timeout = round_timeout
-        self.fault_plan = fault_plan
+        self.hierarchical = bool(config.hierarchical)
+        self.intra_worker = config.intra_worker
+        self.delta_codec = config.delta_codec
+        self.delta_top_k = config.delta_top_k
+        self.delta_bits = int(config.delta_bits)
+        self.worker_speeds = None if config.worker_speeds is None \
+            else [float(speed) for speed in config.worker_speeds]
+        self.on_worker_failure = config.on_worker_failure
+        self.round_timeout = config.round_timeout
+        self.fault_plan = config.fault_plan
         #: transport selection for the worker channels ("pipe" or "tcp");
         #: options are forwarded to the transport factory (TCP knobs, WAN
         #: model spec) — see :func:`~repro.federated.engine.transport
         #: .make_transport`
-        self.transport_name = transport
-        self.transport_options = dict(transport_options or {})
+        self.transport_name = config.transport
+        self.transport_options = dict(config.transport_options or {})
         #: counters of every supervised failure/recovery event this backend
         #: has seen (crashes, restarts, redistributed clients, timed-out
         #: shards, corrupted-payload retries, dropped client reports)

@@ -47,55 +47,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.federated.engine.aggregation import AggregationContext
-
-
-def _uses_default(trainer, name: str) -> bool:
-    """True when the trainer neither overrides nor monkeypatches a hook."""
-    from repro.federated.trainer import FederatedTrainer
-
-    if name in trainer.__dict__:  # instance-level monkeypatch (tests do this)
-        return False
-    return getattr(type(trainer), name) is getattr(FederatedTrainer, name)
+from repro.federated.engine.config import overrides_hooks
 
 
 def resolve_round_loop(trainer):
     """Pick the round loop for a trainer (``None`` = classic lockstep).
 
-    ``round_mode="async"`` *requires* a pipelining-capable backend and raises
-    otherwise; ``round_mode="sync"`` silently keeps lockstep semantics for
-    backends and trainers the pipeline cannot serve (serial/batched backends,
-    hook-overriding trainers) — the sync pipeline is an execution detail, not
-    an algorithm change.
+    ``round_mode="sync"`` silently keeps lockstep semantics for backends and
+    trainers the pipeline cannot serve (serial/batched backends,
+    hook-overriding trainers) — the sync pipeline is an execution detail,
+    not an algorithm change.  Combinations no loop can serve (async without
+    the process pool, hierarchical with overridden hooks, ...) are refused
+    before this runs, by
+    :func:`~repro.federated.engine.config.check_composition`.
     """
-    mode = getattr(trainer.config, "round_mode", "sync")
-    if mode not in ("sync", "async"):
-        raise ValueError(
-            f"round_mode must be 'sync' or 'async', got {mode!r}")
-    backend = trainer.backend
-    hierarchical = getattr(trainer.config, "hierarchical", False)
-    if mode == "async":
-        if hierarchical:
-            raise ValueError(
-                "hierarchical=True requires round_mode='sync' (async seals "
-                "merge per-report, not per-shard partials)")
-        if not getattr(backend, "supports_pipelining", False):
-            raise ValueError(
-                "round_mode='async' requires the process_pool backend "
-                f"(got '{backend.name}')")
+    if trainer.config.round_mode == "async":
         return AsyncRoundLoop(trainer)
-    if not getattr(backend, "supports_pipelining", False):
-        if hierarchical:
-            raise ValueError(
-                "hierarchical=True requires the process_pool backend "
-                f"(got '{backend.name}')")
-        return None
-    if not all(_uses_default(trainer, hook)
-               for hook in ("before_round", "after_round", "aggregate")):
-        if hierarchical:
-            raise ValueError(
-                "hierarchical=True does not support trainers overriding the "
-                "barrier-round hooks (edge aggregators never ship per-client "
-                "states up)")
+    if not getattr(trainer.backend, "supports_pipelining", False) \
+            or overrides_hooks(trainer):
         return None
     return SyncPipelinedLoop(trainer)
 
@@ -260,7 +229,7 @@ class SyncPipelinedLoop:
         #: (reading them through ``get_weights`` would copy every array)
         sizes: Dict[int, int] = {}
 
-        hierarchical = getattr(backend, "hierarchical", False)
+        hierarchical = backend.hierarchical
         for round_index in range(trainer._completed_rounds + 1, rounds + 1):
             participants = trainer._select_participants()
             trainer.history.record_participants(
@@ -281,11 +250,6 @@ class SyncPipelinedLoop:
                         for position, client in enumerate(participants)}
             fold_weights = None
             if hierarchical:
-                if fold is None:
-                    raise ValueError(
-                        f"hierarchical=True requires a streaming-capable "
-                        f"aggregation (got '{trainer.strategy.name}', which "
-                        "gathers every state)")
                 normalized = fold.normalized_weights
                 fold_weights = {
                     client.client_id: float(normalized[position])
@@ -453,44 +417,8 @@ class AsyncRoundLoop:
     def __init__(self, trainer):
         self.trainer = trainer
         self.backend = trainer.backend
-        config = trainer.config
-        self.buffer_size = int(getattr(config, "async_buffer", 1))
-        self.staleness_cap = int(getattr(config, "staleness_cap", 3))
-        if self.buffer_size < 1:
-            raise ValueError("async_buffer must be >= 1")
-        if self.staleness_cap < 0:
-            raise ValueError("staleness_cap must be >= 0")
-        if getattr(config, "checkpoint_every", 0) \
-                or getattr(config, "resume_from", None):
-            # A seal is not a barrier: worker-side state is mid-shard at
-            # any checkpointable moment, so a resumed async run could not
-            # reproduce the interrupted one.  Refuse instead of writing
-            # checkpoints that silently do not round-trip.
-            raise ValueError(
-                "round_mode='async' does not support checkpoint/resume; "
-                "use round_mode='sync'")
-        if not 0.0 < config.participation <= 1.0:
-            raise ValueError(
-                "participation must be in (0, 1]")
-        # The async loop re-dispatches each shard with the raw sealed
-        # global model and never runs the barrier-round hooks — both
-        # assume lockstep semantics.  Refuse loudly instead of silently
-        # degenerating personalized methods (FED-PUB, GCFL+) or
-        # hook-overriding trainers to plain async FedAvg.
-        from repro.federated.engine.aggregation import AggregationStrategy
-
-        if type(trainer.strategy).personalize \
-                is not AggregationStrategy.personalize:
-            raise ValueError(
-                "round_mode='async' does not support personalized "
-                f"aggregation ('{trainer.strategy.name}' overrides "
-                "personalize); use round_mode='sync'")
-        if not all(_uses_default(trainer, hook)
-                   for hook in ("before_round", "after_round", "aggregate",
-                                "personalize")):
-            raise ValueError(
-                "round_mode='async' does not support trainers overriding "
-                "the barrier-round hooks; use round_mode='sync'")
+        self.buffer_size = int(trainer.config.async_buffer)
+        self.staleness_cap = int(trainer.config.staleness_cap)
 
     # ------------------------------------------------------------------
     def run(self, rounds: int) -> None:
@@ -498,12 +426,6 @@ class AsyncRoundLoop:
         backend = self.backend
         config = trainer.config
         clients = trainer.clients
-        if len(clients) < 2:
-            raise ValueError("round_mode='async' needs at least two clients")
-        if any(client.extra_loss is not None for client in clients):
-            raise ValueError(
-                "round_mode='async' requires every client to be picklable "
-                "(no coordinator-resident extra_loss hooks)")
 
         meter = _UtilizationMeter(backend)
         backend.ensure_pool()

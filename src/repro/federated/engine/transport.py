@@ -48,6 +48,8 @@ network *events* (``delay``/``partition``/``reorder``/``drop_msg``) from a
 
 from __future__ import annotations
 
+import hmac
+import json
 import multiprocessing as mp
 import pickle
 import random
@@ -72,7 +74,7 @@ _MAGIC = b"RFT1"
 F_DATA = 0    #: an application message (pickled command/reply)
 F_ACK = 1     #: cumulative acknowledgement (no payload)
 F_HB = 2      #: heartbeat (no payload, carries the ack)
-F_HELLO = 3   #: connection handshake (pickled metadata)
+F_HELLO = 3   #: connection handshake (JSON scalars, never unpickled)
 F_NACK = 4    #: "retransmit everything after ack" (CRC failure / gap)
 
 FRAME_OVERHEAD = _HEADER.size
@@ -670,17 +672,15 @@ class _TcpChannel:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             hello = {"worker": self.worker, "token": token,
                      "session": session, "ack": self._recv_seq}
-            sock.sendall(pack_frame(
-                F_HELLO, 0, self._recv_seq,
-                pickle.dumps(hello, protocol=pickle.HIGHEST_PROTOCOL)))
+            sock.sendall(pack_frame(F_HELLO, 0, self._recv_seq,
+                                    json.dumps(hello).encode()))
             ftype, _seq, _ack, payload = read_frame(sock)
             if ftype != F_HELLO:
                 raise OSError(f"handshake expected HELLO, got {ftype}")
-            reply = pickle.loads(payload)
-            self.attach(sock, int(reply["ack"]))
+            self.attach(sock, int(json.loads(payload)["ack"]))
             return True
         except (OSError, EOFError, FrameCorruption, StreamDesync,
-                pickle.UnpicklingError, KeyError):
+                ValueError, KeyError, TypeError):
             try:
                 sock.close()
             except (OSError, UnboundLocalError, NameError):
@@ -874,27 +874,33 @@ class TcpTransport(WorkerTransport):
                 ftype, _seq, _ack, payload = read_frame(sock)
                 if ftype != F_HELLO:
                     raise OSError("expected HELLO")
-                hello = pickle.loads(payload)
+                # The peer is unauthenticated until its token matches, so
+                # the HELLO is parsed as JSON (four scalars) — nothing from
+                # the socket is unpickled before this point.
+                hello = json.loads(payload)
+                if not isinstance(hello, dict):
+                    raise OSError("malformed HELLO")
+                if not hmac.compare_digest(
+                        str(hello.get("token", "")).encode(),
+                        self.token.encode()):
+                    raise OSError("bad token in HELLO")
                 worker = int(hello["worker"])
                 with self._lock:
                     channel = self._channels.get(worker)
                     expected = self._sessions.get(worker)
                 if channel is None or not channel.accepts_attach():
                     raise OSError(f"no open channel for worker {worker}")
-                if hello.get("token", "") != self.token:
-                    raise OSError(f"bad token from worker {worker}")
                 if expected is not None \
                         and hello.get("session") != expected:
                     # A stale dialer from before a respawn: refuse it so it
                     # cannot hijack the replacement channel.
                     raise OSError(f"stale session from worker {worker}")
-                reply = {"ack": channel._recv_seq}
                 sock.sendall(pack_frame(
                     F_HELLO, 0, channel._recv_seq,
-                    pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)))
+                    json.dumps({"ack": channel._recv_seq}).encode()))
                 channel.attach(sock, int(hello.get("ack", 0)))
             except (OSError, EOFError, FrameCorruption, StreamDesync,
-                    pickle.UnpicklingError, KeyError, ValueError):
+                    KeyError, ValueError, TypeError):
                 try:
                     sock.close()
                 except OSError:

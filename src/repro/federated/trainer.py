@@ -23,7 +23,7 @@ are single strategy declarations now) or overriding the hooks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,10 @@ from repro.federated.communication import CommunicationTracker
 from repro.federated.engine import (
     AggregationContext,
     AggregationStrategy,
+    EngineConfig,
     ExecutionBackend,
+    check_composition,
+    engine_fields,
     make_aggregation,
     make_backend,
 )
@@ -97,46 +100,13 @@ def resolve_checkpoint_path(spec: str,
 
 
 @dataclass
-class FederatedConfig:
+class FederatedConfig(EngineConfig):
     """Hyperparameters of federated collaborative training.
 
-    ``backend`` selects the execution backend for local training (``serial``,
-    ``process_pool`` — sized by ``num_workers`` — or ``batched``) and
-    ``aggregation`` the server-side combination strategy; both accept either
-    a registry name or a ready-made instance.  ``intra_worker`` controls how
-    a persistent process-pool worker trains its resident client shard:
-    ``"auto"``/``"batched"`` fuse the shard through the batched engine when
-    possible, ``"serial"`` pins the per-client loop.
-
-    ``round_mode`` selects the round discipline on the process pool:
-    ``"sync"`` (default) runs pipelined-but-exact rounds — streaming
-    aggregation and evaluation overlapped with worker training, histories
-    bitwise-identical to serial; ``"async"`` runs bounded-staleness
-    asynchronous rounds sealed after ``async_buffer`` shard reports, with
-    staleness-discounted merging and reports older than ``staleness_cap``
-    server rounds dropped (see :mod:`repro.federated.engine.pipeline`).
-    ``delta_codec`` picks the upload transport of the persistent pool:
-    ``"bitdelta"`` (lossless IEEE-754 bit deltas), ``"topk"`` (only the
-    ``delta_top_k`` largest-magnitude delta entries per parameter, with
-    worker-side error feedback) or ``"qtopk"`` (top-k entries additionally
-    quantised to ``delta_bits`` bits per value on a uniform grid, the
-    quantisation error joining the error feedback).  ``worker_speeds``
-    assigns simulated relative speeds to the pool's workers (straggler
-    experiments and deterministic async runs).
-
-    Fault tolerance (see the README's fault-tolerance section):
-    ``on_worker_failure`` sets the pool's crash policy — ``"fail"``
-    (default: a dead worker aborts the run), ``"restart"`` (respawn the
-    worker in place) or ``"redistribute"`` (retire it and spread its
-    resident clients over the survivors); either recovery re-bootstraps the
-    lost clients from coordinator-side snapshots.  ``round_timeout``
-    (seconds) drops shards that miss the round deadline — the aggregate
-    reweights over the actual reporters, drops are counted in
-    ``TrainingHistory.client_drops``.  ``checkpoint_every`` > 0 writes a
-    resumable checkpoint to ``checkpoint_dir`` every that many rounds;
-    ``resume_from`` restores one before training continues (bitwise on the
-    serial and sync-pipeline paths).  ``fault_plan`` injects a seeded
-    :class:`~repro.federated.engine.faults.FaultPlan` for chaos testing.
+    What is trained lives here; how the rounds execute — backend, worker
+    pool, round mode, codec, transport, fault tolerance — is the inherited
+    :class:`~repro.federated.engine.EngineConfig`, which documents every
+    knob once.
     """
 
     rounds: int = 20
@@ -146,43 +116,6 @@ class FederatedConfig:
     participation: float = 1.0
     seed: int = 0
     eval_every: int = 1
-    backend: Union[str, ExecutionBackend] = "serial"
-    #: array backend every client's local math runs under (``numpy`` — the
-    #: bitwise reference — or ``jit``); orthogonal to the execution
-    #: ``backend`` above, and applied uniformly across serial, batched,
-    #: persistent-pool and hierarchical paths.  ``None`` inherits the
-    #: process default (``REPRO_ARRAY_BACKEND``, else ``numpy``).
-    array_backend: Optional[str] = None
-    num_workers: int = 0
-    intra_worker: str = "auto"
-    #: process-pool workers act as edge aggregators: each folds its shard's
-    #: trained states locally and ships one pre-aggregated fixed-point
-    #: partial up per round, so coordinator fold work and traffic are
-    #: O(workers) instead of O(clients).  Bitwise-equal to flat FedAvg
-    #: (sync rounds, streaming-capable strategies, lossless transport).
-    hierarchical: bool = False
-    aggregation: Union[str, AggregationStrategy] = "fedavg"
-    round_mode: str = "sync"
-    async_buffer: int = 1
-    staleness_cap: int = 3
-    delta_codec: str = "bitdelta"
-    delta_top_k: int = 32
-    delta_bits: int = 8
-    worker_speeds: Optional[Sequence[float]] = None
-    #: coordinator↔worker channel of the process pool: ``"pipe"`` (default,
-    #: the bitwise parity reference) or ``"tcp"`` (framed sockets with CRC,
-    #: heartbeats and reconnect — workers may live in other processes or on
-    #: other hosts).  Sync-path histories are bitwise-equal across the two.
-    transport: str = "pipe"
-    #: keyword options for the transport factory (TCP knobs such as
-    #: ``heartbeat_timeout``, ``mode="external"``, or a ``wan`` link spec)
-    transport_options: Optional[Dict] = None
-    on_worker_failure: str = "fail"
-    round_timeout: Optional[float] = None
-    checkpoint_every: int = 0
-    checkpoint_dir: str = "checkpoints"
-    resume_from: Optional[str] = None
-    fault_plan: Optional[object] = None
 
 
 class FederatedTrainer:
@@ -224,25 +157,8 @@ class FederatedTrainer:
         self.strategy: AggregationStrategy = make_aggregation(
             self.config.aggregation)
         self.backend: ExecutionBackend = make_backend(
-            self.config.backend, num_workers=self.config.num_workers,
-            intra_worker=self.config.intra_worker,
-            hierarchical=self.config.hierarchical,
-            delta_codec=self.config.delta_codec,
-            delta_top_k=self.config.delta_top_k,
-            delta_bits=self.config.delta_bits,
-            worker_speeds=self.config.worker_speeds,
-            transport=self.config.transport,
-            transport_options=self.config.transport_options,
-            on_worker_failure=self.config.on_worker_failure,
-            round_timeout=self.config.round_timeout,
-            fault_plan=self.config.fault_plan)
-        if self.config.hierarchical \
-                and not getattr(self.backend, "hierarchical", False):
-            # make_backend filters kwargs by signature, so an incapable
-            # backend silently ignores the flag — fail loudly instead.
-            raise ValueError(
-                "hierarchical=True requires the process_pool backend "
-                f"(got '{self.backend.name}')")
+            self.config.execution_backend(), **engine_fields(self.config))
+        check_composition(self.config, self.backend)
         self.backend.bind(self)
         self._context: Optional[AggregationContext] = None
         #: rounds already in the history (non-zero after a checkpoint resume)
@@ -316,6 +232,9 @@ class FederatedTrainer:
     def run(self, rounds: Optional[int] = None) -> TrainingHistory:
         """Execute federated collaborative training and return the history."""
         rounds = rounds if rounds is not None else self.config.rounds
+        # Every unsupported knob combination is refused here, while no
+        # worker process exists yet.
+        check_composition(self.config, self.backend, self.strategy, self)
         if self.config.resume_from and not self._resume_applied:
             self.load_checkpoint(self.config.resume_from)
         else:
@@ -428,7 +347,6 @@ class FederatedTrainer:
         round_index = self._completed_rounds if round_index is None \
             else int(round_index)
         self.backend.sync_for_checkpoint()
-        history = self.history
         payload = {
             "format": 1,
             "trainer": self.name,
@@ -442,20 +360,7 @@ class FederatedTrainer:
             "strategy": self.strategy.state_dict(),
             "trainer_rng": self._rng.bit_generator.state,
             "participation_rng": self._participation_rng.bit_generator.state,
-            "history": {
-                "rounds": list(history.rounds),
-                "train_accuracy": list(history.train_accuracy),
-                "test_accuracy": list(history.test_accuracy),
-                "loss": list(history.loss),
-                "client_accuracy": [dict(d) for d in
-                                    history.client_accuracy],
-                "client_lag": [dict(d) for d in history.client_lag],
-                "client_round_sec": [dict(d) for d in
-                                     history.client_round_sec],
-                "client_drops": dict(history.client_drops),
-                "participants": {int(r): list(ids) for r, ids in
-                                 history.participants.items()},
-            },
+            "history": self.history.as_dict(),
             "tracker": {"uploaded": dict(self.tracker.uploaded),
                         "downloaded": dict(self.tracker.downloaded),
                         "rounds": self.tracker.rounds},
@@ -512,23 +417,9 @@ class FederatedTrainer:
         if "participation_rng" in payload:
             self._participation_rng.bit_generator.state = \
                 payload["participation_rng"]
-        saved = payload["history"]
-        history = self.history
-        history.rounds[:] = saved["rounds"]
-        history.train_accuracy[:] = saved["train_accuracy"]
-        history.test_accuracy[:] = saved["test_accuracy"]
-        history.loss[:] = saved["loss"]
-        history.client_accuracy[:] = [dict(d) for d in
-                                      saved["client_accuracy"]]
-        history.client_lag[:] = [dict(d) for d in saved["client_lag"]]
-        history.client_round_sec[:] = [dict(d) for d in
-                                       saved["client_round_sec"]]
-        history.client_drops.clear()
-        history.client_drops.update(saved["client_drops"])
-        history.participants.clear()
-        history.participants.update(
-            {int(r): list(ids) for r, ids in
-             saved.get("participants", {}).items()})
+        # In place: callers (and AdaFGL) hold references to the history.
+        vars(self.history).update(
+            vars(TrainingHistory.from_dict(payload["history"])))
         self.tracker.uploaded.clear()
         self.tracker.uploaded.update(payload["tracker"]["uploaded"])
         self.tracker.downloaded.clear()

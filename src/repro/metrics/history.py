@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 
@@ -81,10 +82,15 @@ class TrainingHistory:
                 return round_index
         return None
 
-    def as_dict(self) -> Dict[str, list]:
-        return {
-            "rounds": list(self.rounds),
-            "train_accuracy": list(self.train_accuracy),
-            "test_accuracy": list(self.test_accuracy),
-            "loss": list(self.loss),
-        }
+    def as_dict(self) -> Dict[str, object]:
+        """Every field, deep-copied into plain containers (lossless)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "TrainingHistory":
+        """Inverse of :meth:`as_dict`; trainer checkpoints store that dict.
+
+        A field the dict lacks starts empty (checkpoints written before
+        rounds recorded their ``participants`` carry no such key).
+        """
+        return cls(**copy.deepcopy(data))

@@ -3,13 +3,13 @@
 Every model implements ``forward(x, adjacency)`` where ``x`` is a feature
 :class:`~repro.autograd.Tensor` and ``adjacency`` is the *raw* (unnormalised)
 sparse adjacency of the local subgraph; each model applies its own propagation
-operator internally and caches it keyed on the adjacency object's id, so
+operator internally and caches it per adjacency object (by identity), so
 repeated epochs over the same subgraph do not re-normalise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,17 +31,22 @@ class GraphModel(Module):
 
     def __init__(self):
         super().__init__()
-        self._prop_cache: Dict[int, sp.csr_matrix] = {}
+        #: id(adjacency) → (adjacency, operator).  The entry keeps its
+        #: adjacency alive and a hit requires ``is``: a bare id can be
+        #: reused by a different matrix once the original is freed.
+        self._prop_cache: Dict[int, Tuple[sp.spmatrix, sp.csr_matrix]] = {}
 
     def propagation_matrix(self, adjacency: sp.spmatrix,
                            r: float = 0.5) -> sp.csr_matrix:
-        key = id(adjacency)
-        if key not in self._prop_cache:
-            # Keep the cache tiny: one operator per adjacency object.
-            if len(self._prop_cache) > 8:
-                self._prop_cache.clear()
-            self._prop_cache[key] = prepare_propagation(adjacency, r=r)
-        return self._prop_cache[key]
+        hit = self._prop_cache.get(id(adjacency))
+        if hit is not None and hit[0] is adjacency:
+            return hit[1]
+        # Keep the cache tiny: one operator per adjacency object.
+        if len(self._prop_cache) > 8:
+            self._prop_cache.clear()
+        operator = prepare_propagation(adjacency, r=r)
+        self._prop_cache[id(adjacency)] = (adjacency, operator)
+        return operator
 
     def propagation_matrix_t(self, adjacency: sp.spmatrix,
                              r: float = 0.5) -> sp.csr_matrix:

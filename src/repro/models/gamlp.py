@@ -37,7 +37,9 @@ class GAMLP(GraphModel):
         self.hop_logits = Parameter(np.zeros(k + 1), name="hop_logits")
         self.classifier = MLP(in_features, [hidden], out_features,
                               dropout=dropout, seed=seed)
-        #: id(P̃) → (features array, PropagationCache) for the constant hops
+        #: id(P̃) → (features array, PropagationCache) for the constant hops;
+        #: the PropagationCache keeps P̃ alive, and a hit requires both
+        #: objects to be the very ones cached (ids alone get reused)
         self._hop_cache: Dict[int, Tuple[np.ndarray, object]] = {}
 
     def _hop_stack(self, prop: sp.csr_matrix, x: Tensor) -> List[Tensor]:
@@ -54,7 +56,8 @@ class GAMLP(GraphModel):
         from repro.core.propagation import PropagationCache
 
         entry = self._hop_cache.get(id(prop))
-        if entry is None or entry[0] is not x.data:
+        if entry is None or entry[0] is not x.data \
+                or entry[1].propagation is not prop:
             if len(self._hop_cache) > 8:
                 self._hop_cache.clear()
             entry = (x.data, PropagationCache(prop, x.data))

@@ -283,7 +283,7 @@ class TestAdaFGLTrainer:
         serial = AdaFGL(community_clients, FAST_CONFIG)
         serial.run()
         pooled = AdaFGL(community_clients, dataclasses.replace(
-            FAST_CONFIG, num_workers=2, step1_backend="serial"))
+            FAST_CONFIG, num_workers=2, backend="serial"))
         pooled.run()
         for ours, theirs in zip(serial.client_reports(),
                                 pooled.client_reports()):

@@ -332,6 +332,43 @@ class TestCheckpointResume:
                         "tracker"):
             assert section in payload
 
+    @pytest.mark.parametrize("with_participants", [True, False])
+    def test_parent_commit_history_shape_still_loads(
+            self, four_clients, tmp_path, with_participants):
+        """Format 1 predates ``TrainingHistory.as_dict``: its ``history``
+        section was copied field by field (and, earlier still, without
+        ``participants``).  Such a file must keep loading."""
+        trainer, _ = _run(four_clients, rounds=2, backend="serial",
+                          num_workers=0, checkpoint_every=2,
+                          checkpoint_dir=str(tmp_path))
+        path = tmp_path / "round_0002.ckpt"
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        old_shape = {
+            "rounds": [1, 2], "train_accuracy": [0.5, 0.75],
+            "test_accuracy": [0.25, 0.5], "loss": [1.5, 1.25],
+            "client_accuracy": [{0: 0.25}, {0: 0.5}],
+            "client_lag": [{}, {}],
+            "client_round_sec": [{}, {0: 0.125}],
+            "client_drops": {3: 1},
+            "participants": {1: [0, 1, 2, 3], 2: [0, 1, 2, 3]},
+        }
+        expected_participants = dict(old_shape["participants"])
+        if not with_participants:
+            del old_shape["participants"]
+            expected_participants = {}
+        payload["history"] = old_shape
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        history = trainer.history
+        assert trainer.load_checkpoint(str(path)) == 2
+        assert trainer.history is history  # restored in place
+        assert history.rounds == [1, 2]
+        assert history.loss == [1.5, 1.25]
+        assert history.client_round_sec == [{}, {0: 0.125}]
+        assert history.client_drops == {3: 1}
+        assert history.participants == expected_participants
+
     def test_resume_rejects_mismatched_clients(self, four_clients,
                                                community_clients, tmp_path):
         _run(four_clients, rounds=1, backend="serial", num_workers=0,

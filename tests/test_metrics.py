@@ -1,5 +1,7 @@
 """Tests for classification metrics, history tracking and distributions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,22 @@ class TestTrainingHistory:
         data = history.as_dict()
         assert data["rounds"] == [1]
         assert data["test_accuracy"] == [0.2]
+
+    def test_dict_round_trip_is_lossless(self):
+        history = TrainingHistory()
+        history.record_participants(1, [2, 0])
+        history.record(1, 0.1, 0.2, 0.3, {0: 0.5, 2: 0.7},
+                       per_client_lag={0: 1}, per_client_round_sec={2: 0.25})
+        history.record_drop(2)
+        data = history.as_dict()
+        assert set(data) == {field.name for field in
+                             dataclasses.fields(TrainingHistory)}
+        restored = TrainingHistory.from_dict(data)
+        assert restored == history
+        # Copies, not views: the dict can outlive further recording.
+        history.record(2, 0.2, 0.3, 0.1)
+        history.record_drop(2)
+        assert TrainingHistory.from_dict(data) == restored
 
     def test_client_report_fields(self):
         report = ClientReport(client_id=2, num_nodes=10, num_test_nodes=3,

@@ -182,3 +182,35 @@ class TestModelSpecifics:
         for name in ("mlp", "gcn", "sgc", "gcnii", "gamlp", "gprgnn", "ggcn",
                      "glognn"):
             assert name in MODEL_REGISTRY
+
+
+class TestOperatorCacheIdentity:
+    """The per-model operator caches key on ``id()``; a freed object's id can
+    be handed to a different matrix, so a hit must also be the same object."""
+
+    def test_stale_propagation_entry_is_recomputed(self, tiny_graph,
+                                                   homophilous_graph):
+        model = _build("gcn", tiny_graph)
+        live, other = tiny_graph.adjacency, homophilous_graph.adjacency
+        stale = prepare_propagation(other)
+        # What a reused id looks like: ``live``'s id already in the cache,
+        # planted by a since-freed adjacency of another shape.
+        model._prop_cache[id(live)] = (other, stale)
+        operator = model.propagation_matrix(live)
+        assert operator is not stale
+        assert operator.shape == live.shape
+        assert model.propagation_matrix(live) is operator  # now a real hit
+
+    def test_stale_gamlp_hop_entry_is_recomputed(self, tiny_graph):
+        from repro.core.propagation import PropagationCache
+
+        model = _build("gamlp", tiny_graph)
+        model.eval()  # no dropout: forwards are repeatable
+        x = Tensor(tiny_graph.features)
+        expected = model(x, tiny_graph.adjacency).data
+        prop = model.propagation_matrix(tiny_graph.adjacency)
+        wrong = PropagationCache(prop * 0.0, x.data)
+        model._hop_cache[id(prop)] = (x.data, wrong)
+        np.testing.assert_array_equal(
+            model(x, tiny_graph.adjacency).data, expected)
+        assert model._hop_cache[id(prop)][1] is not wrong

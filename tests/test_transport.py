@@ -22,12 +22,15 @@ guard (``REPRO_TEST_TIMEOUT``), because a transport bug's natural failure
 mode is a wedged round.
 """
 
+import json
 import os
+import pickle
 import signal
 import socket
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,8 +46,10 @@ from repro.federated.engine import (
     make_transport,
 )
 from repro.federated.engine.backends import ProcessPoolBackend
+from repro.federated.engine import transport as transport_module
 from repro.federated.engine.transport import (
     F_DATA,
+    F_HELLO,
     FrameCorruption,
     StreamDesync,
     WanLink,
@@ -158,6 +163,60 @@ class TestWanModel:
         up = [model.state_for(0, "up").delay_for(0) for _ in range(8)]
         other = [model.state_for(1, "down").delay_for(0) for _ in range(8)]
         assert down != up and down != other
+
+
+# ----------------------------------------------------------------------
+# Handshake: authenticate before deserialising
+# ----------------------------------------------------------------------
+class TestHandshakeSafety:
+    """The accept path sees bytes from an unauthenticated peer: it must
+    compare the token before anything else and never unpickle them."""
+
+    @pytest.fixture
+    def listener(self, monkeypatch):
+        unpickled = []
+        monkeypatch.setattr(
+            transport_module, "pickle",
+            SimpleNamespace(loads=unpickled.append, dumps=pickle.dumps,
+                            HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+        transport = TcpTransport(mode="external", token="s3cret")
+        transport.spawn(0)
+        try:
+            yield transport, unpickled
+        finally:
+            transport.close()
+
+    @staticmethod
+    def _hello(transport, payload: bytes):
+        """Send one HELLO frame; return the coordinator's first frame, or
+        ``None`` when it hangs up instead."""
+        with socket.create_connection(transport.address, timeout=5.0) as sock:
+            sock.sendall(pack_frame(F_HELLO, 0, 0, payload))
+            try:
+                return read_frame(sock)
+            except EOFError:
+                return None
+
+    def test_pickled_hello_is_refused_unread(self, listener):
+        transport, unpickled = listener
+        hello = {"worker": 0, "token": "s3cret", "session": None, "ack": 0}
+        assert self._hello(transport, pickle.dumps(hello)) is None
+        assert unpickled == []
+
+    def test_wrong_token_is_refused(self, listener):
+        transport, unpickled = listener
+        hello = {"worker": 0, "token": "guess", "session": None, "ack": 0}
+        assert self._hello(transport, json.dumps(hello).encode()) is None
+        assert unpickled == []
+
+    def test_right_token_is_answered_with_a_json_ack(self, listener):
+        transport, unpickled = listener
+        hello = {"worker": 0, "token": "s3cret", "session": None, "ack": 0}
+        ftype, _seq, _ack, payload = self._hello(
+            transport, json.dumps(hello).encode())
+        assert ftype == F_HELLO
+        assert json.loads(payload) == {"ack": 0}
+        assert unpickled == []
 
 
 # ----------------------------------------------------------------------
