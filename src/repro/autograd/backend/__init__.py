@@ -6,14 +6,19 @@ directly), and every sparse/fused hot-path primitive in
 :mod:`repro.autograd.functional` routes through a per-backend *kernel
 registry*.  Two backends ship:
 
-* ``numpy`` — the default and the bitwise parity reference.  Its kernels are
-  the exact expressions the engine has always computed; every existing test
-  runs against it unchanged.
+* ``numpy`` — the default and the bitwise parity reference: scipy sparse
+  products, einsum row dots and a scatter-free sddmm backward that equals
+  the defining ``np.add.at`` scatter bit for bit (see
+  :mod:`repro.autograd.backend.numpy_backend` for the accumulation-order
+  contract).
 * ``jit`` — numba-compiled CSR kernels (``prange`` over independent output
-  rows, scatter-free sddmm backward) that degrade gracefully *per kernel* to
-  optimized scipy fallbacks when numba is absent.  See
+  rows); without numba every kernel is the numpy reference.  See
   :mod:`repro.autograd.backend.jit_backend` for the kernel-by-kernel parity
   contract.
+
+Both share one identity-keyed structure cache (:func:`cached_structure`) for
+what a kernel derives from a fixed operator: its CSR transpose, the row of
+each stored element, the row pointers of an sddmm support.
 
 Registering a GPU backend (the CuPy seam)
 -----------------------------------------
@@ -54,6 +59,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
@@ -267,37 +273,95 @@ def use_backend(spec: BackendSpec) -> Iterator[ArrayBackend]:
 
 
 # ----------------------------------------------------------------------
-# Shared transposed-CSR cache
+# Shared structure cache
 # ----------------------------------------------------------------------
-# Every ``spmm`` backward multiplies by the transposed operator.  The
-# operators are long-lived graph constants (propagation matrices, block
-# diagonals), so the transpose is computed once per matrix object and shared
-# across serial and batched paths.  Entries hold a strong reference to the
-# source matrix: while an entry exists its id cannot be recycled, which makes
-# the id key safe.  Accumulation order: a cached ``A.T.tocsr()`` product
-# gathers each output row's contributions in ascending source-row order —
-# exactly the order the previous per-call ``A.T @ grad`` (CSC matvec)
-# accumulated in — so swapping it in is bitwise-neutral.
-_TRANSPOSE_CACHE: Dict[int, tuple] = {}
-_TRANSPOSE_CACHE_CAP = 64
+# The operators and supports the sparse kernels see are long-lived graph
+# constants (propagation matrices, block diagonals, top-k patterns), so what
+# a kernel derives from their *structure* — the CSR transpose, the row index
+# of every stored element, the row pointers of a CSR-ordered support — is
+# computed once per object and shared by every backend and caller.  Entries
+# are keyed by the owner's identity and hold it only weakly: an entry lives
+# exactly as long as its owner (the weakref callback drops it), so the cache
+# is bounded by the live operators rather than by a clear-on-overflow cap,
+# and an id can only be reused after its entry is gone.  A structure must
+# not reference its owner (neither would ever be freed), and an owner must
+# not be mutated in place after its first lookup (its structures go stale).
+_STRUCTURES: Dict[tuple, tuple] = {}
+
+
+def cached_structure(owner, build: Callable, *args):
+    """``build(owner, *args)``, once per live ``owner``, ``build``, ``args``
+    (``build`` a module-level function, ``args`` hashable)."""
+    key = (id(owner), build, args)
+    hit = _STRUCTURES.get(key)
+    if hit is not None and hit[0]() is owner:
+        return hit[1]
+    value = build(owner, *args)
+    _STRUCTURES[key] = (
+        weakref.ref(owner, lambda _ref, key=key, drop=_STRUCTURES.pop:
+                    drop(key, None)),
+        value)
+    return value
+
+
+def structure_cache_size() -> int:
+    """Number of cached structures (test hook)."""
+    return len(_STRUCTURES)
+
+
+def _csr_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
+    return matrix.T.tocsr()
 
 
 def cached_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """The CSR transpose of ``matrix``, cached by object identity."""
-    key = id(matrix)
-    hit = _TRANSPOSE_CACHE.get(key)
-    if hit is not None and hit[0] is matrix:
-        return hit[1]
-    if len(_TRANSPOSE_CACHE) >= _TRANSPOSE_CACHE_CAP:
-        _TRANSPOSE_CACHE.clear()
-    transpose = matrix.T.tocsr()
-    _TRANSPOSE_CACHE[key] = (matrix, transpose)
-    return transpose
+    """The CSR transpose of ``matrix``, cached by object identity.
+
+    Accumulation order: a cached ``A.T.tocsr()`` product gathers each output
+    row's contributions in ascending source-row order — exactly the order a
+    per-call ``A.T @ grad`` (CSC matvec) accumulates in — so swapping it in
+    is bitwise-neutral.
+    """
+    return cached_structure(matrix, _csr_transpose)
 
 
-def transpose_cache_size() -> int:
-    """Number of cached transposes (test hook)."""
-    return len(_TRANSPOSE_CACHE)
+def _element_rows(pattern: sp.csr_matrix) -> np.ndarray:
+    return np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+
+
+def pattern_rows(pattern: sp.csr_matrix) -> np.ndarray:
+    """The row index of every stored element of a CSR ``pattern``.
+
+    Always the same array object for one pattern, so an ``sddmm`` on that
+    support finds its :func:`support_indptr` cached as well.
+    """
+    return cached_structure(pattern, _element_rows)
+
+
+def _row_pointers(rows: np.ndarray, n_rows: int) -> Optional[np.ndarray]:
+    if rows.size and (rows[0] < 0 or rows[-1] >= n_rows
+                      or not np.all(rows[:-1] <= rows[1:])):
+        return None
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
+
+
+def _within(indices: np.ndarray, bound: int) -> bool:
+    return not indices.size or bool(indices.min() >= 0
+                                    and indices.max() < bound)
+
+
+def support_indptr(rows: np.ndarray, cols: np.ndarray, shape: tuple
+                   ) -> Optional[np.ndarray]:
+    """CSR row pointers of the ``sddmm`` support ``(rows, cols)`` of ``shape``.
+
+    ``None`` when it is not a CSR structure of that shape — ``rows`` not
+    ascending, an index from the end or out of range — which sends every
+    backend to the defining scatter (and its ``IndexError``).
+    """
+    if not cached_structure(cols, _within, shape[1]):
+        return None
+    return cached_structure(rows, _row_pointers, shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -320,15 +384,18 @@ if _DEFAULT_NAME not in _REGISTRY:  # pragma: no cover - env misuse guard
 __all__ = [
     "ArrayBackend",
     "KERNEL_NAMES",
+    "cached_structure",
     "cached_transpose",
     "current_backend",
     "default_backend",
     "get_backend",
     "list_array_backends",
     "numba_available",
+    "pattern_rows",
     "register_backend",
     "resolve_backend",
     "set_default_backend",
-    "transpose_cache_size",
+    "structure_cache_size",
+    "support_indptr",
     "use_backend",
 ]

@@ -1,47 +1,51 @@
-"""The ``jit`` backend: numba CSR kernels with graceful per-kernel fallback.
+"""The ``jit`` backend: numba CSR kernels over the numpy reference.
 
 When numba is importable the sparse hot paths compile to ``prange``-parallel
-CSR loops; when it is absent each kernel independently degrades to the best
-numpy/scipy implementation available — which for the sddmm backward is a
-*scatter-free* formulation that is still ≳2× the reference ``np.add.at``
-path, and for the remaining kernels is the reference expression itself.
+CSR loops; when it is absent every kernel *is* the reference kernel of
+:mod:`repro.autograd.backend.numpy_backend` — this module holds only what is
+compiled.  The structures the loops walk (row pointers of a support, the
+transposed traversal of a pattern) come from the dispatch layer's shared
+structure cache.
 
 Parity contract (what the backend-parity suite asserts):
 
-* **Bitwise-safe kernels** — ``spmm`` / ``spmm_batched`` / ``spmm_pattern``
-  forward, the spmm/pattern backwards and the sddmm backward.  The numba
-  loops nest exactly like scipy's CSR matmul (per output row: stored entries
-  in order, multiply then accumulate) and parallelise only over independent
-  output rows, and numba compiles without fast-math so LLVM cannot contract
-  the multiply-add into an FMA: results are bitwise-identical to the numpy
-  reference, with or without numba.
+* **Compiled kernels** — ``spmm`` / ``spmm_batched`` / ``spmm_pattern``
+  forward, the spmm/pattern dense backwards and the sddmm backward.  The
+  numba loops nest exactly like scipy's CSR matmul (per output row: stored
+  entries in order, multiply then accumulate) and parallelise only over
+  independent output rows, and numba compiles without fast-math so LLVM
+  cannot contract the multiply-add into an FMA: results are
+  bitwise-identical to the numpy reference.
 
-  The scatter-free sddmm backward is bitwise because ``np.add.at`` applies
-  updates in element order and the support arrives in CSR order: the CSR
-  product ``S @ b`` accumulates each output row over exactly that order, and
-  ``Sᵀ @ a`` (CSC traversal) hits every output row in ascending element
-  order too.  Supports whose ``rows`` are *not* sorted fall back to
-  ``np.add.at`` verbatim.
+  For the sddmm backward that reference is the ``np.add.at`` scatter in
+  element order, which on a CSR-ordered support the reference itself
+  computes as ``S @ b`` and ``Sᵀ @ a`` (see the numpy backend's docstring
+  for why the traversal order matches).  The loops here are those two
+  products: ``_sddmm_grad_rows`` walks each row's elements in order, and
+  ``_sddmm_grad_cols`` walks each column's elements in ascending element
+  order (a stable counting sort of ``cols``), so every output row sees the
+  same additions in the same order.  A support the shared
+  ``support_indptr`` rejects goes to the reference, which keeps the scatter.
 
 * **Reduction-order-sensitive kernels** — ``sddmm`` forward and the
   spmm_pattern values-backward are dot reductions that the numpy reference
   computes with ``np.einsum`` (SIMD partial sums).  A sequential numba dot
-  reorders that reduction and can differ by a few ulps (observed ≤ 2 ulps on
-  float64 at engine shapes), so the jit backend keeps the einsum reference
-  for them by default — the sync training pipeline therefore always runs a
-  bitwise-safe kernel set.  Set ``REPRO_JIT_FAST_DOT=1`` to opt into the
-  numba dot variants where bitwise history parity is not required.
+  reorders that reduction and differs by a few ulps, so they are not
+  compiled: the jit backend registers the einsum reference for them and the
+  sync training pipeline always runs a bitwise-safe kernel set.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.backend import ArrayBackend, cached_transpose
+from repro.autograd.backend import (
+    ArrayBackend,
+    cached_structure,
+    cached_transpose,
+    support_indptr,
+)
 from repro.autograd.backend import numpy_backend as ref
 
 try:  # pragma: no cover - exercised only where numba is installed (CI matrix)
@@ -68,76 +72,31 @@ def numba_available() -> bool:
     return NUMBA_AVAILABLE
 
 
-_FAST_DOT = os.environ.get("REPRO_JIT_FAST_DOT", "0") == "1"
-
-
-# ----------------------------------------------------------------------
-# Support-structure caches
-# ----------------------------------------------------------------------
-# The sddmm support (rows, cols) and spmm_pattern structure are graph
-# constants reused every epoch; derived structures (row pointers, the
-# transposed-traversal permutation) are cached by object identity with a
-# strong reference to the source array so the id key cannot be recycled.
-_STRUCT_CACHE: Dict[Tuple[str, int], tuple] = {}
-_STRUCT_CACHE_CAP = 64
-
-
-def _cache_get(kind: str, owner) -> Optional[tuple]:
-    hit = _STRUCT_CACHE.get((kind, id(owner)))
-    if hit is not None and hit[0] is owner:
-        return hit[1]
-    return None
-
-
-def _cache_put(kind: str, owner, value: tuple) -> tuple:
-    if len(_STRUCT_CACHE) >= _STRUCT_CACHE_CAP:
-        _STRUCT_CACHE.clear()
-    _STRUCT_CACHE[(kind, id(owner))] = (owner, value)
-    return value
-
-
-def _rows_structure(rows: np.ndarray, n_rows: int) -> tuple:
-    """``(is_sorted, indptr)`` for a CSR-ordered sddmm row support."""
-    cached = _cache_get("rows", rows)
-    if cached is not None:
-        return cached
-    is_sorted = bool(np.all(rows[:-1] <= rows[1:]))
-    indptr = None
-    if is_sorted:
-        counts = np.bincount(rows, minlength=n_rows)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-    return _cache_put("rows", rows, (is_sorted, indptr))
-
-
-def _cols_structure(cols: np.ndarray, n_cols: int) -> tuple:
-    """``(indptr_t, perm)``: transposed traversal of the sddmm support.
+def _column_order(cols: np.ndarray, n_cols: int) -> tuple:
+    """``(indptr_t, perm)``: transposed traversal of a support's ``cols``.
 
     ``perm`` lists the support elements column-by-column in ascending
     element order within each column (a stable counting sort), so a walk in
     this order accumulates each output row of the column gradient in the
-    exact order ``np.add.at`` would.
+    exact order ``np.add.at`` would.  Looked up through the structure cache,
+    per ``cols`` array (a pattern's ``indices`` survive re-valuing).
     """
-    cached = _cache_get("cols", cols)
-    if cached is not None:
-        return cached
-    counts = np.bincount(cols, minlength=n_cols)
     indptr_t = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr_t[1:])
-    perm = np.argsort(cols, kind="stable").astype(np.int64)
-    return _cache_put("cols", cols, (indptr_t, perm))
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr_t[1:])
+    return indptr_t, np.argsort(cols, kind="stable").astype(np.int64)
 
 
-def _pattern_transpose_structure(pattern: sp.csr_matrix) -> tuple:
-    """``(indptr_t, indices_t, perm)`` of a fixed CSR pattern's transpose."""
-    cached = _cache_get("pattern_t", pattern)
-    if cached is not None:
-        return cached
+def _pattern_transpose(pattern: sp.csr_matrix) -> tuple:
+    """``(indptr_t, indices_t, perm)`` of a CSR pattern's transpose.
+
+    ``pattern`` is the per-call valued matrix, so only the column order
+    (keyed on the ``indices`` it shares with the fixed pattern) is cached.
+    """
+    indptr_t, perm = cached_structure(pattern.indices, _column_order,
+                                      pattern.shape[1])
     rows = np.repeat(np.arange(pattern.shape[0], dtype=np.int64),
                      np.diff(pattern.indptr))
-    indptr_t, perm = _cols_structure(pattern.indices, pattern.shape[1])
-    return _cache_put("pattern_t", pattern,
-                      (indptr_t, rows[perm].copy(), perm))
+    return indptr_t, rows[perm], perm
 
 
 # ----------------------------------------------------------------------
@@ -176,19 +135,6 @@ def _sddmm_grad_cols(indptr_t, perm, rows, grad, a, out):  # pragma: no cover
                 out[c, j] += g * a[r, j]
 
 
-@njit(parallel=True, cache=True)
-def _sddmm_dot(rows, cols, a, b, out):  # pragma: no cover - numba, opt-in
-    # Sequential dot per edge: reduction order differs from np.einsum's SIMD
-    # partial sums by a few ulps — REPRO_JIT_FAST_DOT=1 territory only.
-    for e in prange(rows.shape[0]):
-        r = rows[e]
-        c = cols[e]
-        acc = 0.0
-        for j in range(a.shape[1]):
-            acc += a[r, j] * b[c, j]
-        out[e] = acc
-
-
 # ----------------------------------------------------------------------
 # Kernel implementations
 # ----------------------------------------------------------------------
@@ -212,43 +158,21 @@ def spmm_batched(adjacency, dense):
     return spmm(adjacency, flat).reshape(batch, nodes, channels)
 
 
-def sddmm(rows, cols, a, b):
-    if NUMBA_AVAILABLE and _FAST_DOT:
-        out = np.empty(rows.shape[0], dtype=np.float64)
-        _sddmm_dot(rows, cols, a, b, out)
-        return out
-    return ref.sddmm(rows, cols, a, b)
-
-
 def sddmm_backward(rows, cols, a, b, grad, need_a, need_b):
-    """Scatter-free sddmm backward on a CSR-ordered support.
-
-    ``grad_a = S @ b`` and ``grad_b = Sᵀ @ a`` where ``S`` carries ``grad``
-    on the support — no ``np.add.at`` scatter and no ``(nnz, f)``
-    intermediate product.  Unsorted supports keep the reference scatter.
-    """
-    is_sorted, indptr = _rows_structure(rows, a.shape[0])
-    if not is_sorted:
+    indptr = support_indptr(rows, cols, (a.shape[0], b.shape[0])) \
+        if NUMBA_AVAILABLE else None
+    if indptr is None:
         return ref.sddmm_backward(rows, cols, a, b, grad, need_a, need_b)
     grad_a = grad_b = None
-    if NUMBA_AVAILABLE:
-        if need_a:
-            grad_a = np.zeros_like(a)
-            _sddmm_grad_rows(indptr, cols.astype(np.int64, copy=False),
-                             grad, b, grad_a)
-        if need_b:
-            indptr_t, perm = _cols_structure(cols, b.shape[0])
-            grad_b = np.zeros_like(b)
-            _sddmm_grad_cols(indptr_t, perm,
-                             rows.astype(np.int64, copy=False),
-                             grad, a, grad_b)
-        return grad_a, grad_b
-    matrix = sp.csr_matrix((grad, cols, indptr),
-                           shape=(a.shape[0], b.shape[0]))
     if need_a:
-        grad_a = matrix @ b
+        grad_a = np.zeros_like(a)
+        _sddmm_grad_rows(indptr, cols.astype(np.int64, copy=False),
+                         grad, b, grad_a)
     if need_b:
-        grad_b = matrix.T @ a
+        indptr_t, perm = cached_structure(cols, _column_order, b.shape[0])
+        grad_b = np.zeros_like(b)
+        _sddmm_grad_cols(indptr_t, perm, rows.astype(np.int64, copy=False),
+                         grad, a, grad_b)
     return grad_a, grad_b
 
 
@@ -262,28 +186,17 @@ def spmm_pattern(pattern, values, dense):
     return out, matrix
 
 
-def spmm_pattern_backward_values(pattern, grad, dense):
-    if NUMBA_AVAILABLE and _FAST_DOT:
-        rows = np.repeat(np.arange(pattern.shape[0], dtype=np.int64),
-                         np.diff(pattern.indptr))
-        out = np.empty(pattern.nnz, dtype=np.float64)
-        _sddmm_dot(rows, pattern.indices.astype(np.int64, copy=False),
-                   grad, dense, out)
-        return out
-    return ref.spmm_pattern_backward_values(pattern, grad, dense)
-
-
 def spmm_pattern_backward_dense(matrix, grad):
     if not NUMBA_AVAILABLE:
         return ref.spmm_pattern_backward_dense(matrix, grad)
-    indptr_t, indices_t, perm = _pattern_transpose_structure(matrix)
+    indptr_t, indices_t, perm = _pattern_transpose(matrix)
     out = np.zeros((matrix.shape[1], grad.shape[1]), dtype=np.float64)
     _spmm_csr(indptr_t, indices_t, matrix.data[perm], grad, out)
     return out
 
 
 class JitBackend(ArrayBackend):
-    """JIT backend: numba CSR kernels, per-kernel numpy/scipy fallback."""
+    """JIT backend: numba CSR kernels, the reference kernels without numba."""
 
     name = "jit"
     xp = np
@@ -293,11 +206,11 @@ class JitBackend(ArrayBackend):
         self.register_kernel("spmm", spmm)
         self.register_kernel("spmm_backward", spmm_backward)
         self.register_kernel("spmm_batched", spmm_batched)
-        self.register_kernel("sddmm", sddmm)
+        self.register_kernel("sddmm", ref.sddmm)
         self.register_kernel("sddmm_backward", sddmm_backward)
         self.register_kernel("spmm_pattern", spmm_pattern)
         self.register_kernel("spmm_pattern_backward_values",
-                             spmm_pattern_backward_values)
+                             ref.spmm_pattern_backward_values)
         self.register_kernel("spmm_pattern_backward_dense",
                              spmm_pattern_backward_dense)
         # Mask generation/application are memory-bound elementwise numpy ops;

@@ -1,10 +1,10 @@
 """The numpy reference backend.
 
-These kernels are the engine's original expressions, verbatim — the *bitwise
-parity reference* every other backend is tested against.  This module is the
-only place the hot-path primitives may touch ``np.`` directly
-(``tools/check_backend_dispatch.py`` enforces the seam on
-``functional.py``).
+These kernels are the *bitwise parity reference* every other backend is
+tested against: plain numpy / scipy expressions with a fixed floating-point
+accumulation order.  This module is the only place the hot-path primitives
+may touch ``np.`` directly (``tools/check_backend_dispatch.py`` enforces the
+seam on ``functional.py``).
 
 Accumulation-order contract (what "bitwise" rests on):
 
@@ -12,9 +12,21 @@ Accumulation-order contract (what "bitwise" rests on):
   entries in order; the backward multiplies by the shared cached CSR
   transpose, which gathers contributions in ascending source-row order —
   the same order the historical per-call ``A.T @ grad`` CSC product used.
-* ``sddmm`` backward — ``np.add.at`` applies updates in element order;
-  rows/cols arrive in CSR order (rows ascending, cols ascending within a
-  row) from the fixed-support message-passing path.
+* ``sddmm`` backward — defined by the scatter ``np.add.at(grad_a, rows,
+  grad[:, None] * b[cols])``: one multiply per element, then one add per
+  element into a zero-initialised row, applied in element order.  On a
+  CSR-ordered support (rows ascending — what the fixed-support message
+  passing passes) it is computed without the scatter, as two sparse products
+  of ``S = csr(grad, cols, indptr)``: ``S @ b`` walks each output row's
+  stored elements in order, and ``S.T @ a`` is a CSC traversal that visits
+  the elements in storage order and adds each into output row ``cols[e]`` —
+  in both, every output row receives exactly the products ``np.add.at``
+  would add, in the same order, so the result is bit-for-bit the scatter's
+  (``tests/test_backend.py`` keeps the literal scatter as the oracle).  Any
+  other support (rows not ascending, an index from the end or out of range:
+  ``support_indptr`` decides, for every backend) keeps the scatter itself.
+* ``sddmm`` / ``spmm_pattern`` values-backward — ``np.einsum`` row dots over
+  ``np.take`` gathers (the same ``(nnz, c)`` operands fancy indexing built).
 * ``dropout_mask`` — consumes ``rng.random(shape)`` exactly once, so every
   backend advances a module's generator identically.
 """
@@ -24,7 +36,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.backend import ArrayBackend, cached_transpose
+from repro.autograd.backend import (
+    ArrayBackend,
+    cached_transpose,
+    pattern_rows,
+    support_indptr,
+)
 
 
 def spmm(adjacency: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
@@ -46,18 +63,29 @@ def spmm_batched(adjacency: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
 
 def sddmm(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarray
           ) -> np.ndarray:
-    return np.einsum("ij,ij->i", a[rows], b[cols])
+    return np.einsum("ij,ij->i", np.take(a, rows, axis=0),
+                     np.take(b, cols, axis=0))
 
 
 def sddmm_backward(rows, cols, a, b, grad, need_a, need_b):
-    column = grad[:, None]
+    shape = (a.shape[0], b.shape[0])
+    indptr = support_indptr(rows, cols, shape)
     grad_a = grad_b = None
+    if indptr is None:
+        # Not a CSR-ordered support: the defining scatter.
+        column = grad[:, None]
+        if need_a:
+            grad_a = np.zeros_like(a)
+            np.add.at(grad_a, rows, column * b[cols])
+        if need_b:
+            grad_b = np.zeros_like(b)
+            np.add.at(grad_b, cols, column * a[rows])
+        return grad_a, grad_b
+    support = sp.csr_matrix((grad, cols, indptr), shape=shape)
     if need_a:
-        grad_a = np.zeros_like(a)
-        np.add.at(grad_a, rows, column * b[cols])
+        grad_a = support @ b
     if need_b:
-        grad_b = np.zeros_like(b)
-        np.add.at(grad_b, cols, column * a[rows])
+        grad_b = support.T @ a
     return grad_a, grad_b
 
 
@@ -70,8 +98,8 @@ def spmm_pattern(pattern: sp.csr_matrix, values: np.ndarray,
 
 def spmm_pattern_backward_values(pattern: sp.csr_matrix, grad: np.ndarray,
                                  dense: np.ndarray) -> np.ndarray:
-    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    return np.einsum("ij,ij->i", grad[rows], dense[pattern.indices])
+    return np.einsum("ij,ij->i", np.take(grad, pattern_rows(pattern), axis=0),
+                     np.take(dense, pattern.indices, axis=0))
 
 
 def spmm_pattern_backward_dense(matrix: sp.csr_matrix, grad: np.ndarray

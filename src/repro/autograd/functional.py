@@ -42,7 +42,7 @@ def spmm(adjacency: sp.spmatrix, dense: Tensor,
     adjacency), matching how propagation matrices are used in GNNs.  Callers
     on a hot path may pass ``adjacency_t`` (a precomputed ``A.T`` in CSR
     form); otherwise the backward reuses the dispatch layer's shared
-    transposed-CSR cache, so no path re-transposes per call.
+    structure cache, so no path re-transposes per call.
     """
     if not sp.issparse(adjacency):
         raise TypeError("spmm expects a scipy sparse matrix as first operand")

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import Tensor, functional as F
+from repro.autograd.backend import pattern_rows
 from repro.core.propagation import PropagationCache
 from repro.nn import Linear, MLP, Module
 from repro.nn.module import Parameter
@@ -27,23 +28,6 @@ from repro.nn.module import Parameter
 #: Propagation operators accepted throughout Step 2: dense arrays or any
 #: scipy sparse matrix (the sparse-first engine hands around CSR).
 PropagationMatrix = Union[np.ndarray, sp.spmatrix]
-
-# The sddmm support rows of a CSR pattern (``np.repeat`` over the row
-# pointers) are a per-epoch recompute on the sparse message-passing hot
-# path; the pattern object is a per-client constant, so cache by identity
-# (strong reference keeps the id stable while cached).
-_PATTERN_ROWS_CACHE: dict = {}
-
-
-def _pattern_rows(pattern: sp.csr_matrix) -> np.ndarray:
-    hit = _PATTERN_ROWS_CACHE.get(id(pattern))
-    if hit is not None and hit[0] is pattern:
-        return hit[1]
-    if len(_PATTERN_ROWS_CACHE) >= 64:
-        _PATTERN_ROWS_CACHE.clear()
-    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    _PATTERN_ROWS_CACHE[id(pattern)] = (pattern, rows)
-    return rows
 
 
 class MessageUpdater(Module):
@@ -119,7 +103,7 @@ class LearnableMessagePassing(Module):
 
     def _forward_sparse(self, h_m: Tensor, pattern: sp.csr_matrix) -> Tensor:
         """Eq. 11–12 on the fixed support of a sparse P̃ (never ``(n, n)``)."""
-        rows = _pattern_rows(pattern)
+        rows = pattern_rows(pattern)
         cols = pattern.indices
         p_values = Tensor(pattern.data)
         scale = 1.0 / max(1.0, float(h_m.shape[0]))

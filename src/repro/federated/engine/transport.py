@@ -947,6 +947,12 @@ class TcpTransport(WorkerTransport):
             channels = list(self._channels.values())
         for channel in channels:
             channel.close()
+        # Closing the listener from this thread does not wake a blocking
+        # accept() on Linux; shutting it down does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -3,22 +3,31 @@
 The contract under test (see ``repro/autograd/backend``):
 
 * the **numpy** backend is the bitwise parity reference — it must reproduce
-  the pre-dispatch hot-path math exactly;
-* the **jit** backend (numba CSR kernels when numba is importable, scipy
-  fallbacks otherwise) must be **bitwise-identical** to numpy on its default
-  kernel set, both per kernel and end-to-end across every federation engine
+  the pre-dispatch hot-path math exactly.  Its sddmm backward no longer *is*
+  the ``np.add.at`` scatter, so the scatter lives here as the oracle
+  (``_scatter_sddmm_backward``), per kernel and through ten Step-2 epochs;
+* the **jit** backend (numba CSR kernels when numba is importable, the
+  reference kernels otherwise) must be **bitwise-identical** to numpy,
+  both per kernel and end-to-end across every federation engine
   path (serial, batched, persistent pool, hierarchical) and AdaFGL Step-2;
+* one structure cache serves every derived constant of a fixed support, and
+  an entry lives exactly as long as the object it was derived from;
 * active dropout refuses to run without an explicit rng (no hidden
   unseeded ``default_rng()`` on any hot path).
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.autograd import (
     Tensor,
@@ -32,17 +41,23 @@ from repro.autograd import (
     resolve_backend,
     use_backend,
 )
+from repro.autograd.backend import jit_backend
 from repro.autograd.backend import (
     KERNEL_NAMES,
     ArrayBackend,
+    cached_structure,
     cached_transpose,
-    transpose_cache_size,
+    pattern_rows,
+    structure_cache_size,
+    support_indptr,
 )
 from repro.core import AdaFGL, AdaFGLConfig
+from repro.core.adafgl import PersonalizedClient
+from repro.datasets import load_dataset
 from repro.federated import FederatedConfig
 from repro.fgl.fedgnn import FederatedGNN
 from tests.conftest import small_csbm
-from repro.simulation import community_split
+from repro.simulation import community_split, structure_noniid_split
 
 
 NUMPY = get_backend("numpy")
@@ -61,6 +76,57 @@ def _sorted_support(pattern):
     rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
     cols = pattern.indices
     return rows, cols
+
+
+def _scatter_sddmm_backward(rows, cols, a, b, grad, need_a, need_b):
+    """The scatter that *defines* the sddmm backward — the oracle."""
+    column = grad[:, None]
+    grad_a = grad_b = None
+    if need_a:
+        grad_a = np.zeros_like(a)
+        np.add.at(grad_a, rows, column * b[cols])
+    if need_b:
+        grad_b = np.zeros_like(b)
+        np.add.at(grad_b, cols, column * a[rows])
+    return grad_a, grad_b
+
+
+def _same_bits(left, right):
+    if left is None or right is None:
+        return left is right
+    return (left.shape == right.shape and left.dtype == right.dtype
+            and left.tobytes() == right.tobytes())
+
+
+@st.composite
+def csr_ordered_sddmm(draw):
+    """``(rows, cols, a, b, grad)`` on a CSR-ordered support.
+
+    Rows ascend; a row may be empty (so may the whole support), and columns
+    are drawn with replacement, unsorted — duplicate ``(row, col)`` pairs
+    included.  ``a`` may alias ``b`` (Step 2 calls ``sddmm(rows, cols, h,
+    h)``) and either may be a non-contiguous view; widths start at 1.
+    """
+    n = draw(st.integers(1, 10))
+    aliased = draw(st.booleans())
+    m = n if aliased else draw(st.integers(1, 10))
+    width = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    rows = np.repeat(np.arange(n), counts)
+    cols = rng.integers(0, m, size=rows.size)
+
+    def dense(count):
+        layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+        if layout == "strided":
+            return rng.standard_normal((count, 2 * width))[:, ::2]
+        if layout == "transposed":
+            return rng.standard_normal((width, count)).T
+        return rng.standard_normal((count, width))
+
+    a = dense(n)
+    b = a if aliased else dense(m)
+    return rows, cols, a, b, rng.standard_normal(rows.size)
 
 
 # Mixed shapes exercising the real plans: tall/thin client features,
@@ -180,22 +246,60 @@ class TestKernelParity:
         assert np.array_equal(ref[0], out[0])
         assert np.array_equal(ref[1], out[1])
 
+    @given(csr_ordered_sddmm(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None,
+              # inherited by TestKernelParityLoopsInterpreted on purpose
+              suppress_health_check=[HealthCheck.differing_executors])
+    def test_sddmm_backward_is_the_scatter_bit_for_bit(self, case, need_a,
+                                                       need_b):
+        rows, cols, a, b, grad = case
+        assert support_indptr(rows, cols,
+                              (a.shape[0], b.shape[0])) is not None
+        self._assert_is_the_scatter(rows, cols, a, b, grad, need_a, need_b)
+
+    @staticmethod
+    def _assert_is_the_scatter(rows, cols, a, b, grad, need_a=True,
+                               need_b=True):
+        oracle = _scatter_sddmm_backward(rows, cols, a, b, grad,
+                                         need_a, need_b)
+        for backend in (NUMPY, JIT):
+            out = backend.sddmm_backward(rows, cols, a, b, grad,
+                                         need_a, need_b)
+            assert _same_bits(out[0], oracle[0])
+            assert _same_bits(out[1], oracle[1])
+
+    @staticmethod
+    def _fallback_case():
+        rows, cols = _sorted_support(_random_csr(30, 30, seed=8))
+        rng = np.random.default_rng(10)
+        return (rows, cols, rng.standard_normal((30, 4)),
+                rng.standard_normal((30, 4)), rng.standard_normal(rows.size))
+
     def test_sddmm_backward_unsorted_rows_fallback(self):
-        # The scatter-free path requires CSR-ordered rows; shuffled support
-        # must fall back to np.add.at and stay correct (not bitwise-ordered,
-        # so compare against the reference on the SAME shuffled support).
-        pattern = _random_csr(30, 30, seed=8)
-        rows, cols = _sorted_support(pattern)
+        # Outside CSR order the kernel keeps the scatter itself.
+        rows, cols, a, b, grad = self._fallback_case()
         perm = np.random.default_rng(9).permutation(rows.size)
         rows, cols = rows[perm], cols[perm]
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((30, 4))
-        b = rng.standard_normal((30, 4))
-        grad = rng.standard_normal(rows.size)
-        ref = NUMPY.sddmm_backward(rows, cols, a, b, grad, True, True)
-        out = JIT.sddmm_backward(rows, cols, a, b, grad, True, True)
-        assert np.array_equal(ref[0], out[0])
-        assert np.array_equal(ref[1], out[1])
+        assert support_indptr(rows, cols, (30, 30)) is None
+        self._assert_is_the_scatter(rows, cols, a, b, grad)
+
+    def test_sddmm_backward_columns_from_the_end_fallback(self):
+        # Ascending rows, but columns counted from the end: valid for the
+        # scatter, not a CSR column index.
+        rows, cols, a, b, grad = self._fallback_case()
+        assert support_indptr(rows, cols - 30, (30, 30)) is None
+        self._assert_is_the_scatter(rows, cols - 30, a, b, grad)
+
+    def test_sddmm_backward_out_of_range_index_raises(self):
+        # Neither sparse product validates indices, so an index past the
+        # operand must reach the scatter and raise there, on every backend.
+        rows, cols, a, b, grad = self._fallback_case()
+        for bad_rows, bad_cols in ((rows, cols + 30), (rows + 30, cols)):
+            assert support_indptr(bad_rows, bad_cols, (30, 30)) is None
+            for backend in (NUMPY, JIT):
+                with pytest.raises(IndexError):
+                    backend.sddmm_backward(bad_rows, bad_cols, a, b, grad,
+                                           True, True)
 
     def test_sddmm_backward_partial_grads(self):
         pattern = _random_csr(20, 20, seed=11)
@@ -253,8 +357,27 @@ class TestKernelParity:
         assert np.array_equal(grads["numpy"][1], grads["jit"][1])
 
 
+@pytest.mark.skipif(numba_available(),
+                    reason="the compiled loops already ran above")
+class TestKernelParityLoopsInterpreted(TestKernelParity):
+    """The same bars with the jit loops live on a host without numba.
+
+    Without numba ``njit`` is the identity, so flipping the flag runs the
+    same loop bodies — and the same fall-back decisions — interpreted: the
+    jit code path is exercised on every host, not only in the CI matrix.
+    """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def jit_loops(self):
+        jit_backend.NUMBA_AVAILABLE = True
+        try:
+            yield
+        finally:
+            jit_backend.NUMBA_AVAILABLE = False
+
+
 # ----------------------------------------------------------------------
-# Shared transposed-CSR cache (satellite: every spmm backward reuses it)
+# Shared structure cache (every spmm backward reuses the cached transpose)
 # ----------------------------------------------------------------------
 class TestTransposeCache:
     def test_cache_returns_same_object(self):
@@ -262,7 +385,7 @@ class TestTransposeCache:
         first = cached_transpose(adjacency)
         assert cached_transpose(adjacency) is first
         assert np.array_equal(first.toarray(), adjacency.T.toarray())
-        assert transpose_cache_size() >= 1
+        assert structure_cache_size() >= 1
 
     def test_spmm_backward_hits_shared_cache(self):
         adjacency = _random_csr(25, 25, seed=17)
@@ -274,6 +397,91 @@ class TestTransposeCache:
         assert np.array_equal(x.grad, expected)
         # The entry was reused, not rebuilt.
         assert cached_transpose(adjacency) is cached
+
+
+class TestStructureCacheLifetime:
+    """An entry lives as long as its owner — no cap, no clear-on-overflow."""
+
+    def test_more_live_owners_than_any_cap_all_hit(self):
+        owners = [_random_csr(6, 6, density=0.5, seed=s) for s in range(100)]
+        before = structure_cache_size()
+        first = [cached_transpose(owner) for owner in owners]
+        assert structure_cache_size() == before + 100
+        assert all(cached_transpose(owner) is transpose
+                   for owner, transpose in zip(owners, first))
+        assert structure_cache_size() == before + 100
+
+    def test_entries_die_with_their_owner(self):
+        pattern = _random_csr(12, 12, seed=40)
+        before = structure_cache_size()
+        rows = pattern_rows(pattern)
+        assert pattern_rows(pattern) is rows
+        cols = pattern.indices
+        assert support_indptr(rows, cols, (12, 12)) \
+            is support_indptr(rows, cols, (12, 12))
+        # rows-of-pattern, row pointers of ``rows``, range check of ``cols``
+        assert structure_cache_size() == before + 3
+        # The pattern holds the only other references to ``rows`` and
+        # ``cols``, so the support's entries go when the pattern does.
+        del rows, cols, pattern
+        gc.collect()
+        assert structure_cache_size() == before
+
+    def test_threads_sharing_and_dropping_owners(self):
+        shared = [_random_csr(8, 8, density=0.4, seed=s) for s in range(6)]
+        expected = [owner.T.toarray() for owner in shared]
+        deadline = time.monotonic() + 1.0
+        wrong = []
+
+        def worker(offset):
+            turn = offset
+            while time.monotonic() < deadline and not wrong:
+                index = turn % len(shared)
+                if not np.array_equal(
+                        cached_transpose(shared[index]).toarray(),
+                        expected[index]):
+                    wrong.append(index)
+                # a short-lived owner: built, cached, evicted on this thread
+                scratch = _random_csr(5, 5, density=0.5, seed=turn)
+                if cached_transpose(scratch).shape != (5, 5):
+                    wrong.append(-1)
+                turn += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        before = structure_cache_size()
+        del shared
+        gc.collect()
+        assert structure_cache_size() == before - 6
+
+    def test_recycled_id_never_returns_a_stale_structure(self):
+        builds = []
+
+        def first_value(owner):
+            builds.append(id(owner))
+            return float(owner[0])
+
+        for value in range(200):
+            owner = np.full(4, float(value))
+            recycled = id(owner) in builds
+            assert cached_structure(owner, first_value) == value
+            del owner
+            if recycled:
+                break
+        else:
+            pytest.skip("the allocator never reused an id")
+        assert len(builds) == value + 1
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +563,58 @@ class TestEndToEndParity:
         _histories_equal(histories["numpy"], histories["jit"])
         assert accuracies["numpy"] == accuracies["jit"]
 
+    def test_step2_epochs_bitwise_against_the_scatter_kernels(self):
+        """Ten Step-2 epochs on a sparse chameleon split: the reference
+        kernels against a backend that has the scatter (and the fancy-index
+        gathers they replaced) registered in their place."""
+        calls = []
+
+        def scatter(*args):
+            calls.append(args[0].size)
+            return _scatter_sddmm_backward(*args)
+
+        def fancy_sddmm(rows, cols, a, b):
+            return np.einsum("ij,ij->i", a[rows], b[cols])
+
+        def fancy_values_backward(pattern, grad, dense):
+            rows = np.repeat(np.arange(pattern.shape[0]),
+                             np.diff(pattern.indptr))
+            return np.einsum("ij,ij->i", grad[rows], dense[pattern.indices])
+
+        def step2():
+            graph = load_dataset("chameleon", seed=0, num_nodes=400)
+            config = AdaFGLConfig(hidden=16, sparse_propagation=True,
+                                  propagation_top_k="auto", seed=0)
+            method = AdaFGL(structure_noniid_split(graph, 3, seed=0), config)
+            method.run_step1(rounds=2)
+            clients = [
+                PersonalizedClient(index, graph, probs, config)
+                for index, (graph, probs) in enumerate(zip(
+                    method.extractor.client_graphs(),
+                    method.extractor.client_probabilities()))]
+            losses = [[client.train_epoch() for client in clients]
+                      for _ in range(10)]
+            return losses, [client.model.state_dict() for client in clients]
+
+        losses, states = step2()
+        backend = default_backend()
+        old = {"sddmm_backward": scatter, "sddmm": fancy_sddmm,
+               "spmm_pattern_backward_values": fancy_values_backward}
+        current = {name: backend.kernel(name) for name in old}
+        for name, kernel in old.items():
+            backend.register_kernel(name, kernel)
+        try:
+            old_losses, old_states = step2()
+        finally:
+            for name, kernel in current.items():
+                backend.register_kernel(name, kernel)
+        assert calls and min(calls) > 0
+        assert np.array_equal(np.array(losses), np.array(old_losses))
+        for state, old_state in zip(states, old_states):
+            assert state.keys() == old_state.keys()
+            for name in state:
+                assert _same_bits(state[name], old_state[name]), name
+
     def test_env_default_matches_explicit(self, parity_clients, monkeypatch):
         monkeypatch.setenv("REPRO_ARRAY_BACKEND", "jit")
         from repro.experiments import ExperimentSettings
@@ -403,6 +663,6 @@ class TestNumbaGating:
 
     def test_jit_backend_usable_without_numba(self):
         # Works either way: with numba, the kernels are compiled; without,
-        # the scipy fallbacks serve — parity above covers both regimes.
+        # the reference kernels serve — parity above covers both regimes.
         out = JIT.spmm(sp.eye(3, format="csr"), np.arange(6.0).reshape(3, 2))
         assert np.array_equal(out, np.arange(6.0).reshape(3, 2))

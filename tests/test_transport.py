@@ -218,6 +218,14 @@ class TestHandshakeSafety:
         assert json.loads(payload) == {"ack": 0}
         assert unpickled == []
 
+    def test_close_wakes_the_blocked_acceptor(self):
+        transport = TcpTransport(mode="external")
+        time.sleep(0.3)  # let the acceptor reach its blocking accept()
+        start = time.perf_counter()
+        transport.close()
+        assert time.perf_counter() - start < 0.5
+        assert not transport._acceptor.is_alive()
+
 
 # ----------------------------------------------------------------------
 # Transport selection / validation
