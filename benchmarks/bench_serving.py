@@ -2,12 +2,15 @@
 
 Measures the online serving subsystem the way serving systems are measured:
 open-loop Poisson arrivals at configured rates, reporting achieved
-queries/sec and p50/p99 latency across a **batch-size × arrival-rate ×
-array-backend grid**, a dedicated **inductive-query section** (fused
-batched subgraph inference, with the LRU's hit rate), and a **parity bar**
-asserting that served answers are bitwise-equal to offline
-``Client.predict`` on the numpy backend (and fused inductive answers
-bitwise-equal to per-query serial forwards).
+queries/sec and p50/p99 latency across an **arrival-rate × array-backend
+grid** for table lookups (answered at admission, so no batching knob
+selects anything there), a **batch-size × arrival-rate × array-backend
+grid** for inductive queries (fused batched subgraph inference, with the
+LRU's hit rate), a **crossover section** (serial vs fused µs per inductive
+query at 2 / 4 / 8 / 32 per flush — where ``serving.engine.FUSE_FROM`` comes
+from), and a **parity bar** asserting that served answers are
+bitwise-equal to offline ``Client.predict`` on the numpy backend (and fused
+inductive answers bitwise-equal to per-query serial forwards).
 
 Usage::
 
@@ -22,12 +25,15 @@ when given).
 from __future__ import annotations
 
 import argparse
+import statistics
+import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from benchmarks.bench_kernels import host_stamp
 from benchmarks.bench_utils import record_json
-from repro.autograd import list_array_backends
+from repro.autograd import list_array_backends, use_backend
 from repro.datasets import load_dataset
 from repro.federated import FederatedConfig
 from repro.fgl import build_baseline
@@ -38,7 +44,11 @@ from repro.serving import (
     build_query_mix,
     run_open_loop,
 )
+from repro.serving.engine import FUSE_FROM, _Pending
 from repro.simulation import community_split
+
+#: inductive queries per flush the crossover section measures
+CROSSOVER_SIZES = (2, 4, 8, 32)
 
 
 def build_serving_snapshot(num_nodes: int = 600, num_clients: int = 5,
@@ -56,35 +66,87 @@ def build_serving_snapshot(num_nodes: int = 600, num_clients: int = 5,
 
 
 def run_rate_grid(snapshot, *, backends: Sequence[str],
-                  max_batches: Sequence[int], rates: Sequence[float],
-                  queries_per_cell: int, inductive_fraction: float = 0.0,
+                  rates: Sequence[float], queries_per_cell: int,
+                  max_batches: Sequence[Optional[int]] = (None,),
+                  inductive_fraction: float = 0.0,
                   max_delay_ms: float = 2.0, seed: int = 0) -> List[Dict]:
-    """One open-loop run per (backend, max_batch, rate) cell."""
+    """One open-loop run per (backend, max_batch, rate) cell.
+
+    ``max_batch`` is an axis only where something is queued: the table
+    rows leave it at ``(None,)`` — engine default, no ``max_batch`` key.
+    """
     points = []
     for backend in backends:
         for max_batch in max_batches:
+            knobs = {} if max_batch is None else {"max_batch": max_batch}
             for rate in rates:
                 queries = build_query_mix(
                     snapshot, queries_per_cell,
                     inductive_fraction=inductive_fraction, seed=seed)
-                with QueryEngine(snapshot, max_batch=max_batch,
-                                 max_delay_ms=max_delay_ms,
-                                 array_backend=backend) as engine:
+                with QueryEngine(snapshot, max_delay_ms=max_delay_ms,
+                                 array_backend=backend, **knobs) as engine:
                     report = run_open_loop(engine, queries, rate, seed=seed)
                     cache = engine.cache
-                point = {"backend": backend, "max_batch": max_batch,
+                point = {"backend": backend, **knobs,
                          "inductive_fraction": inductive_fraction,
                          **report.as_dict()}
                 point["cache"] = {"hits": cache.hits,
                                   "misses": cache.misses,
                                   "evictions": cache.evictions}
                 points.append(point)
-                print(f"  backend={backend} batch={max_batch} "
+                print(f"  backend={backend} batch={max_batch or '-'} "
                       f"rate={rate:.0f}: "
                       f"{report.achieved_qps:.0f} qps, "
                       f"p50 {report.p50_ms:.2f} ms, "
                       f"p99 {report.p99_ms:.2f} ms")
     return points
+
+
+def run_crossover(snapshot, *, sizes: Sequence[int] = CROSSOVER_SIZES,
+                  repeats: int = 60, seed: int = 0) -> Dict:
+    """Serial vs fused µs per inductive query at ``sizes`` per flush.
+
+    The engine's two inductive paths, called directly and alternately on
+    the same queries with every block already in the LRU (the steady state:
+    operators cached, no extraction); the median of ``repeats`` after a
+    warm-up tenth.  ``measured_fuse_from`` is the smallest measured size
+    from which fused wins at every larger one — ``FUSE_FROM`` in
+    ``repro.serving.engine`` is set from the full run of this section.
+    """
+    queries = build_query_mix(snapshot, max(sizes), inductive_fraction=1.0,
+                              seed=seed + 1)
+    rows = []
+    with QueryEngine(snapshot, array_backend="numpy",
+                     cache_size=max(sizes)) as engine, \
+            use_backend(engine.array_backend):
+        items = [_Pending(query) for query in queries]
+        for size in sizes:
+            batch = items[:size]
+            serial_us, fused_us = [], []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                for item in batch:
+                    engine._serial_inductive(item.query)
+                middle = time.perf_counter()
+                fused = engine._fused_inductive(batch)
+                end = time.perf_counter()
+                assert fused is not None
+                serial_us.append((middle - start) / size * 1e6)
+                fused_us.append((end - middle) / size * 1e6)
+            warm = repeats // 10
+            rows.append({"per_flush": size,
+                         "serial_us": statistics.median(serial_us[warm:]),
+                         "fused_us": statistics.median(fused_us[warm:])})
+            print(f"  {size:>2} per flush: serial "
+                  f"{rows[-1]['serial_us']:.0f} us/query, fused "
+                  f"{rows[-1]['fused_us']:.0f} us/query")
+    crossover = None
+    for row in reversed(rows):
+        if row["fused_us"] >= row["serial_us"]:
+            break
+        crossover = row["per_flush"]
+    return {"rows": rows, "repeats": repeats,
+            "measured_fuse_from": crossover, "engine_fuse_from": FUSE_FROM}
 
 
 def run_parity_bar(snapshot, trainer, *, probes: int = 64,
@@ -171,21 +233,24 @@ def run_serving_suite(*, smoke: bool = False,
 
     print("transductive grid:")
     transductive = run_rate_grid(
-        snapshot, backends=backends, max_batches=max_batches,
-        rates=transductive_rates, queries_per_cell=queries_per_cell,
-        inductive_fraction=0.0, seed=seed)
+        snapshot, backends=backends, rates=transductive_rates,
+        queries_per_cell=queries_per_cell, inductive_fraction=0.0, seed=seed)
     print("inductive grid:")
     inductive = run_rate_grid(
         snapshot, backends=backends, max_batches=max_batches,
         rates=inductive_rates,
         queries_per_cell=max(queries_per_cell // 4, 50),
         inductive_fraction=1.0, seed=seed)
+    print("crossover (serial vs fused, us per inductive query):")
+    crossover = run_crossover(snapshot, repeats=10 if smoke else 60,
+                              seed=seed)
     print("parity bar:")
     parity = run_parity_bar(snapshot, trainer,
                             probes=32 if smoke else 64, seed=seed)
 
     best = max(transductive, key=lambda point: point["achieved_qps"])
     report = {
+        "host": host_stamp(),
         "setup": {"dataset": "cora", "num_nodes": num_nodes,
                   "num_clients": num_clients, "rounds": rounds,
                   "model_family": snapshot.model_family,
@@ -195,11 +260,11 @@ def run_serving_suite(*, smoke: bool = False,
                   "queries_per_cell": queries_per_cell, "seed": seed},
         "transductive": transductive,
         "inductive": inductive,
+        "crossover": crossover,
         "parity": parity,
         "headline": {"achieved_qps": best["achieved_qps"],
                      "p50_ms": best["p50_ms"], "p99_ms": best["p99_ms"],
-                     "backend": best["backend"],
-                     "max_batch": best["max_batch"]},
+                     "backend": best["backend"]},
     }
     name = output_name or ("BENCH_serving_smoke" if smoke
                            else "BENCH_serving")

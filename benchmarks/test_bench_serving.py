@@ -23,6 +23,17 @@ def test_serving_harness_smoke():
     for point in report["transductive"] + report["inductive"]:
         assert point["queries"] > 0
         assert point["p50_ms"] <= point["p99_ms"]
+    # Table lookups are answered at admission: no batching axis, one
+    # "inline" record per answer.
+    for point in report["transductive"]:
+        assert "max_batch" not in point
+        assert point["triggers"] == {"inline": point["queries"]}
+    # The crossover section times both inductive paths at every size.
+    assert [row["per_flush"] for row in report["crossover"]["rows"]] \
+        == [2, 4, 8, 32]
+    assert all(row["serial_us"] > 0 and row["fused_us"] > 0
+               for row in report["crossover"]["rows"])
+    assert report["host"]["nproc"] >= 1
     # Inductive cells actually exercised the subgraph LRU.
     assert any(point["cache"]["hits"] + point["cache"]["misses"] > 0
                for point in report["inductive"])

@@ -170,10 +170,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backend = engine.array_backend
     print(format_table(
         ["family", "backend", "max batch", "offered qps", "achieved qps",
-         "p50 ms", "p99 ms", "mean batch", "rejected"],
+         "p50 ms", "p99 ms", "inline", "mean batch", "rejected"],
         [[snapshot.model_family, backend, args.max_batch,
           f"{report.offered_qps:.0f}", f"{report.achieved_qps:.0f}",
           f"{report.p50_ms:.2f}", f"{report.p99_ms:.2f}",
+          report.triggers.get("inline", 0),
           f"{report.mean_batch:.1f}", report.rejected]],
         title=f"serving {snapshot.num_clients} clients "
               f"({report.queries} queries, source: {snapshot.source})"))

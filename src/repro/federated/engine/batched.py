@@ -62,12 +62,12 @@ from repro.autograd import (
     resolve_backend,
     use_backend,
 )
-from repro.autograd.backend import cached_transpose
+from repro.autograd.backend import cached_transpose, pattern_rows
 from repro.federated.engine.backends import (
     ExecutionBackend,
     register_backend,
 )
-from repro.models.base import prepare_propagation
+from repro.models.base import propagation_operator
 from repro.models.gamlp import GAMLP
 from repro.models.gcn import GCN, SGC
 from repro.models.gprgnn import GPRGNN
@@ -106,10 +106,10 @@ def _padded_batch(clients: Sequence
     for index, client in enumerate(clients):
         n = client.graph.num_nodes
         features[index, :n] = client.graph.features
-        prop = prepare_propagation(client.graph.adjacency).tocoo()
+        prop = propagation_operator(client.graph.adjacency)
         offset = index * n_max
-        rows.append(prop.row + offset)
-        cols.append(prop.col + offset)
+        rows.append(pattern_rows(prop) + offset)
+        cols.append(prop.indices + offset)
         vals.append(prop.data)
     total = batch * n_max
     propagation = sp.csr_matrix(

@@ -2,20 +2,18 @@
 
 Every model implements ``forward(x, adjacency)`` where ``x`` is a feature
 :class:`~repro.autograd.Tensor` and ``adjacency`` is the *raw* (unnormalised)
-sparse adjacency of the local subgraph; each model applies its own propagation
-operator internally and caches it per adjacency object (by identity), so
-repeated epochs over the same subgraph do not re-normalise.
+sparse adjacency of the local subgraph; each model applies its propagation
+operator internally, read from one cache keyed on the adjacency object (by
+identity), so nothing that sees the same subgraph twice re-normalises it.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import Tensor
-from repro.autograd.backend import cached_transpose
+from repro.autograd.backend import cached_structure, cached_transpose
 from repro.graph.normalize import normalize_adjacency
 from repro.nn import Module
 
@@ -26,27 +24,24 @@ def prepare_propagation(adjacency: sp.spmatrix, r: float = 0.5,
     return normalize_adjacency(adjacency, r=r, self_loops=self_loops)
 
 
-class GraphModel(Module):
-    """Base class providing propagation-operator caching."""
+def propagation_operator(adjacency: sp.spmatrix,
+                         r: float = 0.5) -> sp.csr_matrix:
+    """:func:`prepare_propagation`, built once per live ``adjacency`` object.
 
-    def __init__(self):
-        super().__init__()
-        #: id(adjacency) → (adjacency, operator).  The entry keeps its
-        #: adjacency alive and a hit requires ``is``: a bare id can be
-        #: reused by a different matrix once the original is freed.
-        self._prop_cache: Dict[int, Tuple[sp.spmatrix, sp.csr_matrix]] = {}
+    The one cache of normalised operators — models, batched plans and the
+    serving snapshot all read it — held in the dispatch layer's structure
+    cache: an operator lives exactly as long as its adjacency, which must
+    therefore not be mutated in place after its first use.
+    """
+    return cached_structure(adjacency, prepare_propagation, r)
+
+
+class GraphModel(Module):
+    """Base class routing every model through the shared operator cache."""
 
     def propagation_matrix(self, adjacency: sp.spmatrix,
                            r: float = 0.5) -> sp.csr_matrix:
-        hit = self._prop_cache.get(id(adjacency))
-        if hit is not None and hit[0] is adjacency:
-            return hit[1]
-        # Keep the cache tiny: one operator per adjacency object.
-        if len(self._prop_cache) > 8:
-            self._prop_cache.clear()
-        operator = prepare_propagation(adjacency, r=r)
-        self._prop_cache[id(adjacency)] = (adjacency, operator)
-        return operator
+        return propagation_operator(adjacency, r)
 
     def propagation_matrix_t(self, adjacency: sp.spmatrix,
                              r: float = 0.5) -> sp.csr_matrix:

@@ -1,28 +1,29 @@
-"""Micro-batched query engine over a frozen :class:`ServingSnapshot`.
+"""Query engine over a frozen :class:`ServingSnapshot`.
 
-Queries enter an admission queue and a single worker thread drains it with
-**adaptive micro-batching**: a batch flushes when it reaches ``max_batch``
-queries or when ``max_delay_ms`` has elapsed since its first query was
-admitted, whichever comes first (plus a final flush on ``close``).  Under
-backlog the worker drains whatever is already queued without waiting, so
-batches fill up exactly when batching pays.
-
-Routing inside a flush:
+Routing happens at admission:
 
 * **transductive** queries read the snapshot's precomputed probability
-  table — an O(1) array lookup, no model math on the hot path;
-* **inductive** (new-node) queries extract the anchor set's receptive-field
-  block (:mod:`repro.serving.subgraph`), append the query's feature row, and
-  run the frozen client model over the augmented subgraph.  Two or more
-  inductive queries in one flush ride the **fused batched plan path**
+  table — an O(1) array lookup — on the caller's thread, before
+  :meth:`QueryEngine.submit` returns (``trigger="inline"``): a row read
+  gains nothing from waiting for a batching deadline;
+* **inductive** (new-node) queries enter the admission queue, which a single
+  worker thread drains with **adaptive micro-batching**: a batch flushes
+  at ``max_batch`` queries or ``max_delay_ms`` after its first query was
+  admitted, whichever comes first (plus a final flush on ``close``); under
+  backlog the worker drains what is already queued without waiting.  Each
+  query extracts its anchor set's receptive-field block
+  (:mod:`repro.serving.subgraph`), appends its feature row, and runs the
+  frozen client model over the augmented subgraph: :data:`FUSE_FROM` or
+  more per flush through one **fused batched plan**
   (:func:`~repro.federated.engine.batched.build_eval_plan` over per-query
-  pseudo-clients — one block-diagonal sparse propagation for the whole
-  flush); a lone query runs the serial forward.  Both paths evaluate the
-  same tensor expressions, so fused and serial answers are bitwise equal.
+  pseudo-clients), fewer through serial forwards.  Both evaluate the same
+  tensor expressions, so fused and serial answers are bitwise equal.
 
 Extracted blocks are structure-only and cached in a deterministic LRU keyed
-by ``(client_id, anchors)``; the ``array_backend`` knob (numpy / jit)
-selects the kernel set every forward runs under.
+by ``(client_id, anchors)``; a block's normalised operator is built once and
+lives as long as the block (:func:`~repro.models.base.propagation_operator`).
+The ``array_backend`` knob (numpy / jit) selects the kernel set every
+forward runs under.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autograd import Tensor, functional as F, no_grad, resolve_backend, use_backend
-from repro.serving.snapshot import ServingSnapshot
+from repro.serving.snapshot import ClientEntry, ServingSnapshot
 from repro.serving.subgraph import SubgraphBlock, extract_block, receptive_depth
 
 
@@ -81,6 +82,7 @@ class QueryResult:
     #: or "serial" (single inductive forward).
     path: str
     batch_size: int
+    #: "size" / "deadline" / "close" of a flush, "inline" of a table read
     trigger: str
     arrival: float
     completed: float
@@ -141,6 +143,16 @@ class _Pending:
 
 _CLOSE = object()
 
+#: the ``batch_log`` record of every table read answered at admission: one
+#: shared object, never mutated (a dict per answer would outweigh the answer)
+_INLINE = {"size": 1, "trigger": "inline"}
+
+#: inductive queries per flush from which the fused plan beats serial
+#: forwards: the measured crossover (``BENCH_serving.json`` "crossover",
+#: µs per query serial / fused — 2 per flush: 85 / 121, 4: 86 / 77,
+#: 8: 93 / 72, 32: 88 / 62).  Re-measure with ``benchmarks/bench_serving.py``.
+FUSE_FROM = 4
+
 
 class AdmissionRejected(RuntimeError):
     """The engine's bounded admission queue is full (fast-fail shedding).
@@ -152,12 +164,13 @@ class AdmissionRejected(RuntimeError):
 
 
 class QueryEngine:
-    """Admission queue + micro-batching worker over a frozen snapshot.
+    """Inline table reads + a micro-batching worker over a frozen snapshot.
 
-    ``max_queue`` bounds the admission queue: ``0`` (default) admits every
-    query, a positive bound sheds overload by raising
-    :class:`AdmissionRejected` from :meth:`submit` once that many queries
-    are waiting (rejections are counted in :attr:`rejected`).
+    The knobs govern what is queued, the inductive queries.  ``max_queue``
+    bounds the admission queue: ``0`` (default) admits every query, a
+    positive bound sheds overload by raising :class:`AdmissionRejected`
+    from :meth:`submit` once that many queries are waiting (rejections are
+    counted in :attr:`rejected`).
     """
 
     def __init__(self, snapshot: ServingSnapshot, *, max_batch: int = 32,
@@ -182,6 +195,8 @@ class QueryEngine:
         self.served = 0
         #: queries fast-failed at the admission door (queue overflow)
         self.rejected = 0
+        #: guards both counters: callers and the worker bump them
+        self._counters = threading.Lock()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.max_queue)
         self._closed = False
         self._worker = threading.Thread(target=self._loop,
@@ -201,10 +216,15 @@ class QueryEngine:
         if self._closed:
             raise RuntimeError("QueryEngine is closed")
         pending = _Pending(query)
+        if isinstance(query, TransductiveQuery):
+            self.batch_log.append(_INLINE)
+            self._finish_transductive(pending)
+            return pending.future
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
-            self.rejected += 1
+            with self._counters:
+                self.rejected += 1
             raise AdmissionRejected(
                 f"admission queue full ({self.max_queue} queries waiting); "
                 "query rejected") from None
@@ -276,22 +296,15 @@ class QueryEngine:
     # Batch execution
     # ------------------------------------------------------------------
     def _answer(self, batch: List[_Pending], trigger: str) -> None:
-        inductive = [item for item in batch
-                     if isinstance(item.query, InductiveQuery)]
-        for item in batch:
-            if isinstance(item.query, TransductiveQuery):
-                self._finish_transductive(item, len(batch), trigger)
-        if not inductive:
-            return
         with use_backend(self._backend):
-            if len(inductive) >= 2:
-                fused = self._fused_inductive(inductive)
+            if len(batch) >= FUSE_FROM:
+                fused = self._fused_inductive(batch)
                 if fused is not None:
-                    for item, probs in zip(inductive, fused):
+                    for item, probs in zip(batch, fused):
                         self._finish(item, probs, "fused", len(batch),
                                      trigger)
                     return
-            for item in inductive:
+            for item in batch:
                 try:
                     probs = self._serial_inductive(item.query)
                 except Exception as error:
@@ -299,19 +312,19 @@ class QueryEngine:
                 else:
                     self._finish(item, probs, "serial", len(batch), trigger)
 
-    def _finish_transductive(self, item: _Pending, batch_size: int,
-                             trigger: str) -> None:
+    def _finish_transductive(self, item: _Pending) -> None:
         try:
             probs = self.snapshot.transductive(item.query.client_id,
                                                item.query.node_id)
         except Exception as error:
             item.future.set_exception(error)
         else:
-            self._finish(item, probs, "table", batch_size, trigger)
+            self._finish(item, probs, "table", 1, "inline")
 
     def _finish(self, item: _Pending, probs: np.ndarray, path: str,
                 batch_size: int, trigger: str) -> None:
-        self.served += 1
+        with self._counters:
+            self.served += 1
         item.future.set_result(QueryResult(
             probs=probs, label=int(np.argmax(probs)), path=path,
             batch_size=batch_size, trigger=trigger, arrival=item.arrival,
@@ -320,30 +333,26 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Inductive paths
     # ------------------------------------------------------------------
-    def _entry_model(self, client_id: int):
-        entry = self.snapshot.entry(client_id)
+    def _augmented(self, query: InductiveQuery
+                   ) -> Tuple[ClientEntry, SubgraphBlock, np.ndarray]:
+        """The query's entry, its (cached) block, and the block's features
+        with the query's row appended."""
+        entry = self.snapshot.entry(query.client_id)
         if entry.model is None:
             raise ValueError(
-                f"snapshot entry {client_id} is transductive-only "
+                f"snapshot entry {query.client_id} is transductive-only "
                 f"(family {self.snapshot.model_family}): inductive "
                 f"queries are unsupported")
-        return entry
-
-    def _block(self, query: InductiveQuery) -> SubgraphBlock:
-        entry = self._entry_model(query.client_id)
-        depth = receptive_depth(entry.model)
-        key = (query.client_id, tuple(sorted(set(query.anchors))))
-        return self.cache.get(
-            key, lambda: extract_block(entry.graph, query.anchors, depth))
-
-    def _augmented_features(self, query: InductiveQuery,
-                            block: SubgraphBlock) -> np.ndarray:
+        block = self.cache.get(
+            (query.client_id, tuple(sorted(set(query.anchors)))),
+            lambda: extract_block(entry.graph, query.anchors,
+                                  receptive_depth(entry.model)))
         features = query.features.reshape(1, -1)
         if features.shape[1] != block.features.shape[1]:
             raise ValueError(
                 f"inductive query carries {features.shape[1]} features, "
                 f"client graph has {block.features.shape[1]}")
-        return np.concatenate([block.features, features], axis=0)
+        return entry, block, np.concatenate([block.features, features])
 
     def _fused_inductive(self, items: List[_Pending]
                          ) -> Optional[List[np.ndarray]]:
@@ -363,39 +372,30 @@ class QueryEngine:
         )
 
         try:
-            blocks = [self._block(item.query) for item in items]
-            pseudo = []
-            states = []
-            for item, block in zip(items, blocks):
-                entry = self.snapshot.entry(item.query.client_id)
-                augmented = self._augmented_features(item.query, block)
-                pseudo.append(SimpleNamespace(
-                    graph=SimpleNamespace(
-                        num_nodes=block.new_index + 1,
-                        num_features=augmented.shape[1],
-                        features=augmented,
-                        adjacency=block.adjacency),
-                    model=entry.model,
-                    array_backend=self._backend.name))
-                states.append(entry.state)
+            prepared = [self._augmented(item.query) for item in items]
         except Exception:
             return None   # per-query validation errors surface serially
-        plan = build_eval_plan(pseudo)
+        plan = build_eval_plan([
+            SimpleNamespace(
+                graph=SimpleNamespace(
+                    num_nodes=block.new_index + 1,
+                    num_features=augmented.shape[1],
+                    features=augmented, adjacency=block.adjacency),
+                model=entry.model, array_backend=self._backend.name)
+            for entry, block, augmented in prepared])
         if plan is None:
             return None
-        probs = _softmax_rows(plan._logits(states))
+        probs = _softmax_rows(plan._logits(
+            [entry.state for entry, *_ in prepared]))
         return [np.array(probs[index, block.new_index], copy=True)
-                for index, block in enumerate(blocks)]
+                for index, (_, block, _) in enumerate(prepared)]
 
     def _serial_inductive(self, query: InductiveQuery) -> np.ndarray:
         """Reference single-query forward over the augmented block."""
-        entry = self._entry_model(query.client_id)
-        block = self._block(query)
-        augmented = self._augmented_features(query, block)
-        model = entry.model
-        model.eval()
+        entry, block, augmented = self._augmented(query)
+        entry.model.eval()
         with no_grad():
-            logits = model(Tensor(augmented, backend=self._backend),
-                           block.adjacency)
+            logits = entry.model(Tensor(augmented, backend=self._backend),
+                                 block.adjacency)
             probs = F.softmax(logits, axis=-1).numpy()
         return np.array(probs[block.new_index], copy=True)

@@ -37,6 +37,9 @@ class LoadReport:
     p99_ms: float
     mean_ms: float
     max_ms: float
+    #: ``batch_log`` records of the run: one per flush of the queue plus
+    #: one (size 1, trigger "inline") per table read answered at admission,
+    #: so ``mean_batch`` and ``triggers`` cover every answer
     batches: int
     mean_batch: float
     triggers: Dict[str, int] = field(default_factory=dict)

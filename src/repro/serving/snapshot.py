@@ -38,23 +38,21 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.propagation import PropagationCache
-from repro.models.base import prepare_propagation
+from repro.models.base import propagation_operator
 
 SNAPSHOT_FORMAT = 1
 
 
 def _reset_model_caches(model) -> None:
-    """Drop id-keyed operator caches on a copied or unpickled model.
+    """Drop the id-keyed hop cache on a copied or unpickled model.
 
-    ``GraphModel._prop_cache`` and GAMLP's ``_hop_cache`` key on object
-    ids from the process that built them; on a deep copy or a fresh
-    unpickle those ids are meaningless and could collide with unrelated
-    objects, so the caches restart empty (recomputation is deterministic —
-    values are bitwise-unchanged).
+    GAMLP's ``_hop_cache`` keys on object ids from the process that built
+    it; on a deep copy or a fresh unpickle those ids are meaningless and
+    could collide with unrelated objects, so the cache restarts empty
+    (recomputation is deterministic — values are bitwise-unchanged).
     """
-    for attribute in ("_prop_cache", "_hop_cache"):
-        if hasattr(model, attribute):
-            setattr(model, attribute, {})
+    if hasattr(model, "_hop_cache"):
+        model._hop_cache = {}
 
 
 @dataclass
@@ -82,12 +80,13 @@ class ClientEntry:
         """Frozen CSR propagation blocks over this client's graph.
 
         Lazily builds a :class:`PropagationCache` on the symmetric-
-        normalized operator, so constant k-hop feature blocks are computed
-        at most once per snapshot however many consumers ask.
+        normalized operator (the shared one: the model forwards over this
+        graph read the same object), so constant k-hop feature blocks are
+        computed at most once per snapshot however many consumers ask.
         """
         if self._prop is None:
             self._prop = PropagationCache(
-                prepare_propagation(self.graph.adjacency),
+                propagation_operator(self.graph.adjacency),
                 self.graph.features)
         return self._prop
 

@@ -542,3 +542,82 @@ class TestSparseDefaultParity:
             base, sparse_propagation=True))
         sparse.run()
         assert abs(sparse.evaluate("test") - dense.evaluate("test")) < 0.1
+
+
+# ----------------------------------------------------------------------
+# The shared operator cache (models/base.propagation_operator)
+# ----------------------------------------------------------------------
+def _sha(losses, states) -> str:
+    import hashlib
+
+    digest = hashlib.sha256(np.asarray(losses, dtype=np.float64).tobytes())
+    for state in states:
+        for key in sorted(state):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(state[key]).tobytes())
+    return digest.hexdigest()
+
+
+class TestOperatorCacheParity:
+    """Reading the normalised operator from the shared cache changes no bit
+    of training: same expressions, evaluated once instead of per consumer."""
+
+    def _hashes(self, clients, seed):
+        hashes = {}
+        for backend in BACKENDS:       # 5 rounds x 4 epochs = 20 epochs
+            trainer, history = _run(clients, backend, rounds=5,
+                                    local_epochs=4, seed=seed)
+            hashes[backend] = _sha(
+                history.loss, [c.get_weights() for c in trainer.clients])
+        method = AdaFGL(clients, AdaFGLConfig(
+            rounds=2, local_epochs=1, hidden=16, personalized_epochs=20,
+            k_prop=2, message_layers=1, seed=seed))
+        method.run()
+        hashes["step2"] = _sha(
+            method.history.loss,
+            [pc.model.state_dict() for pc in method.personalized])
+        return hashes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hashes_equal_a_fresh_normalisation_per_call(
+            self, seed, community_clients, monkeypatch):
+        from repro.models import base
+
+        cached = self._hashes(community_clients, seed)
+        # The parent's arithmetic: every consumer normalises for itself.
+        monkeypatch.setattr(
+            base, "cached_structure",
+            lambda owner, build, *args: build(owner, *args))
+        assert self._hashes(community_clients, seed) == cached
+
+    def test_padded_batch_equals_the_coo_construction(self):
+        """Rows / cols read off the cached CSR arrays build the very block
+        diagonal the per-block ``.tocoo()`` built (ragged 5-client batch)."""
+        import scipy.sparse as sp
+        from types import SimpleNamespace
+
+        from repro.datasets import load_dataset
+        from repro.federated.engine.batched import _padded_batch
+        from repro.models.base import prepare_propagation
+        from repro.simulation import structure_noniid_split
+
+        graphs = structure_noniid_split(
+            load_dataset("cora", seed=0, num_nodes=230), 5, seed=0)
+        assert len({graph.num_nodes for graph in graphs}) > 1
+        clients = [SimpleNamespace(graph=graph) for graph in graphs]
+        sizes, n_max, _features, propagation = _padded_batch(clients)
+        rows, cols, vals = [], [], []
+        for index, graph in enumerate(graphs):
+            prop = prepare_propagation(graph.adjacency).tocoo()
+            rows.append(prop.row + index * n_max)
+            cols.append(prop.col + index * n_max)
+            vals.append(prop.data)
+        expected = sp.csr_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(5 * n_max, 5 * n_max))
+        assert sizes == [graph.num_nodes for graph in graphs]
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(propagation, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()

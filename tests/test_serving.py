@@ -338,13 +338,20 @@ def test_inductive_fused_bitwise_matches_serial_and_reference(snapshot):
 
 
 # ----------------------------------------------------------------------
-# Query engine: micro-batch flush semantics
+# Query engine: micro-batch flush semantics (what is queued: inductive)
 # ----------------------------------------------------------------------
+def _inductive(snapshot, count, client_id=0):
+    """``count`` inductive queries on distinct anchor pairs of one client."""
+    graph = snapshot.entries[client_id].graph
+    return [InductiveQuery(client_id, graph.features[node],
+                           (node, (node + 1) % graph.num_nodes))
+            for node in range(count)]
+
+
 def test_flush_on_batch_size(snapshot):
     engine = QueryEngine(snapshot, max_batch=4, max_delay_ms=10_000.0)
     try:
-        futures = [engine.submit(TransductiveQuery(0, node))
-                   for node in range(4)]
+        futures = [engine.submit(query) for query in _inductive(snapshot, 4)]
         results = [future.result(timeout=30) for future in futures]
     finally:
         engine.close()
@@ -357,8 +364,7 @@ def test_flush_on_batch_size(snapshot):
 def test_flush_on_deadline(snapshot):
     engine = QueryEngine(snapshot, max_batch=100, max_delay_ms=30.0)
     try:
-        futures = [engine.submit(TransductiveQuery(0, node))
-                   for node in range(3)]
+        futures = [engine.submit(query) for query in _inductive(snapshot, 3)]
         results = [future.result(timeout=30) for future in futures]
     finally:
         engine.close()
@@ -371,14 +377,33 @@ def test_flush_on_deadline(snapshot):
 
 def test_close_flushes_pending_queries(snapshot):
     engine = QueryEngine(snapshot, max_batch=100, max_delay_ms=10_000.0)
-    futures = [engine.submit(TransductiveQuery(0, node))
-               for node in range(2)]
+    futures = [engine.submit(query) for query in _inductive(snapshot, 2)]
     engine.close()
     results = [future.result(timeout=30) for future in futures]
     assert all(result.trigger == "close" for result in results)
-    with pytest.raises(RuntimeError, match="closed"):
-        engine.submit(TransductiveQuery(0, 0))
+    for query in (TransductiveQuery(0, 0), _inductive(snapshot, 1)[0]):
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.submit(query)
     engine.close()   # idempotent
+
+
+def test_table_query_is_answered_at_admission(snapshot, offline_probs):
+    """A table read never waits for the worker: its future is done when
+    ``submit`` returns, even with the worker parked on a 10 s deadline."""
+    engine = QueryEngine(snapshot, max_batch=100, max_delay_ms=10_000.0)
+    try:
+        parked = engine.submit(_inductive(snapshot, 1)[0])
+        future = engine.submit(TransductiveQuery(0, 3))
+        assert future.done()
+        assert not parked.done()
+        result = future.result(timeout=0)
+        assert (result.path, result.batch_size, result.trigger) \
+            == ("table", 1, "inline")
+        assert np.array_equal(result.probs, offline_probs[0][3])
+        assert engine.batch_log[-1] == {"size": 1, "trigger": "inline"}
+    finally:
+        engine.close()
+    assert parked.result(timeout=30).trigger == "close"
 
 
 def test_engine_surfaces_bad_queries_without_wedging(snapshot):
@@ -390,6 +415,46 @@ def test_engine_surfaces_bad_queries_without_wedging(snapshot):
         assert good.result(timeout=30).path == "table"
         with pytest.raises(KeyError):
             engine.query(TransductiveQuery(999, 0), timeout=30)
+        # A failed table read is its own future's problem: nothing was
+        # counted, nothing else disturbed.
+        assert engine.served == 1
+        assert engine.query(_inductive(snapshot, 1)[0],
+                            timeout=30).path == "serial"
+
+
+def test_counters_are_exact_under_concurrent_submitters(snapshot):
+    """``served`` is bumped from caller threads: a lost update would leave
+    it short of the number of resolved futures."""
+    import sys
+    import threading
+
+    threads, per_thread = 8, 2000
+    nodes = snapshot.entries[0].probs.shape[0]
+    resolved = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with QueryEngine(snapshot) as engine:
+            def submitter(offset):
+                futures = [engine.submit(TransductiveQuery(
+                    0, (offset + index) % nodes))
+                    for index in range(per_thread)]
+                resolved.append(sum(future.done() and
+                                    future.exception() is None
+                                    for future in futures))
+
+            workers = [threading.Thread(target=submitter, args=(index,))
+                       for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(resolved) == threads * per_thread
+    assert engine.served == threads * per_thread
+    assert len(engine.batch_log) == threads * per_thread
 
 
 # ----------------------------------------------------------------------
@@ -438,6 +503,56 @@ def test_engine_lru_reuses_blocks_and_evicts_in_order(snapshot):
 
 
 # ----------------------------------------------------------------------
+# One normalised operator per live block
+# ----------------------------------------------------------------------
+def test_each_block_is_normalised_once(snapshot, monkeypatch):
+    """N distinct blocks served twice serially and twice fused cost N
+    normalisations: the serial forward and the fused plan read one cache."""
+    from repro.models import base
+
+    calls = []
+    normalize = base.normalize_adjacency
+    monkeypatch.setattr(
+        base, "normalize_adjacency",
+        lambda *args, **kwargs: calls.append(1) or normalize(*args, **kwargs))
+    queries = _inductive(snapshot, 6)
+    # A lone query waits out its 20 ms deadline and runs serially; six at
+    # once flush on size and fuse.
+    with QueryEngine(snapshot, max_batch=6, max_delay_ms=20.0) as engine:
+        for _ in range(2):
+            assert [engine.query(query, timeout=30).path
+                    for query in queries] == ["serial"] * 6
+        for _ in range(2):
+            futures = [engine.submit(query) for query in queries]
+            assert [future.result(timeout=30).path
+                    for future in futures] == ["fused"] * 6
+        assert engine.cache.misses == 6
+    assert len(calls) == 6
+
+
+def test_evicted_block_takes_its_operator_along(snapshot):
+    import gc
+
+    from repro.autograd.backend import structure_cache_size
+
+    queries = _inductive(snapshot, 3)
+    gc.collect()
+    before = structure_cache_size()
+    with QueryEngine(snapshot, max_batch=1, max_delay_ms=0.0,
+                     cache_size=2) as engine:
+        for query in queries[:2]:
+            engine.query(query, timeout=30)
+        assert structure_cache_size() == before + 2
+        engine.query(queries[2], timeout=30)     # evicts the first block
+        gc.collect()
+        assert engine.cache.evictions == 1
+        assert structure_cache_size() == before + 2
+    del engine
+    gc.collect()
+    assert structure_cache_size() == before
+
+
+# ----------------------------------------------------------------------
 # Load generation
 # ----------------------------------------------------------------------
 def test_open_loop_report_accounts_for_every_query(snapshot):
@@ -474,18 +589,20 @@ def test_bounded_queue_fast_fails_on_overflow(snapshot):
     engine = QueryEngine(snapshot, max_batch=100, max_delay_ms=10_000.0,
                          max_queue=3)
     try:
-        futures = [engine.submit(TransductiveQuery(0, node))
-                   for node in range(3)]
+        queries = _inductive(snapshot, 10)
+        futures = [engine.submit(query) for query in queries[:3]]
         # The worker thread consumed the first pending item into its batch,
         # freeing one slot; fill whatever capacity remains, then overflow.
         overflowed = 0
-        for node in range(3, 10):
+        for query in queries[3:]:
             try:
-                futures.append(engine.submit(TransductiveQuery(0, node)))
+                futures.append(engine.submit(query))
             except AdmissionRejected:
                 overflowed += 1
         assert overflowed > 0
         assert engine.rejected == overflowed
+        # Table reads never queue, so a full queue does not refuse them.
+        assert engine.submit(TransductiveQuery(0, 0)).done()
     finally:
         engine.close()
     # Every admitted query still completes (close flushes the queue).
@@ -495,8 +612,8 @@ def test_bounded_queue_fast_fails_on_overflow(snapshot):
 
 def test_unbounded_queue_never_rejects(snapshot):
     with QueryEngine(snapshot, max_batch=8, max_delay_ms=1.0) as engine:
-        futures = [engine.submit(TransductiveQuery(0, node % 5))
-                   for node in range(200)]
+        futures = [engine.submit(query)
+                   for query in _inductive(snapshot, 5) * 40]
         for future in futures:
             future.result(timeout=30)
     assert engine.rejected == 0
@@ -509,7 +626,7 @@ def test_rejections_negative_bound_refused(snapshot):
 
 
 def test_open_loop_surfaces_rejections(snapshot):
-    queries = build_query_mix(snapshot, 60, seed=5)
+    queries = build_query_mix(snapshot, 60, inductive_fraction=1.0, seed=5)
     engine = QueryEngine(snapshot, max_batch=100, max_delay_ms=50.0,
                          max_queue=4)
     with engine:
