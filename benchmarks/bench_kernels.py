@@ -46,23 +46,18 @@ sddmm-backward gate so CI fails loudly if the scatter-free path regresses.
 from __future__ import annotations
 
 import argparse
-import os
-import platform
-import subprocess
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy
 import scipy.sparse as sp
 
 from repro.autograd.backend import get_backend, numba_available
 
 try:  # imported as benchmarks.bench_kernels (pytest) or run as a script
-    from benchmarks.bench_utils import record_json
+    from benchmarks.bench_utils import host_stamp, record_json
 except ImportError:  # pragma: no cover
-    from bench_utils import record_json
+    from bench_utils import host_stamp, record_json
 
 
 NUMPY = get_backend("numpy")
@@ -80,27 +75,6 @@ def scatter_sddmm_backward(rows, cols, a, b, grad, need_a, need_b):
         grad_b = np.zeros_like(b)
         np.add.at(grad_b, cols, column * a[rows])
     return grad_a, grad_b
-
-
-def host_stamp() -> Dict:
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = "absent"
-    try:
-        sha = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40",
-             "--exclude=*"], cwd=Path(__file__).parent, text=True,
-            timeout=10, capture_output=True, check=True).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        sha = "unknown"
-    return {
-        "platform": platform.platform(), "nproc": os.cpu_count(),
-        "python": platform.python_version(), "numpy": np.__version__,
-        "scipy": scipy.__version__, "numba": numba_version,
-        "git_sha": sha, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
 
 
 def _best_seconds(fn: Callable[[], object], repeats: int) -> float:

@@ -57,9 +57,9 @@ from repro.federated.engine import FaultEvent, FaultPlan
 from repro.fgl.fedgnn import FederatedGNN
 
 try:  # imported as benchmarks.bench_perf (pytest) or run as a script
-    from benchmarks.bench_utils import record_json
+    from benchmarks.bench_utils import host_stamp, record_json
 except ImportError:  # pragma: no cover - script mode
-    from bench_utils import record_json
+    from bench_utils import host_stamp, record_json
 
 NUM_FEATURES = 128
 NUM_CLASSES = 5
@@ -214,6 +214,7 @@ def run_step1_backends(num_clients: int = 50, nodes_per_client: int = 40,
     backends = [("serial", 0), ("process_pool", num_workers), ("batched", 0)]
 
     report: Dict = {
+        "host": host_stamp(),
         "config": {
             "num_clients": num_clients, "nodes_per_client": nodes_per_client,
             "rounds": rounds, "local_epochs": local_epochs, "hidden": hidden,

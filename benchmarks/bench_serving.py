@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from benchmarks.bench_kernels import host_stamp
-from benchmarks.bench_utils import record_json
+from benchmarks.bench_utils import host_stamp, record_json
 from repro.autograd import list_array_backends, use_backend
 from repro.datasets import load_dataset
 from repro.federated import FederatedConfig

@@ -17,8 +17,14 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
+import time
 from pathlib import Path
 from typing import Dict, List, Sequence
+
+import numpy as np
+import scipy
 
 from repro.datasets import load_dataset
 from repro.experiments import ExperimentSettings, prepare_clients, run_method
@@ -81,6 +87,29 @@ def record(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
+
+
+def host_stamp() -> Dict:
+    """Where and from what a timing artifact was recorded: a number is only
+    comparable with one taken on the same host, versions and commit."""
+    try:
+        import numba
+        numba_version = numba.__version__
+    except ImportError:
+        numba_version = "absent"
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40",
+             "--exclude=*"], cwd=Path(__file__).parent, text=True,
+            timeout=10, capture_output=True, check=True).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = "unknown"
+    return {
+        "platform": platform.platform(), "nproc": os.cpu_count(),
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "numba": numba_version,
+        "git_sha": sha, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
 
 
 def record_json(name: str, payload: Dict) -> Path:

@@ -39,6 +39,8 @@ def test_step1_backend_harness_smoke(model):
                                 model=model,
                                 output_name=f"BENCH_step1_smoke_{model}")
     assert set(report["backends"]) == {"serial", "process_pool", "batched"}
+    # The numbers name the host, versions and commit they were taken on.
+    assert {"nproc", "numpy", "numba", "git_sha"} <= set(report["host"])
     for entry in report["backends"].values():
         assert entry["rounds_per_sec"] > 0
         # Every backend reproduces the serial training history.

@@ -16,7 +16,12 @@ Select a backend per scope with :func:`use_backend`, per process with
 ``REPRO_ARRAY_BACKEND``, or per tensor via ``Tensor(..., backend=...)``.
 """
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
+from repro.autograd.tensor import (
+    Tensor,
+    Workspace,
+    is_grad_enabled,
+    no_grad,
+)
 from repro.autograd import functional
 from repro.autograd.backend import (
     ArrayBackend,
@@ -34,6 +39,7 @@ from repro.autograd.backend import (
 __all__ = [
     "ArrayBackend",
     "Tensor",
+    "Workspace",
     "current_backend",
     "default_backend",
     "functional",

@@ -145,11 +145,15 @@ class ArrayBackend:
     def spmm(self, adjacency, dense):
         return self._kernels["spmm"](adjacency, dense)
 
-    def spmm_backward(self, adjacency, adjacency_t, grad):
-        return self._kernels["spmm_backward"](adjacency, adjacency_t, grad)
+    # ``out`` (``spmm_backward`` / ``spmm_batched`` only) offers a result
+    # buffer of the product's shape and dtype: a kernel may fill and return
+    # it or allocate as usual — callers use the return value.
+    def spmm_backward(self, adjacency, adjacency_t, grad, out=None):
+        return self._kernels["spmm_backward"](adjacency, adjacency_t, grad,
+                                              out=out)
 
-    def spmm_batched(self, adjacency, dense):
-        return self._kernels["spmm_batched"](adjacency, dense)
+    def spmm_batched(self, adjacency, dense, out=None):
+        return self._kernels["spmm_batched"](adjacency, dense, out=out)
 
     def sddmm(self, rows, cols, a, b):
         return self._kernels["sddmm"](rows, cols, a, b)

@@ -138,24 +138,29 @@ def _sddmm_grad_cols(indptr_t, perm, rows, grad, a, out):  # pragma: no cover
 # ----------------------------------------------------------------------
 # Kernel implementations
 # ----------------------------------------------------------------------
-def spmm(adjacency: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
+def spmm(adjacency: sp.csr_matrix, dense: np.ndarray, out=None) -> np.ndarray:
     if not NUMBA_AVAILABLE:
-        return ref.spmm(adjacency, dense)
-    out = np.zeros((adjacency.shape[0], dense.shape[1]), dtype=np.float64)
+        return ref.spmm(adjacency, dense, out)
+    if ref.usable_out(out, adjacency, dense):
+        out.fill(0.0)
+    else:
+        out = np.zeros((adjacency.shape[0], dense.shape[1]), dtype=np.float64)
     _spmm_csr(adjacency.indptr, adjacency.indices, adjacency.data, dense, out)
     return out
 
 
-def spmm_backward(adjacency, adjacency_t, grad):
+def spmm_backward(adjacency, adjacency_t, grad, out=None):
     transpose = cached_transpose(adjacency) if adjacency_t is None \
         else adjacency_t
-    return spmm(transpose, grad)
+    return spmm(transpose, grad, out)
 
 
-def spmm_batched(adjacency, dense):
+def spmm_batched(adjacency, dense, out=None):
     batch, nodes, channels = dense.shape
     flat = dense.reshape(batch * nodes, channels)
-    return spmm(adjacency, flat).reshape(batch, nodes, channels)
+    if out is not None:
+        out = out.reshape(batch * nodes, channels)
+    return spmm(adjacency, flat, out).reshape(batch, nodes, channels)
 
 
 def sddmm_backward(rows, cols, a, b, grad, need_a, need_b):

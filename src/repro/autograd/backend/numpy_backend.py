@@ -33,6 +33,8 @@ Accumulation-order contract (what "bitwise" rests on):
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -43,22 +45,50 @@ from repro.autograd.backend import (
     support_indptr,
 )
 
+try:  # the routine behind scipy's own ``csr @ dense``; private, so optional
+    from scipy.sparse._sparsetools import csr_matvecs
+except ImportError:  # pragma: no cover - a scipy without it ignores ``out=``
+    csr_matvecs = None
 
-def spmm(adjacency: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
-    return adjacency @ dense
+
+def usable_out(out: Optional[np.ndarray], adjacency: sp.csr_matrix,
+               dense: np.ndarray) -> bool:
+    """Whether ``out`` can hold ``adjacency @ dense`` exactly as computed:
+    the product's shape and (un-upcast) dtype, one contiguous block."""
+    return (out is not None and dense.ndim == 2
+            and out.shape == (adjacency.shape[0], dense.shape[1])
+            and out.dtype == adjacency.dtype == dense.dtype
+            and out.flags.c_contiguous)
 
 
-def spmm_backward(adjacency: sp.csr_matrix, adjacency_t, grad: np.ndarray
-                  ) -> np.ndarray:
+def spmm(adjacency: sp.csr_matrix, dense: np.ndarray,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``adjacency @ dense`` — into ``out`` when it fits, else allocated
+    (callers use the return value either way)."""
+    if csr_matvecs is None or not usable_out(out, adjacency, dense):
+        return adjacency @ dense
+    # scipy's own product is this call on a fresh ``np.zeros`` result.
+    out.fill(0.0)
+    csr_matvecs(adjacency.shape[0], adjacency.shape[1], dense.shape[1],
+                adjacency.indptr, adjacency.indices, adjacency.data,
+                dense.ravel(), out.ravel())
+    return out
+
+
+def spmm_backward(adjacency: sp.csr_matrix, adjacency_t, grad: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     transpose = cached_transpose(adjacency) if adjacency_t is None \
         else adjacency_t
-    return transpose @ grad
+    return spmm(transpose, grad, out)
 
 
-def spmm_batched(adjacency: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
+def spmm_batched(adjacency: sp.csr_matrix, dense: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     batch, nodes, channels = dense.shape
     flat = dense.reshape(batch * nodes, channels)
-    return (adjacency @ flat).reshape(batch, nodes, channels)
+    if out is not None:
+        out = out.reshape(batch * nodes, channels)
+    return spmm(adjacency, flat, out).reshape(batch, nodes, channels)
 
 
 def sddmm(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarray

@@ -19,7 +19,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.tensor import Tensor, _unbroadcast, is_grad_enabled
+from repro.autograd.tensor import (
+    Tensor,
+    _unbroadcast,
+    is_grad_enabled,
+    scratch,
+)
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
 
@@ -71,7 +76,9 @@ def spmm_batched(adjacency: sp.spmatrix, dense: Tensor,
     block acts on batch entry ``i`` (rows of absent nodes are all-zero).  The
     stacked tensor is routed through the 2-D :func:`spmm` kernel via
     differentiable reshapes, so one sparse product propagates every batch
-    entry — the propagation step of the batched execution backend.
+    entry — the propagation step of the batched execution backend.  Both
+    products land in the open :class:`~repro.autograd.tensor.Workspace`'s
+    buffers when there is one (``out=None`` otherwise: the kernel allocates).
     """
     if dense.ndim != 3:
         raise ValueError(
@@ -83,13 +90,15 @@ def spmm_batched(adjacency: sp.spmatrix, dense: Tensor,
             f"expected {batch * nodes}")
     backend = dense.backend
     adjacency = backend.prepare_sparse(adjacency)
-    out_data = backend.spmm_batched(adjacency, dense.data)
+    out_data = backend.spmm_batched(adjacency, dense.data,
+                                    out=scratch(dense.shape))
 
     def backward(grad):
         flat = grad.reshape(batch * nodes, channels)
         dense._accumulate(
-            backend.spmm_backward(adjacency, adjacency_t,
-                                  flat).reshape(batch, nodes, channels))
+            backend.spmm_backward(adjacency, adjacency_t, flat,
+                                  out=scratch(flat.shape)
+                                  ).reshape(batch, nodes, channels))
 
     return Tensor._make(out_data, (dense,), backward)
 

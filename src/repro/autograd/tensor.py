@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence, Union
+from sys import getrefcount
+from threading import get_ident
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +31,104 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+#: thread id → the workspace open on that thread.  Empty outside a batched
+#: plan's epoch, so an op with no workspace anywhere pays one global read.
+_ACTIVE: Dict[int, "Workspace"] = {}
+
+
+class Workspace:
+    """A replayed list of result buffers for a loop that repeats its ops.
+
+    Every ``with workspace:`` scope (one training epoch) rewinds a cursor;
+    inside it, on the opening thread only, the tensor ops and kernels that
+    produce stack-sized results (``+``, ``*``, ``@``, ``relu``, their
+    backward closures, ``spmm_batched``) write into the buffer at the cursor
+    instead of allocating.  The second scope therefore runs the first one's
+    ops into the first one's arrays, and a steady-state epoch allocates
+    nothing: glibc hands every multi-megabyte temporary straight back to the
+    OS on free, so without this each epoch page-faults all of them in again.
+
+    A buffer is handed out again only when its shape and dtype match the
+    request and nothing outside the workspace still references it (views
+    count: they hold their base); otherwise the slot gets a fresh array and
+    the old one is left to its holder.  Arrays produced inside a scope —
+    ``Tensor.data``, ``param.grad`` — thus stay valid for as long as they
+    are held, but are *reused* once dropped: keep a reference (or a copy)
+    to anything that must outlive the next scope.  Buffers are host
+    (numpy) arrays, like every kernel's ``out=``.
+    """
+
+    def __init__(self):
+        self._buffers: List[np.ndarray] = []
+        self._cursor = 0
+        self._outer: Optional["Workspace"] = None
+        #: buffers allocated so far; constant once the loop is in steady state
+        self.fresh = 0
+
+    def __enter__(self) -> "Workspace":
+        ident = get_ident()
+        self._outer = _ACTIVE.get(ident)
+        _ACTIVE[ident] = self
+        self._cursor = 0
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._outer is None:
+            del _ACTIVE[get_ident()]
+        else:
+            _ACTIVE[get_ident()] = self._outer
+            self._outer = None
+
+    def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """The next buffer of the replay, uninitialised."""
+        index = self._cursor
+        self._cursor = index + 1
+        buffers = self._buffers
+        if index < len(buffers):
+            buffer = buffers[index]
+            if getrefcount(buffer) == _IDLE_REFS and buffer.shape == shape \
+                    and buffer.dtype == dtype:
+                return buffer
+        else:
+            buffers.append(None)
+        buffer = buffers[index] = np.empty(shape, dtype)
+        self.fresh += 1
+        return buffer
+
+
+def _idle_refcount() -> int:
+    """What ``getrefcount`` reports in :meth:`Workspace.take` for a buffer
+    only the workspace holds (measured, not assumed: the interpreter decides
+    whether the local and the call argument count)."""
+    buffers = [np.empty(0)]
+    buffer = buffers[0]
+    return getrefcount(buffer)
+
+
+_IDLE_REFS = _idle_refcount()
+
+
+def scratch(shape: tuple, dtype=np.float64) -> Optional[np.ndarray]:
+    """An ``out=`` buffer from this thread's open workspace, else ``None``
+    (every ``out=None`` call allocates exactly as the plain operator does)."""
+    workspace = _ACTIVE.get(get_ident())
+    return None if workspace is None else workspace.take(shape, dtype)
+
+
+def _into_scratch(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)`` — the operator's own loop — into a workspace buffer
+    (numpy's ufunc, not ``xp``'s: the buffers are host arrays)."""
+    return ufunc(a, b, out=scratch(np.broadcast_shapes(a.shape, b.shape)))
+
+
+def _matmul_into_scratch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` into a workspace buffer (stacked or plain matrices)."""
+    if a.ndim < 2 or b.ndim < 2:
+        return a @ b
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return np.matmul(a, b, out=scratch(batch + (a.shape[-2], b.shape[-1])))
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -157,6 +257,8 @@ class Tensor:
             # caller mutates gradients in place (optimizers rebind), so the
             # array can be adopted without a defensive copy.
             self.grad = self.backend.asarray(grad)
+        elif _ACTIVE:
+            self.grad = _into_scratch(np.add, self.grad, grad)
         else:
             self.grad = self.grad + grad
 
@@ -214,7 +316,10 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out_data = self.data + other.data
+        if _ACTIVE:
+            out_data = _into_scratch(np.add, self.data, other.data)
+        else:
+            out_data = self.data + other.data
 
         # Guard every operand-gradient computation on requires_grad: hot
         # loops mix constants (propagation operators, hyperparameter
@@ -253,15 +358,20 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out_data = self.data * other.data
+        if _ACTIVE:
+            out_data = _into_scratch(np.multiply, self.data, other.data)
+        else:
+            out_data = self.data * other.data
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(
-                    _unbroadcast(grad * other.data, self.data.shape))
+                self._accumulate(_unbroadcast(
+                    _into_scratch(np.multiply, grad, other.data) if _ACTIVE
+                    else grad * other.data, self.data.shape))
             if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(grad * self.data, other.data.shape))
+                other._accumulate(_unbroadcast(
+                    _into_scratch(np.multiply, grad, self.data) if _ACTIVE
+                    else grad * self.data, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -306,15 +416,22 @@ class Tensor:
         """
         other = self._coerce(other)
         xp = self.backend.xp
-        out_data = self.data @ other.data
+        if _ACTIVE:
+            out_data = _matmul_into_scratch(self.data, other.data)
+        else:
+            out_data = self.data @ other.data
 
         def backward(grad):
             if self.requires_grad:
+                other_t = xp.swapaxes(other.data, -1, -2)
                 self._accumulate(_unbroadcast(
-                    grad @ xp.swapaxes(other.data, -1, -2), self.data.shape))
+                    _matmul_into_scratch(grad, other_t) if _ACTIVE
+                    else grad @ other_t, self.data.shape))
             if other.requires_grad:
+                self_t = xp.swapaxes(self.data, -1, -2)
                 other._accumulate(_unbroadcast(
-                    xp.swapaxes(self.data, -1, -2) @ grad, other.data.shape))
+                    _matmul_into_scratch(self_t, grad) if _ACTIVE
+                    else self_t @ grad, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -391,11 +508,16 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
+        if _ACTIVE:
+            mask = np.greater(self.data, 0, out=scratch(self.data.shape, bool))
+            out_data = _into_scratch(np.multiply, self.data, mask)
+        else:
+            mask = self.data > 0
+            out_data = self.data * mask
 
         def backward(grad):
-            self._accumulate(grad * mask)
+            self._accumulate(_into_scratch(np.multiply, grad, mask) if _ACTIVE
+                             else grad * mask)
 
         return Tensor._make(out_data, (self,), backward)
 

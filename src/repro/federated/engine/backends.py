@@ -765,8 +765,10 @@ class ProcessPoolBackend(ExecutionBackend):
             damaged = True           # payload lost in transit entirely
         elif "corrupt" in kinds:
             _corrupt_payload(reply[1])
-        if damaged or payload_checksum(reply[1]) != \
-                reply[2].get("checksum", payload_checksum(reply[1])):
+        # A reply the worker did not stamp has nothing to compare against.
+        stamped = reply[2].get("checksum")
+        if damaged or (stamped is not None
+                       and payload_checksum(reply[1]) != stamped):
             self.fault_stats["retries"] += 1
             try:
                 self._pool.send(worker, "resend")

@@ -12,7 +12,13 @@ graphs are structurally identical and can be fused:
   is a single batched matmul instead of ``B`` small ones;
 * the per-client Adam moments are stacked too, and one vectorised update
   advances every client (with per-client bias-correction step counts, so
-  partial participation stays exact).
+  partial participation stays exact);
+* a steady-state epoch allocates nothing: the backend's
+  :class:`~repro.autograd.Workspace` replays every stack-sized temporary
+  into the previous epoch's arrays, Adam updates the stacks in place, the
+  dropout masks are drawn into resident buffers.  Arrays produced inside an
+  epoch (``param.grad`` included) are therefore reused once dropped, and
+  views of the hot stacks follow the training.
 
 Four model families are fused today, dispatched by model type:
 
@@ -57,6 +63,7 @@ import scipy.sparse as sp
 
 from repro.autograd import (
     Tensor,
+    Workspace,
     functional as F,
     no_grad,
     resolve_backend,
@@ -199,6 +206,8 @@ class _BatchedPlan:
         #: (parameter name, stacking role) in optimizer order, e.g.
         #: [("hop_logits", VECTOR), ("classifier.lin0.weight", MATRIX), ...].
         self.param_specs: List[Tuple[str, str]] = self._parameter_specs()
+        #: dropout site → (mask tensor, keep flags), resident padded buffers
+        self._masks: Dict[int, Tuple[Tensor, np.ndarray]] = {}
 
     # -- family hooks --------------------------------------------------
     def _parameter_specs(self) -> List[Tuple[str, str]]:
@@ -323,90 +332,108 @@ class _BatchedPlan:
             self.hot = None
 
     # ------------------------------------------------------------------
-    def run_round(self, max_grad_norm: float = 5.0,
+    def run_round(self, workspace: Workspace, max_grad_norm: float = 5.0,
                   keep_hot: bool = False) -> List[float]:
-        """All participants' local epochs as one batched graph per epoch."""
+        """All participants' local epochs as one batched graph per epoch.
+
+        Every epoch replays ``workspace``: its stack-sized temporaries land
+        in the arrays the previous epoch used, and the stacks themselves
+        (parameters, Adam moments) are updated in place — views handed out
+        by :meth:`client_state` / :meth:`stacked_params` follow the training.
+        """
         for client in self.clients:
             client.model.train()
         if self.hot is not None:
-            stacked, moments_m, moments_v, steps = self.hot
+            state = self.hot
         else:
-            stacked, moments_m, moments_v, steps = self._stack_states()
-        optimizer = self.clients[0].optimizer
-        lr, wd = optimizer.lr, optimizer.weight_decay
-        beta1, beta2, eps = optimizer.beta1, optimizer.beta2, optimizer.eps
-        epochs = self.clients[0].local_epochs
-        batch = len(self.clients)
+            state = self._stack_states()
         losses: List[List[float]] = [[] for _ in self.clients]
-
-        def per_client(values: np.ndarray, ndim: int) -> np.ndarray:
-            # Broadcast a (B,) vector over a stacked tensor of any rank.
-            return values.reshape((batch,) + (1,) * (ndim - 1))
-
         with use_backend(self.array_backend):
-            self._run_epochs(epochs, batch, stacked, moments_m, moments_v,
-                             steps, losses, per_client, max_grad_norm,
-                             lr, wd, beta1, beta2, eps)
-
+            self._run_epochs(workspace, state, losses, max_grad_norm)
         if keep_hot:
-            self.hot = (stacked, moments_m, moments_v, steps)
+            self.hot = state
         else:
-            self._write_back(stacked, moments_m, moments_v, steps)
+            self._write_back(*state)
             self.hot = None
         return [float(np.mean(per_round)) for per_round in losses]
 
-    def _run_epochs(self, epochs, batch, stacked, moments_m, moments_v,
-                    steps, losses, per_client, max_grad_norm,
-                    lr, wd, beta1, beta2, eps) -> None:
+    def _run_epochs(self, workspace, state, losses, max_grad_norm) -> None:
         """The fused epoch loop (runs under the plan's array backend)."""
-        for _ in range(epochs):
-            for param in stacked:
-                param.grad = None
-            logits = self._forward(stacked)
-            log_probs = F.log_softmax(logits, axis=-1)
-            picked = log_probs[self.flat_batch, self.flat_rows,
-                               self.flat_labels]
-            total = -(picked * self.flat_weights).sum()
-            for index in range(batch):
-                start, stop = self.segments[index], self.segments[index + 1]
-                segment = picked.data[start:stop]
-                # Same float expression as the serial ``-picked.mean()``.
-                losses[index].append(
-                    float(-(segment.sum() * (1.0 / segment.size))))
-            total.backward()
+        for _ in range(self.clients[0].local_epochs):
+            with workspace:
+                self._epoch(workspace, *state, losses, max_grad_norm)
 
-            # Per-client global-norm clipping (same rule as clip_grad_norm).
-            square_sums = np.zeros(batch)
-            for param in stacked:
-                square_sums += (param.grad.reshape(batch, -1) ** 2).sum(axis=1)
-            norms = np.sqrt(square_sums)
-            scale = np.where(norms > max_grad_norm,
-                             max_grad_norm / (norms + 1e-12), 1.0)
-            if np.any(scale != 1.0):
-                for param in stacked:
-                    param.grad = param.grad * per_client(scale, param.ndim)
+    def _epoch(self, workspace, stacked, moments_m, moments_v, steps, losses,
+               max_grad_norm) -> None:
+        """One fused epoch; its graph dies with this frame, which is what
+        frees the workspace's buffers for the next epoch's replay."""
+        optimizer = self.clients[0].optimizer
+        lr, wd = optimizer.lr, optimizer.weight_decay
+        beta1, beta2, eps = optimizer.beta1, optimizer.beta2, optimizer.eps
+        batch = len(self.clients)
+        for param in stacked:
+            param.grad = None
+        logits = self._forward(stacked)
+        log_probs = F.log_softmax(logits, axis=-1)
+        picked = log_probs[self.flat_batch, self.flat_rows, self.flat_labels]
+        total = -(picked * self.flat_weights).sum()
+        for index in range(batch):
+            start, stop = self.segments[index], self.segments[index + 1]
+            segment = picked.data[start:stop]
+            # Same float expression as the serial ``-picked.mean()``.
+            losses[index].append(
+                float(-(segment.sum() * (1.0 / segment.size))))
+        total.backward()
 
-            # Vectorised Adam with per-client bias-correction step counts.
-            # The corrections use Python scalar pow: numpy's vectorised
-            # ``beta ** steps`` takes a SIMD code path whose rounding differs
-            # from ``beta ** int_step`` by one ulp at some exponents (e.g.
-            # 0.999**7), which would break bitwise parity with the serial
-            # optimizer.
-            steps += 1.0
-            bias1 = np.array([1.0 - beta1 ** int(s) for s in steps])
-            bias2 = np.array([1.0 - beta2 ** int(s) for s in steps])
-            for param, m, v in zip(stacked, moments_m, moments_v):
-                grad = param.grad
-                if wd:
-                    grad = grad + wd * param.data
-                m *= beta1
-                m += (1.0 - beta1) * grad
-                v *= beta2
-                v += (1.0 - beta2) * grad * grad
-                b1 = per_client(bias1, param.ndim)
-                b2 = per_client(bias2, param.ndim)
-                param.data = param.data - lr * (m / b1) / (
-                    np.sqrt(v / b2) + eps)
+        # Two scratch stacks per parameter carry every temporary of the
+        # clipping and of Adam: the expressions of the allocating form
+        # (kept beside each step), evaluated in the same order into ``out=``.
+        scratch = [(workspace.take(param.shape), workspace.take(param.shape))
+                   for param in stacked]
+
+        # Per-client global-norm clipping (same rule as clip_grad_norm):
+        # square_sums += (grad.reshape(batch, -1) ** 2).sum(axis=1)
+        square_sums = np.zeros(batch)
+        for param, (first, _second) in zip(stacked, scratch):
+            np.square(param.grad, out=first)
+            square_sums += first.reshape(batch, -1).sum(axis=1)
+        norms = np.sqrt(square_sums)
+        scale = np.where(norms > max_grad_norm,
+                         max_grad_norm / (norms + 1e-12), 1.0)
+        clip = bool(np.any(scale != 1.0))
+
+        # Vectorised Adam with per-client bias-correction step counts.
+        # The corrections use Python scalar pow: numpy's vectorised
+        # ``beta ** steps`` takes a SIMD code path whose rounding differs
+        # from ``beta ** int_step`` by one ulp at some exponents (e.g.
+        # 0.999**7), which would break bitwise parity with the serial
+        # optimizer.
+        steps += 1.0
+        bias1 = np.array([1.0 - beta1 ** int(s) for s in steps])
+        bias2 = np.array([1.0 - beta2 ** int(s) for s in steps])
+        for param, m, v, (first, second) in zip(stacked, moments_m,
+                                                moments_v, scratch):
+            # Broadcast a (B,) vector over a stacked tensor of any rank.
+            per_client = (batch,) + (1,) * (param.ndim - 1)
+            grad = param.grad       # stays the raw gradient: never mutated
+            if clip:                # grad = grad * scale
+                grad = np.multiply(grad, scale.reshape(per_client), out=first)
+            if wd:                  # grad = grad + wd * param.data
+                np.multiply(wd, param.data, out=second)
+                grad = np.add(grad, second, out=first)
+            m *= beta1              # m += (1 - beta1) * grad
+            m += np.multiply(1.0 - beta1, grad, out=second)
+            v *= beta2              # v += (1 - beta2) * grad * grad
+            np.multiply(1.0 - beta2, grad, out=second)
+            v += np.multiply(second, grad, out=second)
+            # param.data -= lr * (m / b1) / (np.sqrt(v / b2) + eps)
+            np.divide(m, bias1.reshape(per_client), out=first)
+            np.multiply(lr, first, out=first)
+            np.divide(v, bias2.reshape(per_client), out=second)
+            np.sqrt(second, out=second)
+            np.add(second, eps, out=second)
+            np.divide(first, second, out=first)
+            np.subtract(param.data, first, out=param.data)
 
     def _write_back(self, stacked, moments_m, moments_v, steps):
         """Unstack the trained state into each client's model and optimizer."""
@@ -445,14 +472,26 @@ class _BatchedPlan:
             blocks.append(Tensor(current.data, backend=self.array_backend))
         return blocks
 
-    def _dropout_mask(self, width: int) -> np.ndarray:
-        """One inverted-dropout mask per client, drawn from its own stream."""
+    def _dropout_mask(self, site: int, width: int) -> Tensor:
+        """One inverted-dropout mask per client, drawn from its own stream.
+
+        Each dropout *site* of the forward owns its padded buffers: a mask
+        is read again in the backward, after the later sites drew theirs.
+        The draws land where ``random((n, width))`` would put them and turn
+        into ``(draw >= p) / (1 - p)`` in place; padded rows stay zero.
+        """
         p = self.dropout_p
-        mask = np.zeros((len(self.clients), self.n_max, width))
+        if site not in self._masks:
+            shape = (len(self.clients), self.n_max, width)
+            self._masks[site] = (
+                Tensor(np.zeros(shape), backend=self.array_backend),
+                np.zeros(shape, dtype=bool))
+        mask, keep = self._masks[site]
         for index, client in enumerate(self.clients):
-            n = self.sizes[index]
-            draw = self._dropout_rng(client).random((n, width))
-            mask[index, :n] = (draw >= p) / (1.0 - p)
+            self._dropout_rng(client).random(
+                out=mask.data[index, :self.sizes[index]])
+        np.greater_equal(mask.data, p, out=keep)
+        np.divide(keep, 1.0 - p, out=mask.data)
         return mask
 
     def _dropout_rng(self, client):
@@ -472,8 +511,7 @@ class _BatchedPlan:
             if layer != last:
                 x = x.relu()
                 if self.dropout_p > 0.0:
-                    x = x * Tensor(self._dropout_mask(x.shape[-1]),
-                                   backend=self.array_backend)
+                    x = x * self._dropout_mask(layer, x.shape[-1])
         return x
 
 
@@ -489,6 +527,8 @@ class _BatchedGCNPlan(_BatchedPlan):
         # families never need the transposed operator.  The shared dispatch
         # cache makes this the same object every spmm backward would reuse.
         self.propagation_t = cached_transpose(self.propagation)
+        #: the first layer's hop acts on the constant features: ``P̃X``, once
+        self.first_hop = self._constant_hops(1, keep_all=False)[0]
 
     @staticmethod
     def signature(model) -> Tuple:
@@ -505,18 +545,18 @@ class _BatchedGCNPlan(_BatchedPlan):
         return client.model.dropout._rng
 
     def _forward(self, params: List[Tensor]) -> Tensor:
-        hidden = self.features
+        hidden = self.first_hop
         last = len(self.layer_names) - 1
         for layer in range(len(self.layer_names)):
-            hidden = F.spmm_batched(self.propagation, hidden,
-                                    adjacency_t=self.propagation_t)
+            if layer:
+                hidden = F.spmm_batched(self.propagation, hidden,
+                                        adjacency_t=self.propagation_t)
             hidden = hidden.matmul(params[2 * layer]) + params[2 * layer + 1]
             if layer != last:
                 hidden = hidden.relu()
                 if self.dropout_p > 0.0:
-                    hidden = hidden * Tensor(
-                        self._dropout_mask(hidden.shape[-1]),
-                        backend=self.array_backend)
+                    hidden = hidden * self._dropout_mask(
+                        layer, hidden.shape[-1])
         return hidden
 
 
@@ -786,13 +826,14 @@ class _GCNEvalPlan(_FusedEvalPlan):
     def __init__(self, clients):
         super().__init__(clients)
         self.layer_names = list(clients[0].model._layer_names)
+        self.first_hop = self._constant_blocks(1, keep_all=False)[0]
 
     def _logits(self, states):
-        hidden = self.features
+        hidden = None
         last = len(self.layer_names) - 1
         for layer, name in enumerate(self.layer_names):
             hidden = self._sliced_linear(
-                self._spmm(hidden),
+                self._spmm(hidden) if layer else self.first_hop,
                 [state[f"{name}.weight"] for state in states],
                 [state[f"{name}.bias"] for state in states])
             if layer != last:
@@ -941,6 +982,10 @@ class BatchedBackend(ExecutionBackend):
         #: most one — hot plans own their clients' authoritative weights,
         #: so two hot plans sharing a client would desynchronise)
         self._hot_key: Optional[Tuple[int, ...]] = None
+        #: replayed by whichever plan runs — one epoch's temporaries for the
+        #: whole backend, so the cached plans hold none; a plan of other
+        #: shapes re-allocates the slots that differ in its first epoch
+        self._workspace = Workspace()
 
     def _serial(self, participants) -> List[float]:
         return [client.local_train() for client in participants]
@@ -1009,7 +1054,7 @@ class BatchedBackend(ExecutionBackend):
                     plan.load_client_state(indices[0], state)
                 else:
                     plan.load_group_state(indices, state)
-        losses = plan.run_round(keep_hot=True)
+        losses = plan.run_round(self._workspace, keep_hot=True)
         return losses, plan
 
     def run_local_training(self, participants):
@@ -1046,11 +1091,12 @@ class BatchedBackend(ExecutionBackend):
                 self._plans[key] = str(error)
                 return self._serial(participants)
             self._plans[key] = plan
-        return plan.run_round()
+        return plan.run_round(self._workspace)
 
     def close(self):
         self.flush_hot()
         self._plans.clear()
+        self._workspace = Workspace()
 
 
 register_backend(BatchedBackend.name, BatchedBackend)

@@ -195,7 +195,7 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # Delta-payload checksums
 # ----------------------------------------------------------------------
-def _crc_update(crc: int, data: bytes) -> int:
+def _crc_update(crc: int, data) -> int:
     return zlib.crc32(data, crc)
 
 
@@ -216,7 +216,8 @@ def _checksum_walk(crc: int, obj) -> int:
         array = np.ascontiguousarray(obj)
         crc = _crc_update(crc, array.dtype.str.encode())
         crc = _crc_update(crc, repr(array.shape).encode())
-        return _crc_update(crc, array.tobytes())
+        # The contiguous array *is* the bytes ``tobytes()`` would copy out.
+        return _crc_update(crc, array)
     if isinstance(obj, (tuple, list)):
         crc = _crc_update(crc, b"(")
         for item in obj:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad, is_grad_enabled
+from repro.autograd import Tensor, Workspace, is_grad_enabled, no_grad
 
 
 def numerical_gradient(fn, x, eps=1e-6):
@@ -334,3 +334,151 @@ class TestBatchedMatmul:
         ta.matmul(tb).sum().backward()
         assert np.allclose(ta.grad, np.ones((3, 2)) @ b.T)
         assert np.allclose(tb.grad, a.T @ np.ones((3, 2)))
+
+
+def _two_layer(x, w, mask):
+    """The op mix a batched plan replays: ``@``, ``+``, relu, ``*``, ``@``."""
+    hidden = ((x @ w[0]) + w[1]).relu() * mask
+    return hidden @ w[2]
+
+
+class TestWorkspace:
+    """The replayed result buffers under the batched plans' epochs."""
+
+    @pytest.fixture
+    def operands(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 5, 4)))
+        w = [Tensor(rng.standard_normal(shape), requires_grad=True)
+             for shape in ((3, 4, 6), (3, 1, 6), (3, 6, 2))]
+        mask = Tensor((rng.random((3, 5, 6)) >= 0.5) / 0.5)
+        return x, w, mask
+
+    def _epoch(self, operands):
+        x, w, mask = operands
+        for param in w:
+            param.grad = None
+        out = _two_layer(x, w, mask)
+        out.sum().backward()
+        return out.data.copy(), [param.grad.copy() for param in w]
+
+    def test_replay_reuses_every_buffer_and_changes_no_bit(self, operands):
+        plain = self._epoch(operands)
+        workspace = Workspace()
+        with workspace:
+            first = self._epoch(operands)
+        taken = workspace.fresh
+        assert taken > 0
+        for _ in range(3):
+            with workspace:
+                again = self._epoch(operands)
+            assert workspace.fresh == taken          # nothing allocated
+            for got in (first, again):
+                assert got[0].tobytes() == plain[0].tobytes()
+                for grad, expected in zip(got[1], plain[1]):
+                    assert grad.tobytes() == expected.tobytes()
+
+    def test_referenced_array_is_not_handed_out_again(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.full((2, 3), 2.0))
+        workspace = Workspace()
+        with workspace:
+            kept = (a + b).data
+        with workspace:
+            replaced = (a * b).data       # same slot, still referenced
+        assert replaced is not kept
+        assert not np.shares_memory(replaced, kept)
+        assert np.array_equal(kept, np.full((2, 3), 3.0))
+        view = replaced[0]                # a view holds its base
+        del replaced
+        with workspace:
+            third = (a + b).data
+        assert not np.shares_memory(third, view)
+        assert np.array_equal(view, np.full(3, 2.0))
+
+    def test_dropped_array_is_reused_only_for_its_shape(self):
+        a = Tensor(np.ones((2, 3)))
+        workspace = Workspace()
+        with workspace:
+            address = (a + a).data.ctypes.data
+        with workspace:
+            same = (a * a).data
+            assert same.ctypes.data == address and workspace.fresh == 1
+            del same
+        with workspace:
+            other = (Tensor(np.ones((4, 3))) + 1.0).data
+        assert other.shape == (4, 3) and workspace.fresh == 2
+
+    def test_inactive_ops_allocate_as_before(self, operands):
+        from repro.autograd.tensor import scratch
+
+        x, w, mask = operands
+        workspace = Workspace()
+        with workspace:
+            inside = _two_layer(x, w, mask).data
+        taken = workspace.fresh
+        assert scratch((2, 2)) is None
+        outside = _two_layer(x, w, mask).data
+        again = _two_layer(x, w, mask).data
+        assert workspace.fresh == taken              # scope closed: untouched
+        assert not np.shares_memory(outside, again)  # every result is new
+        assert outside.flags.owndata and outside.base is None
+        assert outside.tobytes() == inside.tobytes() == again.tobytes()
+
+    def test_scopes_nest_and_unwind_on_error(self):
+        from repro.autograd.tensor import scratch
+
+        outer, inner = Workspace(), Workspace()
+        with outer:
+            with pytest.raises(RuntimeError):
+                with inner:
+                    assert scratch((2,)) is not None and inner.fresh == 1
+                    raise RuntimeError("epoch failed")
+            assert scratch((2,)) is not None and outer.fresh == 1
+        assert scratch((2,)) is None
+
+    def test_query_engine_flush_sees_no_workspace(self, community_clients):
+        """Scopes are per thread: the serving worker's forward, run while a
+        training epoch's workspace is open here, takes nothing from it."""
+        from repro.federated import FederatedConfig
+        from repro.fgl import build_baseline
+        from repro.serving import InductiveQuery, QueryEngine, ServingSnapshot
+
+        trainer = build_baseline(
+            "fedgcn", community_clients, hidden=16,
+            config=FederatedConfig(rounds=1, local_epochs=1, seed=0))
+        trainer.run()
+        graph = trainer.clients[0].graph
+        query = InductiveQuery(0, graph.features[0], anchors=[0, 1])
+        workspace = Workspace()
+        with QueryEngine(ServingSnapshot.from_trainer(trainer),
+                         max_batch=1, max_delay_ms=0.0) as engine:
+            expected = engine.query(query, timeout=30)
+            with workspace:
+                served = engine.query(query, timeout=30)
+                assert workspace.fresh == 0
+                (Tensor(np.ones(2)) + 1.0)           # this thread's ops do
+                assert workspace.fresh == 1
+        assert served.path == expected.path == "serial"
+        assert served.probs.tobytes() == expected.probs.tobytes()
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc", "gamlp", "gprgnn"])
+    def test_plan_epochs_allocate_nothing_after_the_first_round(
+            self, model, community_clients):
+        """A count, not a timing: every later epoch of a batched plan finds
+        all of its buffers (forward, backward, clipping, Adam) in place."""
+        from repro.federated import FederatedConfig
+        from repro.fgl.fedgnn import FederatedGNN
+
+        trainer = FederatedGNN(
+            community_clients, model, hidden=16,
+            config=FederatedConfig(rounds=1, local_epochs=3, seed=0,
+                                   backend="batched"))
+        with trainer:
+            trainer.run()
+            workspace = trainer.backend._workspace
+            assert trainer.backend.last_fallback is None
+            taken = workspace.fresh
+            assert taken > 0
+            trainer.run(rounds=3)
+            assert trainer.backend._workspace is workspace
+            assert workspace.fresh == taken

@@ -231,6 +231,40 @@ class TestKernelParity:
         assert np.array_equal(NUMPY.spmm_batched(block, stacked),
                               JIT.spmm_batched(block, stacked))
 
+    @pytest.mark.parametrize("backend", [NUMPY, JIT],
+                             ids=lambda backend: backend.name)
+    def test_spmm_batched_and_backward_fill_a_given_out(self, backend):
+        """``out=`` is where the product lands, not another product."""
+        n, f, batch = 20, 7, 3
+        block = sp.block_diag(
+            [_random_csr(n, n, seed=20 + b) for b in range(batch)],
+            format="csr")
+        stacked = np.random.default_rng(5).standard_normal((batch, n, f))
+        out = np.full((batch, n, f), np.nan)
+        result = backend.spmm_batched(block, stacked, out=out)
+        assert np.shares_memory(result, out)
+        assert result.tobytes() == NUMPY.spmm_batched(block, stacked).tobytes()
+        flat = stacked.reshape(batch * n, f)
+        out = np.full((batch * n, f), np.nan)
+        result = backend.spmm_backward(block, None, flat, out=out)
+        assert result is out
+        assert out.tobytes() == NUMPY.spmm_backward(block, None,
+                                                    flat).tobytes()
+
+    @pytest.mark.parametrize("backend", [NUMPY, JIT],
+                             ids=lambda backend: backend.name)
+    def test_unfit_out_is_left_alone(self, backend):
+        """A buffer of another shape, dtype or layout is not written."""
+        adjacency = _random_csr(12, 12, seed=30)
+        grad = np.random.default_rng(31).standard_normal((12, 4))
+        expected = NUMPY.spmm_backward(adjacency, None, grad)
+        for out in (np.zeros((12, 5)), np.zeros((12, 4), dtype=np.float32),
+                    np.zeros((4, 12)).T):
+            result = backend.spmm_backward(adjacency, None, grad, out=out)
+            assert not np.shares_memory(result, out)
+            assert not out.any()
+            assert np.array_equal(result, expected)
+
     @pytest.mark.parametrize("n,m,f", SHAPES)
     def test_sddmm_forward_backward(self, n, m, f):
         pattern = _random_csr(n, n, seed=n + 1)
@@ -413,6 +447,7 @@ class TestStructureCacheLifetime:
 
     def test_entries_die_with_their_owner(self):
         pattern = _random_csr(12, 12, seed=40)
+        gc.collect()    # earlier tests' cyclic garbage owns entries too
         before = structure_cache_size()
         rows = pattern_rows(pattern)
         assert pattern_rows(pattern) is rows
@@ -624,6 +659,20 @@ class TestEndToEndParity:
 
 
 class TestDispatchLintGuard:
+    @staticmethod
+    def _guard():
+        """``(repository root, the guard loaded as a module)``."""
+        import importlib.util
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "check_backend_dispatch",
+            repo / "tools" / "check_backend_dispatch.py")
+        guard = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(guard)
+        return repo, guard
+
     def test_hot_paths_are_clean(self):
         import subprocess
         import sys
@@ -636,15 +685,7 @@ class TestDispatchLintGuard:
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_guard_catches_bare_numpy(self, tmp_path):
-        import importlib.util
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[1]
-        spec = importlib.util.spec_from_file_location(
-            "check_backend_dispatch",
-            repo / "tools" / "check_backend_dispatch.py")
-        guard = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(guard)
+        repo, guard = self._guard()
         source = (repo / "src/repro/autograd/functional.py").read_text()
         bad = source.replace(
             "out_data = backend.spmm(adjacency, dense.data)",
@@ -655,6 +696,20 @@ class TestDispatchLintGuard:
         violations = guard.check(target)
         assert any(fn == "spmm" and expr == "np.asarray"
                    for fn, _, expr in violations)
+
+    def test_guard_catches_out_buffers_filled_outside_a_kernel(self,
+                                                               tmp_path):
+        repo, guard = self._guard()
+        source = (repo / "src/repro/autograd/functional.py").read_text()
+        assert guard.check(repo / "src/repro/autograd/functional.py") == []
+        bad = source.replace(
+            "out_data = backend.spmm_batched(adjacency, dense.data,",
+            "out_data = backend.xp.matmul(adjacency, dense.data,")
+        assert bad != source
+        target = tmp_path / "functional.py"
+        target.write_text(bad)
+        assert [(fn, expr) for fn, _, expr in guard.check(target)] \
+            == [("spmm_batched", "backend.xp.matmul(out=)")]
 
 
 class TestNumbaGating:

@@ -621,3 +621,123 @@ class TestOperatorCacheParity:
             mine, theirs = getattr(propagation, name), getattr(expected, name)
             assert mine.dtype == theirs.dtype
             assert mine.tobytes() == theirs.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The stacked epoch (engine/batched.py): workspace replay, in-place Adam,
+# resident dropout masks, hoisted first hop
+# ----------------------------------------------------------------------
+#: case → (model, FederatedConfig overrides)
+STACKED_CASES = {
+    "gcn": ("gcn", {}),
+    "sgc": ("sgc", {}),
+    "gamlp": ("gamlp", {}),
+    "gprgnn": ("gprgnn", {}),
+    # two dropout sites of equal width: their masks must not share a buffer
+    "gcn-3-layer": ("gcn3", {}),
+    # the participant set, and with it the plan, changes between rounds
+    "gcn-partial": ("gcn", {"participation": 0.67}),
+    "gcn-decay": ("gcn", {"weight_decay": 0.01}),
+    "gcn-no-decay": ("gcn", {"weight_decay": 0.0}),
+    # a step size that makes the global-norm clip fire (4 of 12 epochs)
+    "gcn-clipped": ("gcn", {"lr": 1.0}),
+}
+
+#: SHA-256 (first 128 bits) over seeds 0-2 of (round losses, every client's
+#: final weights), recorded at the parent of the allocation-free epoch
+#: (9b435a5; numpy 2.4.6, scipy 1.17.1, OpenBLAS).  Serial and batched
+#: differ in the last bits (per-client vs stacked GEMM blocking); the pool's
+#: resident plans equal the in-process one wherever both pad to the same
+#: ``n_max``.
+STACKED_DIGESTS = {
+    "gcn": {
+        "serial": "7fcf243473375fab4ecf57ab06d44b67",
+        "process_pool": "4b84dcf7bdb6f3717830cd33659ee809",
+        "batched": "4b84dcf7bdb6f3717830cd33659ee809",
+    },
+    "sgc": {
+        "serial": "1bfe8b781962523013d2e821678e5055",
+        "process_pool": "6e8ad3fc437f573bb340b4cb6fb7bf22",
+        "batched": "6e8ad3fc437f573bb340b4cb6fb7bf22",
+    },
+    "gamlp": {
+        "serial": "143048e8ff2d93daf427b50140292db1",
+        "process_pool": "ecbb17a2149a6088f07e7834e31e5c1b",
+        "batched": "ecbb17a2149a6088f07e7834e31e5c1b",
+    },
+    "gprgnn": {
+        "serial": "76c707399e8e53c0f398f4051a97db87",
+        "process_pool": "f80abf38625299dd33c599e132aa2aba",
+        "batched": "f80abf38625299dd33c599e132aa2aba",
+    },
+    "gcn-3-layer": {
+        "serial": "21cfbb09d30a4fca418b32e7bba64908",
+        "process_pool": "e82c856aa13db29151fe65c8f1782155",
+        "batched": "e82c856aa13db29151fe65c8f1782155",
+    },
+    "gcn-partial": {
+        "serial": "e5334f15167f9d42a2a8be70346d18ca",
+        "process_pool": "2c88f21358970219dfa2b4444e54c712",
+        "batched": "1626a2910ef2b4e688175780c88fab49",
+    },
+    "gcn-decay": {
+        "serial": "92f09efa204a191dad19d42b9f993277",
+        "process_pool": "f7081bd72911f376fb3b7e0fd97b189a",
+        "batched": "f7081bd72911f376fb3b7e0fd97b189a",
+    },
+    "gcn-no-decay": {
+        "serial": "4c9ca2b4f70d136cf27237332a6cc98e",
+        "process_pool": "ab2380aa368fc2355a4ce2cac3d4acb8",
+        "batched": "ab2380aa368fc2355a4ce2cac3d4acb8",
+    },
+    "gcn-clipped": {
+        "serial": "ede7ef6e88a28fd88fe2bb56748d0712",
+        "process_pool": "cd5e617832718b772069cd2f925aa69b",
+        "batched": "cd5e617832718b772069cd2f925aa69b",
+    },
+}
+
+
+def _stacked_digest(clients, case, backend):
+    import hashlib
+
+    from repro.models import GCN
+
+    model, overrides = STACKED_CASES[case]
+    digest = hashlib.sha256()
+    for seed in range(3):
+        if model == "gcn3":
+            def factory(graph, seed=seed):
+                return GCN(graph.num_features, 16, graph.num_classes,
+                           num_layers=3, seed=seed)
+        else:
+            factory = make_model_factory(model, hidden=16, seed=seed)
+        config = dict(rounds=4, local_epochs=3, seed=seed)
+        config.update(overrides)
+        trainer = FederatedTrainer(clients, factory,
+                                   _config(backend, **config))
+        history = trainer.run()
+        digest.update(_sha(
+            history.loss,
+            [c.get_weights() for c in trainer.clients]).encode())
+    return digest.hexdigest()[:32]
+
+
+class TestStackedEpochParity:
+    """The allocation-free epoch computes what the allocating one did: the
+    same operations in the same order, so not one bit of any history moves
+    — in process, and on the pool workers' resident (``keep_hot``) plans,
+    which train three clients each here."""
+
+    @pytest.fixture(scope="class")
+    def six_clients(self, homophilous_graph):
+        from repro.simulation import structure_noniid_split
+
+        return structure_noniid_split(homophilous_graph, 6, seed=0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", list(STACKED_CASES))
+    def test_history_digest_equals_the_parents(self, case, backend,
+                                               six_clients):
+        assert _stacked_digest(six_clients, case, backend) \
+            == STACKED_DIGESTS[case][backend]

@@ -127,6 +127,92 @@ class TestPayloadChecksum:
         assert payload_checksum(a) != payload_checksum(c)
 
 
+    @pytest.mark.parametrize("array", [
+        np.arange(24.0).reshape(4, 6),              # contiguous
+        np.arange(24.0).reshape(4, 6)[:, ::2],      # strided
+        np.arange(24.0).reshape(4, 6).T,            # Fortran order
+        np.array(2.5),                              # 0-d
+        np.empty((0, 3)),                           # empty
+        np.arange(7, dtype=np.uint64),
+        np.array([True, False, True]),
+    ], ids=["contiguous", "strided", "fortran", "0-d", "empty", "uint64",
+            "bool"])
+    def test_buffer_crc_equals_the_copied_bytes(self, array):
+        """The walk sums the array's own buffer; the value is what summing
+        the ``tobytes()`` copy gave."""
+        import zlib
+
+        contiguous = np.ascontiguousarray(array)
+        expected = zlib.crc32(contiguous.dtype.str.encode(), 0)
+        expected = zlib.crc32(repr(contiguous.shape).encode(), expected)
+        expected = zlib.crc32(contiguous.tobytes(), expected)
+        assert payload_checksum(array) == expected
+
+
+class TestVerifyReply:
+    """``ProcessPoolBackend._verify_reply`` against a scripted pool."""
+
+    class _Pool:
+        def __init__(self, resent):
+            self.resent, self.sent = resent, []
+
+        def send(self, worker, command):
+            self.sent.append((worker, command))
+
+        def recv_reply_to(self, worker, command):
+            return self.resent
+
+    def _backend(self, monkeypatch, resent=None):
+        from repro.federated.engine import backends
+
+        sums = []
+        real = backends.payload_checksum
+        monkeypatch.setattr(
+            backends, "payload_checksum",
+            lambda payload: sums.append(1) or real(payload))
+        backend = backends.ProcessPoolBackend.__new__(
+            backends.ProcessPoolBackend)
+        backend._transit = {}
+        backend.fault_stats = {"retries": 0}
+        backend._pool = self._Pool(resent)
+        return backend, sums
+
+    @staticmethod
+    def _reply(stamp=True):
+        deltas = {0: {"w": np.arange(6.0)}}
+        stats = {"checksum": payload_checksum(deltas)} if stamp else {}
+        return ({0: 0.5}, deltas, stats)
+
+    def test_clean_reply_is_summed_once(self, monkeypatch):
+        backend, sums = self._backend(monkeypatch)
+        reply = self._reply()
+        assert backend._verify_reply(None, 0, reply) is reply
+        assert len(sums) == 1
+        assert backend.fault_stats["retries"] == 0
+
+    def test_unstamped_reply_passes(self, monkeypatch):
+        backend, sums = self._backend(monkeypatch)
+        reply = self._reply(stamp=False)
+        assert backend._verify_reply(None, 0, reply) is reply
+        assert sums == [] and backend._pool.sent == []
+
+    def test_mismatch_requests_the_one_resend(self, monkeypatch):
+        clean = self._reply()
+        backend, _sums = self._backend(monkeypatch, resent=clean)
+        damaged = self._reply()
+        damaged[1][0]["w"][0] += 1.0
+        assert backend._verify_reply(None, 0, damaged) is clean
+        assert backend._pool.sent == [(0, "resend")]
+        assert backend.fault_stats["retries"] == 1
+
+    def test_mismatch_twice_is_a_worker_error(self, monkeypatch):
+        damaged = self._reply()
+        damaged[1][0]["w"][0] += 1.0
+        backend, _sums = self._backend(monkeypatch, resent=damaged)
+        with pytest.raises(WorkerError, match="twice"):
+            backend._verify_reply(None, 0, damaged)
+
+
 class TestCrashRecovery:
     """A mid-run worker crash must be invisible in the training history."""
 

@@ -9,7 +9,10 @@ route every array operation through the operand tensor's
 A bare ``np.`` call inside one of them silently pins that op to host numpy
 and breaks the CuPy seam, so this guard walks the AST and rejects any
 ``np.<attr>`` usage (and any ``scipy.sparse`` *math* beyond ``sp.issparse``
-type checks) inside the hot-path function bodies.
+type checks) inside the hot-path function bodies.  A call that passes a
+result buffer (``out=``) must be a call on ``backend`` — a registered kernel
+fills it; ``xp.add(..., out=...)`` or a buffer method there would write a
+workspace's host array from outside the seam.
 
 Exit status: 0 when clean, 1 with a findings listing otherwise.  Run from
 the repository root (CI wires it into the backend-matrix job)::
@@ -59,6 +62,14 @@ def _violations_in(func: ast.FunctionDef) -> list:
             found.append((node.lineno, f"np.{node.attr}"))
         elif root.id == "sp" and node.attr not in ALLOWED_SPARSE_ATTRS:
             found.append((node.lineno, f"sp.{node.attr}"))
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) \
+                and any(keyword.arg == "out" for keyword in node.keywords):
+            callee = node.func
+            if not (isinstance(callee, ast.Attribute)
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "backend"):
+                found.append((node.lineno, f"{ast.unparse(callee)}(out=)"))
     return found
 
 
