@@ -19,6 +19,7 @@ Select a backend per scope with :func:`use_backend`, per process with
 from repro.autograd.tensor import (
     Tensor,
     Workspace,
+    buffer_idle,
     is_grad_enabled,
     no_grad,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "ArrayBackend",
     "Tensor",
     "Workspace",
+    "buffer_idle",
     "current_backend",
     "default_backend",
     "functional",

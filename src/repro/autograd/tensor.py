@@ -87,10 +87,10 @@ class Workspace:
         self._cursor = index + 1
         buffers = self._buffers
         if index < len(buffers):
-            buffer = buffers[index]
-            if getrefcount(buffer) == _IDLE_REFS and buffer.shape == shape \
-                    and buffer.dtype == dtype:
-                return buffer
+            if buffer_idle(buffers, index):
+                buffer = buffers[index]
+                if buffer.shape == shape and buffer.dtype == dtype:
+                    return buffer
         else:
             buffers.append(None)
         buffer = buffers[index] = np.empty(shape, dtype)
@@ -98,13 +98,24 @@ class Workspace:
         return buffer
 
 
+def buffer_idle(buffers: list, index: int) -> bool:
+    """True when ``buffers`` is the only holder of ``buffers[index]``.
+
+    The reuse rule of every resident buffer in the package (workspace
+    slots, a TCP channel's receive buffers): a name bound to the array, a
+    container holding it, or a live view of it (views hold their base) all
+    make it busy.  Rests on ``sys.getrefcount`` equalling what it reports
+    for an array only a list holds, which is measured at import, not
+    assumed — refcounts are a CPython implementation detail
+    (``tests/test_autograd_tensor.py::TestBufferIdle`` pins the contract).
+    """
+    return getrefcount(buffers[index]) == _IDLE_REFS
+
+
 def _idle_refcount() -> int:
-    """What ``getrefcount`` reports in :meth:`Workspace.take` for a buffer
-    only the workspace holds (measured, not assumed: the interpreter decides
-    whether the local and the call argument count)."""
+    """:func:`buffer_idle`'s own expression on an array only a list holds."""
     buffers = [np.empty(0)]
-    buffer = buffers[0]
-    return getrefcount(buffer)
+    return getrefcount(buffers[0])
 
 
 _IDLE_REFS = _idle_refcount()

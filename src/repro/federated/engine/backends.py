@@ -624,9 +624,15 @@ class ProcessPoolBackend(ExecutionBackend):
         fold = None
         if pending.fold_weights is not None:
             fold = {cid: pending.fold_weights[cid] for cid in ids}
+        # One integrity pass per hop: a channel that CRC-checks its frames
+        # already verified the upload, so the worker stamps a checksum for
+        # the coordinator to re-compute only where nothing else would (the
+        # pipe) or where this reply is scheduled to be damaged after the
+        # channel delivered it.
+        stamp = bool(transit) or not self._pool.transport.verifies_frames
         args = (list(ids), unique, assign, self.intra_worker,
                 codec, slowdown, fault,
-                self.on_worker_failure != "fail", fold)
+                self.on_worker_failure != "fail", fold, stamp)
         crc = payload_checksum(args)
         shipped = args
         if corrupt_down:
@@ -715,10 +721,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 pending.losses[cid] = worker_losses[cid]
         elif STACK_MARKER in deltas:
             # Whole-shard stacked bit delta (resident worker plan): one
-            # vectorised reconstruction, per-client states are views.
+            # vectorised reconstruction in the buffer the delta arrived in,
+            # per-client states are views.
             stack_ids, stacked = deltas[STACK_MARKER]
             rebuilt = apply_stacked_delta(
-                [pending.sent[cid] for cid in stack_ids], stacked)
+                [pending.sent[cid] for cid in stack_ids], stacked,
+                out=stacked)
             for cid, state in zip(stack_ids, rebuilt):
                 pending.states[cid] = state
                 pending.losses[cid] = worker_losses[cid]
@@ -1044,12 +1052,16 @@ class ProcessPoolBackend(ExecutionBackend):
                 0.0, min(1.0, deadline - time.monotonic())))
 
     def finish_round(self, pending: "PendingRound",
-                     advance_round: bool = True) -> List[float]:
+                     advance_round: bool = True,
+                     apply_states: bool = True) -> List[float]:
         """Close out a fully-collected round; losses in participant order.
 
         Applies the collected worker-trained states to the coordinator
         mirrors — from here on the round looks exactly as if every client
-        had trained in-process.  ``advance_round=False`` skips the per-round
+        had trained in-process.  ``apply_states=False`` leaves the mirrors
+        alone: for a caller that folded ``pending.states`` itself and
+        overwrites every mirror with the next broadcast before anything
+        reads one.  ``advance_round=False`` skips the per-round
         IPC tick — the async loop re-dispatches shards many times per server
         round and advances the tracker once per seal instead.
         """
@@ -1057,8 +1069,9 @@ class ProcessPoolBackend(ExecutionBackend):
             raise RuntimeError(
                 f"round not complete: workers {sorted(pending.outstanding)} "
                 "still outstanding")
-        for cid, state in pending.states.items():
-            pending.mirrors[cid].set_weights(state)
+        if apply_states:
+            for cid, state in pending.states.items():
+                pending.mirrors[cid].set_weights(state)
         if advance_round:
             self.transport.next_round()
         # Dropped clients (timeouts, lost crash shards) have no loss entry;

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.autograd import Workspace
 from repro.federated.engine.faults import payload_checksum
 
 StateDict = Dict[str, np.ndarray]
@@ -94,8 +95,18 @@ def apply_state_delta(received: StateDict, delta: Dict[str, np.ndarray]
     return state
 
 
+def _broadcast_stack(received: Sequence[StateDict], name: str) -> np.ndarray:
+    """``received[i][name]`` as one ``(B, ...)`` (or broadcastable) stack."""
+    first = received[0]
+    if all(state is first for state in received):   # uniform FedAvg case
+        return np.ascontiguousarray(first[name], dtype=np.float64)[None]
+    return np.stack([np.asarray(state[name], dtype=np.float64)
+                     for state in received])
+
+
 def encode_stacked_delta(stacks: Dict[str, np.ndarray],
-                         received: Sequence[StateDict]
+                         received: Sequence[StateDict],
+                         out: Optional[Dict[str, np.ndarray]] = None
                          ) -> Dict[str, np.ndarray]:
     """Whole-shard bit delta: one vectorised wrap-around diff per parameter.
 
@@ -103,34 +114,29 @@ def encode_stacked_delta(stacks: Dict[str, np.ndarray],
     resident batched plan's hot tensors); ``received`` lists each shard
     client's broadcast state in stack order.  Bit-for-bit equivalent to
     ``B`` :func:`encode_state_delta` calls, in ``len(stacks)`` numpy ops
-    when the broadcast was uniform (the common FedAvg case).
+    when the broadcast was uniform (the common FedAvg case).  ``out[name]``
+    (``uint64``, the stack's shape) receives the delta when given.
     """
-    first = received[0]
-    uniform = all(state is first for state in received)
-    delta = {}
-    for name, stack in stacks.items():
-        if uniform:
-            old = np.ascontiguousarray(first[name], dtype=np.float64)[None]
-        else:
-            old = np.stack([np.asarray(state[name], dtype=np.float64)
-                            for state in received])
-        delta[name] = stack.view(np.uint64) - old.view(np.uint64)
-    return delta
+    return {name: np.subtract(
+                stack.view(np.uint64),
+                _broadcast_stack(received, name).view(np.uint64),
+                out=None if out is None else out[name])
+            for name, stack in stacks.items()}
 
 
 def apply_stacked_delta(received: Sequence[StateDict],
-                        delta: Dict[str, np.ndarray]) -> List[StateDict]:
-    """Invert :func:`encode_stacked_delta`; per-client states are views."""
-    first = received[0]
-    uniform = all(state is first for state in received)
-    stacks = {}
-    for name, bits in delta.items():
-        if uniform:
-            old = np.ascontiguousarray(first[name], dtype=np.float64)[None]
-        else:
-            old = np.stack([np.asarray(state[name], dtype=np.float64)
-                            for state in received])
-        stacks[name] = (old.view(np.uint64) + bits).view(np.float64)
+                        delta: Dict[str, np.ndarray],
+                        out: Optional[Dict[str, np.ndarray]] = None
+                        ) -> List[StateDict]:
+    """Invert :func:`encode_stacked_delta`; per-client states are views.
+
+    ``out[name]`` (``uint64``) receives the rebuilt bit patterns when given;
+    ``out=delta`` decodes in place, in the buffer the delta arrived in.
+    """
+    stacks = {name: np.add(
+                  _broadcast_stack(received, name).view(np.uint64), bits,
+                  out=None if out is None else out[name]).view(np.float64)
+              for name, bits in delta.items()}
     return [{name: stack[index] for name, stack in stacks.items()}
             for index in range(len(received))]
 
@@ -286,12 +292,14 @@ def apply_topk_delta(received: StateDict, payload: Dict) -> StateDict:
 # ----------------------------------------------------------------------
 def _train_shard(residents: Dict[int, object], intra_backend,
                  residuals: Dict[int, Dict[str, np.ndarray]],
+                 upload: Workspace,
                  client_ids: Sequence[int], states: Sequence[StateDict],
                  assign: Dict[int, int], intra_worker: str,
                  codec: Tuple[str, int, int] = ("bitdelta", 0, 0),
                  slowdown: float = 1.0, fault: Optional[Dict] = None,
                  with_snapshots: bool = False,
-                 fold_weights: Optional[Dict[int, float]] = None
+                 fold_weights: Optional[Dict[int, float]] = None,
+                 stamp: bool = True
                  ) -> Tuple[Dict[int, float], Dict[int, Dict], Dict]:
     """Worker-side round: load broadcast weights, train the shard, diff.
 
@@ -338,6 +346,13 @@ def _train_shard(residents: Dict[int, object], intra_backend,
     (:class:`~repro.federated.server.DeterministicSum`) and shipping
     ``{FOLD_MARKER: (client_ids, partial)}`` — an O(parameters) upload for
     the whole shard, independent of shard size.
+
+    ``upload`` holds the stacked delta's buffers across rounds (a slot is
+    reused once nothing — the previous reply, the channel's unacknowledged
+    frames — references it).  ``stamp`` asks for ``stats["checksum"]``, the
+    CRC the coordinator re-computes on arrival; it asks only when the
+    channel does not verify its frames itself or a transit fault is
+    scheduled for this reply.
     """
     if fault is not None and fault.get("kind") == "crash":
         # Simulated hard crash: no reply, no cleanup, dead pipe.
@@ -393,9 +408,12 @@ def _train_shard(residents: Dict[int, object], intra_backend,
         delta_values = sum(hi.size + lo.size for hi, lo in partial.values())
     elif resident_plan is not None and not lossy:
         # One vectorised bit-diff per parameter for the whole shard.
-        stacked = encode_stacked_delta(
-            resident_plan.stacked_params(),
-            [received[cid] for cid in client_ids])
+        stacks = resident_plan.stacked_params()
+        with upload:
+            stacked = encode_stacked_delta(
+                stacks, [received[cid] for cid in client_ids],
+                out={name: upload.take(stack.shape, np.uint64)
+                     for name, stack in stacks.items()})
         deltas = {STACK_MARKER: (list(client_ids), stacked)}
         delta_values = sum(v.size for v in stacked.values())
     else:
@@ -431,8 +449,9 @@ def _train_shard(residents: Dict[int, object], intra_backend,
         time.sleep(pause)
         elapsed += pause
     stats = {"mode": mode, "delta_values": delta_values,
-             "clients": len(shard), "busy_sec": elapsed,
-             "checksum": payload_checksum(deltas)}
+             "clients": len(shard), "busy_sec": elapsed}
+    if stamp:
+        stats["checksum"] = payload_checksum(deltas)
     if with_snapshots:
         from repro.federated.engine.backends import snapshot_client_state
 
@@ -458,6 +477,7 @@ def _worker_loop(conn) -> None:
     residents: Dict = {}
     residuals: Dict = {}  # per-client error feedback of the top-k codec
     intra_backend = None  # built lazily, plan cache lives for the process
+    upload = Workspace()  # the stacked delta's buffers, reused when idle
     last_train = None     # cached last train reply for corruption resends
     while True:
         try:
@@ -485,8 +505,11 @@ def _worker_loop(conn) -> None:
                 if intra_backend is None:
                     from repro.federated.engine.batched import BatchedBackend
                     intra_backend = BatchedBackend()
+                # The previous reply references the delta buffers; let go of
+                # it so that they are idle for this round's encode.
+                result = last_train = None
                 result = _train_shard(residents, intra_backend, residuals,
-                                      *args)
+                                      upload, *args)
                 last_train = result
             elif command == "resend":
                 # The coordinator detected a corrupted/dropped reply; ship

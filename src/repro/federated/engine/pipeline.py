@@ -46,7 +46,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.federated.engine.aggregation import AggregationContext
+from repro.federated.engine.aggregation import (
+    AggregationContext,
+    AggregationStrategy,
+)
 from repro.federated.engine.config import overrides_hooks
 
 
@@ -178,11 +181,12 @@ class SyncPipelinedLoop:
     """Streaming-aggregation round loop, bitwise-identical to lockstep.
 
     Per round: dispatch the (deduplicated) broadcast to the workers, run the
-    *previous* round's evaluation while they train, train coordinator-side
-    clients, fold shard uploads into the streaming aggregate as they arrive,
-    seal, broadcast — and only then stop to evaluate (one round later, again
-    overlapped).  The only barrier left is the data dependency itself: a
-    round's broadcast cannot leave before its aggregate is sealed.
+    *previous* round's evaluation at once, while they train, train
+    coordinator-side clients, fold shard uploads into the streaming aggregate
+    as they arrive, seal, broadcast — and only then stop to evaluate (one
+    round later, again overlapped).  The only barrier left is the data
+    dependency itself: a round's broadcast cannot leave before its aggregate
+    is sealed.
     """
 
     def __init__(self, trainer):
@@ -190,6 +194,11 @@ class SyncPipelinedLoop:
         self.backend = trainer.backend
         #: built on first use; None until then, False when unsupported
         self._fused_eval = None
+        #: True when the broadcast replaces every mirror's weights without
+        #: reading them (the default ``personalize`` ignores the client)
+        self._overwrites = not overrides_hooks(trainer, ("personalize",)) \
+            and type(trainer.strategy).personalize \
+            is AggregationStrategy.personalize
 
     def _eval(self, round_index: int, losses: Sequence[float],
               round_sec: Optional[Dict[int, float]],
@@ -228,6 +237,10 @@ class SyncPipelinedLoop:
         #: static per-client parameter counts for the logical accounting
         #: (reading them through ``get_weights`` would copy every array)
         sizes: Dict[int, int] = {}
+        #: static per-client aggregation weights (``num_samples`` sums the
+        #: client's training mask on every read)
+        samples = {client.client_id: client.num_samples
+                   for client in trainer.clients}
 
         hierarchical = backend.hierarchical
         for round_index in range(trainer._completed_rounds + 1, rounds + 1):
@@ -244,7 +257,7 @@ class SyncPipelinedLoop:
             # ship each edge aggregator its shard's globally normalised fold
             # weights; begin_stream is effect-free, so flat rounds are
             # untouched by the hoist.
-            weights = [client.num_samples for client in participants]
+            weights = [samples[client.client_id] for client in participants]
             fold = trainer.strategy.begin_stream(weights, context)
             index_of = {client.client_id: position
                         for position, client in enumerate(participants)}
@@ -261,15 +274,12 @@ class SyncPipelinedLoop:
             deadline = None if config.round_timeout is None \
                 else time.monotonic() + config.round_timeout
 
-            # The previous round's evaluation overlaps this round's worker
-            # training.  Preferred slot: after the fastest shard lands, when
-            # only the stragglers are still computing/sleeping — collection
-            # defers the mirror update to finish_round, so the eval still
-            # reads the broadcast-state mirrors lockstep would see.
-            # Coordinator-resident clients train in place, so with a local
-            # side (or nothing dispatched) the eval must run right now.
-            if deferred_eval is not None and (
-                    pending.local_side or not pending.outstanding):
+            # The previous round's evaluation runs inside this round's
+            # training window: the shards are on their way, and the mirrors
+            # it reads stay at broadcast state until this round's own
+            # broadcast (collection rebuilds trained states beside them;
+            # coordinator-resident clients train only after it).
+            if deferred_eval is not None:
                 self._eval(*deferred_eval, broadcast_states)
                 deferred_eval = None
 
@@ -308,16 +318,17 @@ class SyncPipelinedLoop:
                     for cid in collected:
                         if cid in pending.states:
                             fold.add(index_of[cid], pending.states[cid])
-                if first_wave and collected:
+                if collected:
                     first_wave = False
-                    if deferred_eval is not None:
-                        self._eval(*deferred_eval, broadcast_states)
-                        deferred_eval = None
             for cid in sorted(pending.dropped):
                 trainer.history.record_drop(cid)
                 if fold is not None:
                     fold.drop(index_of[cid])
-            losses = backend.finish_round(pending)
+            # A streaming fold has read the trained states where they were
+            # rebuilt, and the broadcast below overwrites every mirror:
+            # writing them into the mirrors first would be dead work.
+            losses = backend.finish_round(
+                pending, apply_states=fold is None or not self._overwrites)
             reported = [client for client in participants
                         if client.client_id not in pending.dropped]
 
@@ -344,7 +355,8 @@ class SyncPipelinedLoop:
             else:
                 states = [client.get_weights() for client in reported]
                 global_state = trainer.aggregate(
-                    states, [client.num_samples for client in reported],
+                    states,
+                    [samples[client.client_id] for client in reported],
                     reported)
                 broadcast_states = _broadcast(trainer, global_state)
             trainer.after_round(round_index, participants)

@@ -33,6 +33,18 @@ host boundary:
     inside the heartbeat budget, so a flaky link degrades into the round
     loop's ``round_timeout``/drop path instead of wedging a round.
 
+Messages: a command or reply built from the closed set ``dict`` / ``list`` /
+``tuple`` / ``ndarray`` / ``str`` / ``int`` / ``float`` / ``bool`` / ``None``
+— every message of a training round — travels as an *array message*
+(:mod:`~repro.federated.engine.wire`): a JSON skeleton plus the arrays' own
+memory, written with ``sendmsg`` and received with ``recv_into`` into buffers
+the channel reuses once nothing references them; the arrays ``recv`` returns
+are views into such a buffer.  Anything else (``adopt`` blobs, ``call``)
+keeps a pickled frame of its own type, counted in ``stats["pickled_frames"]``.
+What ``send`` is given belongs to the channel until the peer has
+acknowledged it — a worker's reply is acknowledged, at the latest, by the
+cumulative ack on the next command it receives.
+
 Determinism: message *content* and per-worker FIFO order are identical over
 both transports, which is why sync-path training histories are bitwise-equal
 across ``pipe`` and ``tcp`` (asserted in ``tests/test_transport.py``).
@@ -49,6 +61,7 @@ network *events* (``delay``/``partition``/``reorder``/``drop_msg``) from a
 from __future__ import annotations
 
 import hmac
+import ipaddress
 import json
 import multiprocessing as mp
 import pickle
@@ -64,6 +77,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd import buffer_idle
+from repro.federated.engine import wire
+
 # ----------------------------------------------------------------------
 # Frame codec: length-prefixed, CRC-protected messages
 # ----------------------------------------------------------------------
@@ -71,13 +87,22 @@ import numpy as np
 _HEADER = struct.Struct("!4sBIIII")
 _MAGIC = b"RFT1"
 
-F_DATA = 0    #: an application message (pickled command/reply)
+F_DATA = 0    #: an application message as an array message (see ``wire``)
 F_ACK = 1     #: cumulative acknowledgement (no payload)
 F_HB = 2      #: heartbeat (no payload, carries the ack)
 F_HELLO = 3   #: connection handshake (JSON scalars, never unpickled)
 F_NACK = 4    #: "retransmit everything after ack" (CRC failure / gap)
+F_PICKLE = 5  #: an application message outside the array set, pickled
 
 FRAME_OVERHEAD = _HEADER.size
+#: no frame may carry more; a header that claims more is a lost alignment
+MAX_FRAME_BYTES = 1 << 30
+#: a HELLO is four JSON scalars, read from a peer nobody has authenticated
+MAX_HELLO_BYTES = 4096
+#: payloads from this size up are received into a channel's reused buffers
+_POOLED_FROM = 1 << 16
+#: buffers per ``sendmsg`` call (the kernel's IOV_MAX is 1024)
+_IOV_MAX = 512
 
 
 class FrameCorruption(Exception):
@@ -88,41 +113,120 @@ class StreamDesync(Exception):
     """The byte stream lost frame alignment (bad magic) — link must reset."""
 
 
+def _check_length(length: int) -> int:
+    if length > MAX_FRAME_BYTES:
+        raise OverflowError(f"a frame payload of {length} bytes exceeds "
+                            f"MAX_FRAME_BYTES = {MAX_FRAME_BYTES}")
+    return length
+
+
 def pack_frame(ftype: int, seq: int, ack: int, payload: bytes = b"") -> bytes:
     """Serialise one frame: header (with CRC32 of the payload) + payload."""
-    header = _HEADER.pack(_MAGIC, ftype, seq, ack, len(payload),
-                          zlib.crc32(payload))
-    return header + payload
+    return _HEADER.pack(_MAGIC, ftype, seq, ack, _check_length(len(payload)),
+                        zlib.crc32(payload)) + payload
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = sock.recv(count)
-        if not chunk:
+def _send_pieces(sock: socket.socket, pieces: Sequence) -> None:
+    """``sendall`` for a list of buffers, written from where they lie."""
+    views = [memoryview(piece) for piece in pieces if len(piece)]
+    index = 0
+    while index < len(views):
+        sent = sock.sendmsg(views[index:index + _IOV_MAX])
+        while sent:
+            size = len(views[index])
+            if sent < size:                 # partial write: resume inside
+                views[index] = views[index][sent:]
+                break
+            sent -= size
+            index += 1
+
+
+def _recv_into(sock: socket.socket, buffer) -> int:
+    """Fill ``buffer`` from the socket; returns the CRC32 of what arrived."""
+    view, crc = memoryview(buffer), 0
+    while len(view):
+        count = sock.recv_into(view)
+        if not count:
             raise EOFError("connection closed")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
+        crc = zlib.crc32(view[:count], crc)
+        view = view[count:]
+    return crc
 
 
-def read_frame(sock: socket.socket) -> Tuple[int, int, int, bytes]:
+def read_frame(sock: socket.socket, take=None,
+               limit: int = MAX_FRAME_BYTES) -> Tuple[int, int, int, bytes]:
     """Read one frame off a socket; returns ``(ftype, seq, ack, payload)``.
+
+    ``take(length)``, when given, supplies the writable buffer the payload
+    is received into and returned as (a channel's reused receive buffers);
+    otherwise the payload is ``bytes``.  The CRC is chained over the chunks
+    as they arrive.
 
     Raises :class:`FrameCorruption` when the payload fails its CRC (the
     stream itself stays aligned — the corrupted payload was consumed) and
-    :class:`StreamDesync` when the header magic is wrong (alignment lost,
-    the link must be torn down and re-established).
+    :class:`StreamDesync` when the header magic is wrong or the length
+    exceeds ``limit`` (alignment lost, the link must be torn down and
+    re-established) — nothing is allocated for a length over the limit.
     """
-    header = _recv_exact(sock, _HEADER.size)
+    header = bytearray(_HEADER.size)
+    _recv_into(sock, header)
     magic, ftype, seq, ack, length, crc = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise StreamDesync(f"bad frame magic {magic!r}")
-    payload = _recv_exact(sock, length) if length else b""
-    if zlib.crc32(payload) != crc:
+    if length > limit:
+        raise StreamDesync(
+            f"frame of {length} bytes exceeds the limit of {limit}")
+    payload = bytearray(length) if take is None else take(length)
+    if _recv_into(sock, payload) != crc:
         raise FrameCorruption(
             f"frame seq={seq} failed CRC ({length} bytes)")
-    return ftype, seq, ack, payload
+    return ftype, seq, ack, bytes(payload) if take is None else payload
+
+
+def _decode_control(payload):
+    """Unpickle a control message (``adopt`` / ``call`` and their replies).
+
+    The only unpickling in this module (``tools/check_wire_pickle.py``), and
+    reachable only through :meth:`_TcpChannel.recv` — a channel gets its
+    socket after the HELLO token matched.
+    """
+    return pickle.loads(payload)
+
+
+class _ReceiveBuffers:
+    """A reader's large receive buffers, handed out again when idle.
+
+    A buffer is idle when nothing outside this pool references it — the
+    arrays :func:`~repro.federated.engine.wire.decode_message` returns are
+    views, so a message keeps its buffer busy exactly as long as any of its
+    arrays is held (:func:`repro.autograd.buffer_idle`).  Allocations are
+    counted in ``stats["buffers_allocated"]``: constant once rounds repeat.
+    """
+
+    SLOTS = 4
+
+    def __init__(self, stats: Dict[str, int]):
+        self._buffers: List[np.ndarray] = []
+        self._next = 0
+        self._stats = stats
+
+    def take(self, nbytes: int) -> np.ndarray:
+        if nbytes < _POOLED_FROM:
+            return np.empty(nbytes, dtype=np.uint8)
+        buffers, spare = self._buffers, None
+        for index in range(len(buffers)):
+            if buffer_idle(buffers, index):
+                if buffers[index].size >= nbytes:
+                    return buffers[index][:nbytes]
+                spare = index
+        if spare is None and len(buffers) < self.SLOTS:
+            buffers.append(None)
+            spare = len(buffers) - 1
+        elif spare is None:  # all busy: the evicted one stays with its holder
+            spare = self._next = (self._next + 1) % self.SLOTS
+        buffers[spare] = np.empty(nbytes, dtype=np.uint8)
+        self._stats["buffers_allocated"] += 1
+        return buffers[spare][:nbytes]
 
 
 # ----------------------------------------------------------------------
@@ -277,10 +381,11 @@ class _TcpChannel:
         self._session_gen = 0
         self._send_seq = 0           # last allocated outbound seq
         self._recv_seq = 0           # last in-order delivered inbound seq
-        self._outbox: Dict[int, bytes] = {}      # unacked payloads by seq
+        #: unacked messages by seq: (ftype, payload pieces, length, crc)
+        self._outbox: Dict[int, Tuple] = {}
         self._unsent: deque = deque()            # seqs awaiting (re)transmit
-        self._reorder: Dict[int, bytes] = {}     # out-of-order arrivals
-        self._inbox: deque = deque()             # delivered payload bytes
+        self._reorder: Dict[int, Tuple] = {}     # out-of-order arrivals
+        self._inbox: deque = deque()             # delivered (ftype, payload)
         self._dead = False
         self._dead_reason = ""
         self._last_heard = time.monotonic()
@@ -293,10 +398,11 @@ class _TcpChannel:
         self._inject_delay = 0.0
         self._inject_drop = 0
         self._inject_reorder = False
-        self._held_frame: Optional[Tuple[int, bytes]] = None
+        self._held_frame: Optional[Tuple[int, list, int]] = None
         self._held_since = 0.0
         self.stats: Dict[str, int] = {
             "frames_sent": 0, "bytes_sent": 0, "frames_received": 0,
+            "bytes_received": 0, "pickled_frames": 0, "buffers_allocated": 0,
             "retransmits": 0, "crc_failures": 0, "reconnects": 0,
             "wan_dropped": 0, "injected_faults": 0}
         self._writer = threading.Thread(target=self._writer_loop,
@@ -306,15 +412,25 @@ class _TcpChannel:
 
     # -- Connection-compatible surface ---------------------------------
     def send(self, obj) -> None:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        """Queue one message.  Its arrays are sent from their own memory and
+        belong to the channel until the peer acknowledges the frame: do not
+        write to them before the reply (or any later frame) has arrived."""
+        message = wire.encode_message(obj)
+        ftype = F_DATA
+        if message is None:
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            message = ([payload], len(payload), zlib.crc32(payload))
+            ftype = F_PICKLE
+        _check_length(message[1])
         with self._work:
             if self._dead:
                 raise OSError(
                     f"channel to worker {self.worker} is dead "
                     f"({self._dead_reason})")
             self._send_seq += 1
-            self._outbox[self._send_seq] = payload
+            self._outbox[self._send_seq] = (ftype, *message)
             self._unsent.append(self._send_seq)
+            self.stats["pickled_frames"] += ftype == F_PICKLE
             self._work.notify_all()
 
     def recv(self):
@@ -322,12 +438,17 @@ class _TcpChannel:
             while not self._inbox and not self._dead:
                 self._readable.wait()
             if self._inbox:
-                payload = self._inbox.popleft()
+                ftype, payload = self._inbox.popleft()
             else:
                 raise EOFError(
                     f"channel to worker {self.worker} is dead "
                     f"({self._dead_reason})")
-        return pickle.loads(payload)
+        if ftype == F_PICKLE:
+            return _decode_control(payload)
+        try:
+            return wire.decode_message(payload)
+        except ValueError as error:
+            raise FrameCorruption(str(error)) from error
 
     def poll(self, timeout: float = 0.0) -> bool:
         deadline = time.monotonic() + (timeout or 0.0)
@@ -458,9 +579,10 @@ class _TcpChannel:
 
     # -- reader ----------------------------------------------------------
     def _reader_loop(self, sock: socket.socket, gen: int) -> None:
+        buffers = _ReceiveBuffers(self.stats)
         while True:
             try:
-                ftype, seq, ack, payload = read_frame(sock)
+                ftype, seq, ack, payload = read_frame(sock, buffers.take)
             except FrameCorruption:
                 with self._lock:
                     self.stats["crc_failures"] += 1
@@ -477,21 +599,23 @@ class _TcpChannel:
                     return
                 self._last_heard = time.monotonic()
                 self.stats["frames_received"] += 1
+                self.stats["bytes_received"] += FRAME_OVERHEAD + len(payload)
                 self._apply_ack(ack)
-                if ftype == F_DATA:
-                    self._accept_data(seq, payload)
+                if ftype in (F_DATA, F_PICKLE):
+                    self._accept_data(seq, (ftype, payload))
                 elif ftype == F_NACK:
                     # Peer saw corruption or a gap: retransmit the
                     # unacknowledged suffix (go-back-N).
                     self._queue_retransmit()
                     self._work.notify_all()
+            del payload     # a parked reader must not keep a buffer busy
 
-    def _accept_data(self, seq: int, payload: bytes) -> None:
+    def _accept_data(self, seq: int, message: Tuple) -> None:
         if seq <= self._recv_seq:
             pass                      # duplicate of a delivered frame
         elif seq == self._recv_seq + 1:
             self._recv_seq = seq
-            self._inbox.append(payload)
+            self._inbox.append(message)
             while self._recv_seq + 1 in self._reorder:
                 self._recv_seq += 1
                 self._inbox.append(self._reorder.pop(self._recv_seq))
@@ -499,7 +623,7 @@ class _TcpChannel:
             if self._transport is not None:
                 self._transport._notify()
         else:
-            self._reorder[seq] = payload
+            self._reorder[seq] = message
         self._send_control(F_ACK)
 
     def _apply_ack(self, ack: int) -> None:
@@ -600,37 +724,38 @@ class _TcpChannel:
             sock = self._sock
             if sock is None:
                 return
+            delay, dropped = 0.0, False
             if self._held_frame is not None and not self._unsent:
-                seq, frame = self._held_frame
+                seq, frame, nbytes = self._held_frame
                 self._held_frame = None
-                to_send, delay, dropped = (seq, frame), 0.0, False
             elif self._unsent:
                 seq = self._unsent.popleft()
-                payload = self._outbox.get(seq)
-                if payload is None:
+                message = self._outbox.get(seq)
+                if message is None:
                     return
-                frame = pack_frame(F_DATA, seq, self._recv_seq, payload)
+                ftype, pieces, length, crc = message
+                frame = [_HEADER.pack(_MAGIC, ftype, seq, self._recv_seq,
+                                      length, crc), *pieces]
+                nbytes = FRAME_OVERHEAD + length
                 delay = self._inject_delay
                 self._inject_delay = 0.0
-                dropped = False
                 if self._inject_drop > 0:
                     self._inject_drop -= 1
                     dropped = True
                 if self._link is not None:
-                    delay += self._link.delay_for(len(frame))
+                    delay += self._link.delay_for(nbytes)
                     if not dropped and self._link.drops():
                         self.stats["wan_dropped"] += 1
                         dropped = True
                 if not dropped and self._inject_reorder \
                         and self._held_frame is None:
                     self._inject_reorder = False
-                    self._held_frame = (seq, frame)
+                    self._held_frame = (seq, frame, nbytes)
                     self._held_since = time.monotonic()
                     return
-                to_send = (seq, frame)
             else:
-                frame = pack_frame(F_HB, 0, self._recv_seq)
-                to_send, delay, dropped = (0, frame), 0.0, False
+                seq, nbytes = 0, FRAME_OVERHEAD
+                frame = [pack_frame(F_HB, 0, self._recv_seq)]
         if dropped:
             # The (simulated) loss still counts as the transmission attempt:
             # the retransmit gate paces from here.
@@ -639,7 +764,6 @@ class _TcpChannel:
             return
         if delay > 0.0:
             time.sleep(delay)
-        seq, frame = to_send
         with self._lock:
             sock = self._sock
         if sock is None:
@@ -652,7 +776,7 @@ class _TcpChannel:
             return
         try:
             with self._wmutex:
-                sock.sendall(frame)
+                _send_pieces(sock, frame)
         except OSError as error:
             self._link_down(f"send failed: {error!r}")
             return
@@ -661,11 +785,12 @@ class _TcpChannel:
             if seq:
                 self._last_data_write = self._last_write
             self.stats["frames_sent"] += 1
-            self.stats["bytes_sent"] += len(frame)
+            self.stats["bytes_sent"] += nbytes
 
     # -- active-side dialing --------------------------------------------
     def _dial_once(self) -> bool:
         address, token, session = self._dial
+        sock = None
         try:
             sock = socket.create_connection(
                 address, timeout=min(5.0, self.knobs.connect_timeout))
@@ -674,17 +799,19 @@ class _TcpChannel:
                      "session": session, "ack": self._recv_seq}
             sock.sendall(pack_frame(F_HELLO, 0, self._recv_seq,
                                     json.dumps(hello).encode()))
-            ftype, _seq, _ack, payload = read_frame(sock)
+            ftype, _seq, _ack, payload = read_frame(sock,
+                                                    limit=MAX_HELLO_BYTES)
             if ftype != F_HELLO:
                 raise OSError(f"handshake expected HELLO, got {ftype}")
             self.attach(sock, int(json.loads(payload)["ack"]))
             return True
         except (OSError, EOFError, FrameCorruption, StreamDesync,
                 ValueError, KeyError, TypeError):
-            try:
-                sock.close()
-            except (OSError, UnboundLocalError, NameError):
-                pass
+            if sock is not None:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
             return False
 
 
@@ -695,6 +822,9 @@ class WorkerTransport:
     """How the pool reaches its workers: spawn channels, wait on them."""
 
     name = "base"
+    #: True when the channel itself detects and repairs a damaged message,
+    #: so the pool need not checksum what it receives a second time
+    verifies_frames = False
 
     def spawn(self, index: int):
         """Start worker ``index``; returns ``(channel, process-or-None)``."""
@@ -780,6 +910,13 @@ def run_tcp_worker(address, worker: int, *, token: str = "",
         channel.close()
 
 
+def _is_loopback(host: str) -> bool:
+    try:
+        return host == "localhost" or ipaddress.ip_address(host).is_loopback
+    except ValueError:      # a name: not known to stay on this host
+        return False
+
+
 class TcpTransport(WorkerTransport):
     """Framed TCP channels: coordinator listener + dialing workers.
 
@@ -797,6 +934,7 @@ class TcpTransport(WorkerTransport):
     """
 
     name = "tcp"
+    verifies_frames = True   # CRC32 per frame, NACK + go-back-N on failure
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  mode: str = "process", token: str = "",
@@ -805,6 +943,10 @@ class TcpTransport(WorkerTransport):
             raise ValueError(
                 f"tcp transport mode must be 'process' or 'external', "
                 f"got {mode!r}")
+        if not token and not _is_loopback(host):
+            raise ValueError(
+                f"tcp transport bound to {host!r} accepts workers from "
+                f"other hosts and needs a non-empty token")
         self.mode = mode
         self.token = token
         self.knobs = TransportKnobs(**knobs)
@@ -871,7 +1013,8 @@ class TcpTransport(WorkerTransport):
             try:
                 sock.settimeout(5.0)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                ftype, _seq, _ack, payload = read_frame(sock)
+                ftype, _seq, _ack, payload = read_frame(
+                    sock, limit=MAX_HELLO_BYTES)
                 if ftype != F_HELLO:
                     raise OSError("expected HELLO")
                 # The peer is unauthenticated until its token matches, so

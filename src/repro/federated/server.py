@@ -27,8 +27,10 @@ _CARRY = _LO_BITS - _HI_BITS
 
 _HI_SCALE = float(2.0 ** _HI_BITS)
 _HI_INV = float(2.0 ** -_HI_BITS)
-_LO_SCALE = float(2.0 ** _LO_BITS)
+_CARRY_SCALE = float(2.0 ** _CARRY)
 _LO_INV = float(2.0 ** -_LO_BITS)
+#: folds between carries: 512 * 2**51 on top of a settled 2**52 is < 2**61
+_SETTLE_EVERY = 512
 
 
 class DeterministicSum:
@@ -43,65 +45,111 @@ class DeterministicSum:
     """
 
     def __init__(self):
+        #: key → that entry's view into the flat hi / lo limb
         self._hi: Optional[Dict[str, np.ndarray]] = None
         self._lo: Optional[Dict[str, np.ndarray]] = None
+        #: key → that entry's view into the flat ``weight * state`` array
+        self._v: Dict[str, np.ndarray] = {}
+        #: the flat arrays themselves: hi limb, lo limb, two float64 work
+        #: arrays and an int64 one — all entries laid end to end, so a fold
+        #: is a handful of whole-model passes and allocates nothing
+        self._flat: Tuple[np.ndarray, ...] = ()
+        #: folds since the lo limbs were last brought back into range
+        self._loose = 0
 
     @property
     def empty(self) -> bool:
         return self._hi is None
 
-    def _ensure(self, state: Dict[str, np.ndarray]) -> None:
-        if self._hi is None:
-            self._hi = {key: np.zeros(np.shape(value), dtype=np.int64)
-                        for key, value in state.items()}
-            self._lo = {key: np.zeros(np.shape(value), dtype=np.int64)
-                        for key, value in state.items()}
+    def _allocate(self, shapes: Dict[str, tuple]) -> None:
+        bounds = np.cumsum([0] + [int(np.prod(shape, dtype=np.int64))
+                                  for shape in shapes.values()])
+        total = int(bounds[-1])
+        self._flat = (np.zeros(total, dtype=np.int64),
+                      np.zeros(total, dtype=np.int64), np.empty(total),
+                      np.empty(total), np.empty(total, dtype=np.int64))
+        self._hi, self._lo, self._v = (
+            {key: flat[bounds[index]:bounds[index + 1]].reshape(shape)
+             for index, (key, shape) in enumerate(shapes.items())}
+            for flat in self._flat[:3])
 
-    def _normalize(self, key: str) -> None:
-        # Keep lo within [0, 2**_CARRY) so repeated folds can never overflow
-        # the limb; the arithmetic right shift floors for negatives too.
-        carry = self._lo[key] >> _CARRY
-        self._lo[key] -= carry << _CARRY
-        self._hi[key] += carry
+    def _settle(self) -> None:
+        """Bring every lo limb back into ``[0, 2**_CARRY)``.
+
+        A fold adds less than ``2**(_CARRY - 1)`` in magnitude to a lo
+        entry, so :data:`_SETTLE_EVERY` folds on top of a settled limb stay
+        far inside int64; the carry is taken before anything reads the
+        limbs and at the latest then.  The settled form is unique, so when
+        the carries are taken does not show in the result.  The arithmetic
+        right shift floors for negatives too.
+        """
+        if self._loose:
+            hi, lo = self._flat[:2]
+            carry = lo >> _CARRY
+            lo -= carry << _CARRY
+            hi += carry
+            self._loose = 0
 
     def fold(self, state: Dict[str, np.ndarray], weight: float) -> None:
-        """Accumulate ``weight * state`` (grid-snapped, order-independent)."""
-        self._ensure(state)
+        """Accumulate ``weight * state`` (grid-snapped, order-independent).
+
+        Per element: ``v = weight * x``, ``hi = rint(v * 2**32)``,
+        ``lo = rint((v - hi * 2**-32) * 2**84)`` — computed in place in the
+        work arrays as ``a = v * 2**32``, ``hi = rint(a)``,
+        ``lo = rint((a - hi) * 2**52)``.  Scaling by a power of two is
+        exact and ``a - rint(a)`` is exactly representable (as is the
+        ``v - hi * 2**-32`` it stands for, Sterbenz), so both forms hold
+        the same bits at every step that rounds.
+        """
+        if self._hi is None:
+            self._allocate({key: np.shape(value)
+                            for key, value in state.items()})
+        elif len(state) != len(self._v):
+            raise KeyError("state dicts have mismatching parameter names")
         for key, value in state.items():
-            v = weight * np.asarray(value, dtype=np.float64)
-            hi = np.rint(v * _HI_SCALE)
-            rem = v - hi * _HI_INV  # exact (Sterbenz)
-            lo = np.rint(rem * _LO_SCALE)
-            self._hi[key] += hi.astype(np.int64)
-            self._lo[key] += lo.astype(np.int64)
-            self._normalize(key)
+            np.multiply(np.asarray(value, dtype=np.float64), weight,
+                        out=self._v[key])
+        hi_limb, lo_limb, scaled, snapped, limb = self._flat
+        np.multiply(scaled, _HI_SCALE, out=scaled)
+        np.rint(scaled, out=snapped)
+        np.copyto(limb, snapped, casting="unsafe")
+        hi_limb += limb
+        np.subtract(scaled, snapped, out=scaled)
+        np.multiply(scaled, _CARRY_SCALE, out=scaled)
+        np.rint(scaled, out=scaled)
+        np.copyto(limb, scaled, casting="unsafe")
+        lo_limb += limb
+        self._loose += 1
+        if self._loose >= _SETTLE_EVERY:
+            self._settle()
 
     def partial(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Export the raw limbs (for shipping a pre-aggregated shard up)."""
         if self._hi is None:
             raise RuntimeError("cannot export an empty DeterministicSum")
+        self._settle()
         return {key: (self._hi[key].copy(), self._lo[key].copy())
                 for key in self._hi}
 
     def merge(self, partial: Dict[str, Tuple[np.ndarray, np.ndarray]]) -> None:
         """Fold another accumulator's :meth:`partial` into this one."""
         if self._hi is None:
-            self._hi = {key: np.array(hi, dtype=np.int64, copy=True)
-                        for key, (hi, _) in partial.items()}
-            self._lo = {key: np.array(lo, dtype=np.int64, copy=True)
-                        for key, (_, lo) in partial.items()}
-            return
-        if set(partial) != set(self._hi):
+            self._allocate({key: np.shape(hi)
+                            for key, (hi, _) in partial.items()})
+        elif set(partial) != set(self._hi):
             raise KeyError("partial sums have mismatching parameter names")
+        self._settle()
         for key, (hi, lo) in partial.items():
             self._hi[key] += np.asarray(hi, dtype=np.int64)
             self._lo[key] += np.asarray(lo, dtype=np.int64)
-            self._normalize(key)
+        self._loose = 1     # two settled limbs added: one carry at most
+        self._settle()
 
     def value(self) -> Dict[str, np.ndarray]:
         """Convert back to float64 (one deterministic rounding per entry)."""
         if self._hi is None:
             raise RuntimeError("cannot read an empty DeterministicSum")
+        self._settle()
         return {key: self._hi[key].astype(np.float64) * _HI_INV
                 + self._lo[key].astype(np.float64) * _LO_INV
                 for key in self._hi}

@@ -1,9 +1,17 @@
 """Unit tests for the Tensor type and reverse-mode differentiation."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, Workspace, is_grad_enabled, no_grad
+from repro.autograd import (
+    Tensor,
+    Workspace,
+    buffer_idle,
+    is_grad_enabled,
+    no_grad,
+)
 
 
 def numerical_gradient(fn, x, eps=1e-6):
@@ -340,6 +348,65 @@ def _two_layer(x, w, mask):
     """The op mix a batched plan replays: ``@``, ``+``, relu, ``*``, ``@``."""
     hidden = ((x @ w[0]) + w[1]).relu() * mask
     return hidden @ w[2]
+
+
+class TestBufferIdle:
+    """``buffer_idle`` rests on ``sys.getrefcount``, a CPython detail: this
+    is the contract every resident buffer (workspace slots, a TCP channel's
+    receive buffers) is reused under.  CI runs it on the newest CPython it
+    offers (job ``refcount-contract``)."""
+
+    def test_only_the_list_holding_it_leaves_a_buffer_idle(self):
+        buffers = [np.empty(8), np.empty((2, 3), dtype=np.uint8)]
+        assert buffer_idle(buffers, 0) and buffer_idle(buffers, 1)
+        name = buffers[0]
+        assert not buffer_idle(buffers, 0) and buffer_idle(buffers, 1)
+        del name
+        assert buffer_idle(buffers, 0)
+
+    def test_every_kind_of_view_keeps_its_base_busy(self):
+        buffers = [np.empty(64, dtype=np.uint8)]
+        for make in (lambda a: a[8:16], lambda a: a.view(np.float64),
+                     lambda a: a[8:40].view(np.float64).reshape(2, 2),
+                     lambda a: a.reshape(8, 8).T, lambda a: memoryview(a),
+                     lambda a: np.frombuffer(a, dtype=np.uint32)):
+            view = make(buffers[0])
+            assert not buffer_idle(buffers, 0), make
+            del view
+            assert buffer_idle(buffers, 0), make
+
+    def test_containers_and_closures_count(self):
+        buffers = [np.empty(4)]
+        holder = {"state": buffers[0][1:]}
+        assert not buffer_idle(buffers, 0)
+        holder.clear()
+        assert buffer_idle(buffers, 0)
+        closure = (lambda array: lambda: array)(buffers[0])
+        assert not buffer_idle(buffers, 0)
+        del closure
+        assert buffer_idle(buffers, 0)
+
+    def test_the_answer_is_the_same_on_any_thread_and_call_depth(self):
+        buffers = [np.empty(4)]
+        answers = []
+
+        def nested(depth):
+            if depth:
+                return nested(depth - 1)
+            answers.append(buffer_idle(buffers, 0))
+
+        nested(0)
+        nested(5)
+        worker = threading.Thread(target=nested, args=(3,))
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive() and answers == [True, True, True]
+        kept = buffers[0]                       # busy, seen from a thread
+        worker = threading.Thread(target=nested, args=(3,))
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive() and answers[-1] is False
+        assert kept is buffers[0]
 
 
 class TestWorkspace:

@@ -17,6 +17,10 @@ from repro.federated.engine import (
     apply_state_delta,
     encode_state_delta,
 )
+from repro.federated.engine.persistent import (
+    apply_stacked_delta,
+    encode_stacked_delta,
+)
 from repro.fgl.fedgnn import FederatedGNN
 
 
@@ -42,6 +46,76 @@ def _assert_history_equal(a, b, exact=True):
                                    atol=1e-12)
         np.testing.assert_allclose(a.train_accuracy, b.train_accuracy,
                                    atol=1e-12)
+
+
+class TestStackedDeltaBuffers:
+    """``out=`` on the stacked codec: the worker encodes into resident
+    buffers, the coordinator decodes in the buffer the delta arrived in."""
+
+    @staticmethod
+    def _shard(rng, clients=3):
+        received = [{"w": rng.normal(size=(4, 2)), "b": rng.normal(size=2)}
+                    for _ in range(clients)]
+        stacks = {name: np.stack([state[name] for state in received])
+                  + rng.normal(size=(clients,) + received[0][name].shape)
+                  for name in ("w", "b")}
+        return stacks, received
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_out_changes_where_not_what(self, rng, uniform):
+        stacks, received = self._shard(rng)
+        if uniform:
+            received = [received[0]] * len(received)
+        plain = encode_stacked_delta(stacks, received)
+        out = {name: np.empty(stack.shape, dtype=np.uint64)
+               for name, stack in stacks.items()}
+        into = encode_stacked_delta(stacks, received, out=out)
+        for name in stacks:
+            assert into[name] is out[name]
+            assert into[name].tobytes() == plain[name].tobytes()
+        rebuilt = apply_stacked_delta(received, plain)
+        in_place = apply_stacked_delta(received, into, out=into)
+        for index, state in enumerate(in_place):
+            for name in stacks:
+                assert np.shares_memory(state[name], out[name])
+                assert state[name].tobytes() \
+                    == rebuilt[index][name].tobytes() \
+                    == stacks[name][index].tobytes()
+
+    def test_worker_encodes_into_the_same_buffers_every_round(
+            self, community_clients):
+        """Rounds two and later allocate no delta buffer — once the reply
+        of the round before is let go, as the worker loop does."""
+        import copy
+
+        from repro.autograd import Workspace
+        from repro.federated.engine.batched import BatchedBackend
+        from repro.federated.engine.persistent import (
+            STACK_MARKER,
+            _train_shard,
+        )
+
+        trainer = FederatedGNN(copy.deepcopy(community_clients), "gcn",
+                               hidden=16, config=_config("serial"))
+        residents = {client.client_id: client for client in trainer.clients}
+        ids = sorted(residents)
+        state = trainer.clients[0].get_weights()
+        backend, upload, reply, held = BatchedBackend(), Workspace(), None, []
+        for round_index in range(4):
+            reply = None
+            reply = _train_shard(residents, backend, {}, upload, ids, [state],
+                                 {cid: 0 for cid in ids}, "auto")
+            assert STACK_MARKER in reply[1] and "checksum" in reply[2]
+            if round_index == 0:
+                fresh = upload.fresh
+                assert fresh == len(state)
+            elif round_index == 2:
+                held.append(reply)       # an unacknowledged frame, say
+        assert upload.fresh == 2 * fresh  # only the held reply cost buffers
+        unstamped = _train_shard(residents, backend, {}, Workspace(), ids,
+                                 [state], {cid: 0 for cid in ids}, "auto",
+                                 stamp=False)
+        assert "checksum" not in unstamped[2]
 
 
 class TestDeltaCodec:

@@ -23,7 +23,11 @@ from repro.federated.engine import (
     resolve_round_loop,
 )
 from repro.federated.engine.pipeline import AsyncRoundLoop, SyncPipelinedLoop
-from repro.federated.server import fedavg_aggregate
+from repro.federated.server import (
+    _SETTLE_EVERY as SETTLE_EVERY,
+    DeterministicSum,
+    fedavg_aggregate,
+)
 from repro.fgl.fedgnn import FederatedGNN
 
 
@@ -107,6 +111,119 @@ class TestStreamingAggregate:
         np.testing.assert_allclose(fold.seal()["w"], state["w"] * 2.0)
 
 
+class _EagerSum:
+    """The fold as it was written before it ran in place: six temporaries
+    per entry and a carry after every fold.  The reference the in-place,
+    lazily-carried :class:`DeterministicSum` must equal bit for bit."""
+
+    def __init__(self):
+        self.hi, self.lo = {}, {}
+
+    def _carry(self, key):
+        carry = self.lo[key] >> 52
+        self.lo[key] = self.lo[key] - (carry << 52)
+        self.hi[key] = self.hi[key] + carry
+
+    def fold(self, state, weight):
+        for key, value in state.items():
+            v = weight * np.asarray(value, dtype=np.float64)
+            hi = np.rint(v * 2.0 ** 32)
+            lo = np.rint((v - hi * 2.0 ** -32) * 2.0 ** 84)
+            zero = np.zeros(np.shape(value), dtype=np.int64)
+            self.hi[key] = self.hi.get(key, zero) + hi.astype(np.int64)
+            self.lo[key] = self.lo.get(key, zero) + lo.astype(np.int64)
+            self._carry(key)
+
+    def merge(self, other):
+        for key in other.hi:
+            self.hi[key] = self.hi[key] + other.hi[key]
+            self.lo[key] = self.lo[key] + other.lo[key]
+            self._carry(key)
+
+    def value(self):
+        return {key: self.hi[key].astype(np.float64) * 2.0 ** -32
+                + self.lo[key].astype(np.float64) * 2.0 ** -84
+                for key in self.hi}
+
+
+class TestDeterministicSum:
+    """The in-place fold against :class:`_EagerSum`, by ``tobytes()``."""
+
+    @staticmethod
+    def _states(rng, count, scale=1.0):
+        return [{"w": rng.normal(size=(7, 5)) * scale,
+                 "b": rng.normal(size=(5,)) * scale,
+                 "s": np.asarray(rng.normal() * scale)}   # a 0-d entry
+                for _ in range(count)]
+
+    @staticmethod
+    def _assert_same_bits(ours, reference):
+        value, expected = ours.value(), reference.value()
+        assert value.keys() == expected.keys()
+        for key in expected:
+            assert value[key].tobytes() == expected[key].tobytes(), key
+
+    @pytest.mark.parametrize("count, scale", [
+        (5, 1.0), (40, -3.0), (7, 2.0 ** 20), (9, 1e-310),
+        (SETTLE_EVERY + 90, 1.0), (2 * SETTLE_EVERY + 1, 2.0 ** 20)],
+        ids=["few", "negative", "2^20", "subnormal", "one-carry-boundary",
+             "two-carry-boundaries-2^20"])
+    def test_fold_in_any_order_equals_the_eager_fold(self, rng, count,
+                                                     scale):
+        states = self._states(rng, count, scale)
+        weights = rng.random(count)
+        weights /= weights.sum()
+        reference = _EagerSum()
+        for state, weight in zip(states, weights):
+            reference.fold(state, float(weight))
+        for order in (range(count), reversed(range(count)),
+                      rng.permutation(count)):
+            ours = DeterministicSum()
+            for index in order:
+                ours.fold(states[index], float(weights[index]))
+            self._assert_same_bits(ours, reference)
+
+    def test_partial_and_merge_settle_the_limbs_first(self, rng):
+        """Shards folded apart (one past a carry boundary, none settled by
+        hand) and merged equal one eager fold of everything."""
+        count = SETTLE_EVERY + 40
+        states = self._states(rng, count, scale=50.0)
+        weights = rng.random(count)
+        reference, shards = _EagerSum(), []
+        for state, weight in zip(states, weights):
+            reference.fold(state, float(weight))
+        for chunk in (slice(0, 30), slice(30, 31), slice(31, count)):
+            shard = DeterministicSum()
+            for state, weight in zip(states[chunk], weights[chunk]):
+                shard.fold(state, float(weight))
+            shards.append(shard)
+        for hi, lo in shards[2].partial().values():     # exported settled
+            assert lo.min() >= 0 and lo.max() < 2 ** 52
+        merged = DeterministicSum()
+        for shard in reversed(shards):
+            merged.merge(shard.partial())
+        self._assert_same_bits(merged, reference)
+        # ...and merging into an accumulator that still owes carries
+        merged = shards[0]
+        merged.merge(shards[2].partial())
+        merged.fold(states[30], float(weights[30]))
+        self._assert_same_bits(merged, reference)
+
+    def test_fold_does_not_keep_or_change_its_input(self, rng):
+        state = self._states(rng, 1)[0]
+        before = {key: value.copy() for key, value in state.items()}
+        total = DeterministicSum()
+        total.fold(state, 0.25)
+        first = total.value()
+        state["w"][:] = 0.0          # the caller's buffer is reused
+        total.fold(before, 0.5)
+        reference = _EagerSum()
+        reference.fold(before, 0.25)
+        reference.fold(before, 0.5)
+        self._assert_same_bits(total, reference)
+        np.testing.assert_array_equal(first["w"], before["w"] * 0.25)
+
+
 # ----------------------------------------------------------------------
 # Sync pipelined loop
 # ----------------------------------------------------------------------
@@ -188,6 +305,66 @@ class TestSyncPipelined:
                                           intra_worker="serial")
         assert trainer.backend.last_pipeline_stats is not None
         _assert_bitwise_equal(serial_history, pipelined_history)
+
+    @pytest.mark.parametrize("case", [
+        dict(eval_every=1, participation=0.67),
+        dict(eval_every=3, rounds=5),
+        dict(eval_every=3, rounds=5, local_client=True),
+        dict(eval_every=1, aggregation="trimmed_mean", local_client=True),
+    ], ids=["every-round-partial", "every-third", "local-side-client",
+            "gathered-local-side"])
+    def test_hoisted_eval_matches_lockstep(self, community_clients, case):
+        """The deferred evaluation runs right after the next dispatch and
+        the streaming fold leaves the mirrors at broadcast state; whatever
+        the cadence and whoever trains coordinator-side, the history is the
+        serial lockstep loop's, bit for bit."""
+        case = dict(case)
+        local_client = case.pop("local_client", False)
+
+        def run(**kwargs):
+            import copy
+            clients = copy.deepcopy(community_clients)
+            trainer = FederatedGNN(clients, "gcn", hidden=16,
+                                   config=_config(**case, **kwargs))
+            if local_client:   # a closure cannot be pickled to a worker
+                trainer.clients[0].extra_loss = \
+                    lambda client, logits: (logits * logits).mean() * 0.01
+            with trainer:   # the backend forgets its residents on close
+                history = trainer.run()
+                local = set(getattr(trainer.backend, "_local", ()))
+            return trainer, history, local
+
+        _, lockstep, _ = run(backend="serial")
+        trainer, pipelined, local = run(intra_worker="serial")
+        assert trainer.backend.last_pipeline_stats["round_mode"] == "sync"
+        assert local == ({0} if local_client else set())
+        _assert_bitwise_equal(lockstep, pipelined)
+        for a, b in zip(lockstep.client_accuracy, pipelined.client_accuracy):
+            assert a == b
+
+    def test_hoisted_eval_reads_broadcast_state_across_a_drop(
+            self, community_clients, tmp_path):
+        """A round that loses a shard to ``round_timeout`` still records
+        the evaluation a flush at the end of every round records (a
+        checkpoint per round forces that flush), and a run resumed from one
+        of those checkpoints continues it bitwise."""
+        from repro.federated.engine import FaultEvent, FaultPlan
+
+        def run(**kwargs):
+            plan = FaultPlan([FaultEvent(0, 2, "stall", duration=2.0)])
+            return _run(community_clients, rounds=4, intra_worker="serial",
+                        round_timeout=0.6, fault_plan=plan, **kwargs)
+
+        trainer, hoisted = run()
+        assert trainer.backend.fault_stats["timeouts"] >= 1
+        assert hoisted.client_drops
+        _, flushed = run(checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        _assert_bitwise_equal(hoisted, flushed)
+        _, resumed = _run(community_clients, rounds=4, intra_worker="serial",
+                          resume_from=str(tmp_path / "round_0003.ckpt"))
+        assert resumed.rounds == hoisted.rounds
+        np.testing.assert_array_equal(resumed.test_accuracy[:3],
+                                      hoisted.test_accuracy[:3])
 
     def test_worker_speed_cycles_over_pool(self):
         backend = ProcessPoolBackend(2, worker_speeds=[1.0, 0.5])

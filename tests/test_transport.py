@@ -382,6 +382,77 @@ class TestNetworkFaults:
 
 
 # ----------------------------------------------------------------------
+# One integrity pass per hop; nothing allocated or pickled per round
+# ----------------------------------------------------------------------
+class TestArrayFramePath:
+    @pytest.mark.parametrize("intra_worker", ["serial", "auto"])
+    @pytest.mark.parametrize("kind", ["corrupt", "drop"])
+    def test_payload_fault_costs_one_resend_and_no_bits(
+            self, four_clients, kind, intra_worker):
+        """A damaged or lost upload on a channel that verifies its own
+        frames: the coordinator asked for a stamp on that one dispatch, so
+        the damage is caught, repaired by one ``resend`` and invisible in
+        the history (per-client and whole-shard stacked deltas alike)."""
+        _, baseline = _run(four_clients, rounds=4, intra_worker=intra_worker)
+        plan = FaultPlan([FaultEvent(0, 2, kind), FaultEvent(1, 3, kind)])
+        trainer, history = _run(four_clients, rounds=4, transport="tcp",
+                                intra_worker=intra_worker, fault_plan=plan)
+        _assert_history_bitwise(baseline, history)
+        assert plan.remaining == 0
+        assert trainer.backend.fault_stats["retries"] == 2
+        assert trainer.backend.fault_stats["crashes"] == 0
+        stats = trainer.backend.last_pipeline_stats["transport"]
+        assert stats["crc_failures"] == 0 and stats["retransmits"] == 0
+
+    @pytest.mark.parametrize("transport, sums_per_shard",
+                             [("pipe", 2), ("tcp", 1)])
+    def test_uploads_are_summed_once_per_hop(self, four_clients, monkeypatch,
+                                             transport, sums_per_shard):
+        """The coordinator stamps every broadcast; it re-sums an upload
+        only where the channel did not already verify it."""
+        from repro.federated.engine import backends
+
+        sums = []
+        real = backends.payload_checksum
+        monkeypatch.setattr(backends, "payload_checksum",
+                            lambda payload: sums.append(1) or real(payload))
+        _run(four_clients, rounds=3, transport=transport)
+        assert len(sums) == 3 * 2 * sums_per_shard   # rounds x workers
+
+    def test_steady_state_allocates_and_pickles_nothing(self, four_clients):
+        """After the warm-up round every upload is received into a buffer
+        the channel already owns and no frame is pickled."""
+        trainer = FederatedGNN(
+            four_clients, "gcn", hidden=512,        # 164 KB per shard upload
+            config=FederatedConfig(rounds=2, local_epochs=1, lr=0.02, seed=0,
+                                   backend="process_pool", num_workers=2,
+                                   transport="tcp"))
+        with trainer:
+            trainer.run(rounds=2)
+            warm = trainer.backend._pool.network_stats()
+            trainer.run(rounds=8)
+            steady = trainer.backend._pool.network_stats()
+        assert warm["buffers_allocated"] >= 2       # one per channel, pooled
+        assert steady["buffers_allocated"] == warm["buffers_allocated"]
+        assert warm["pickled_frames"] == 2          # the two ``adopt`` batches
+        assert steady["pickled_frames"] == warm["pickled_frames"]
+        # Uploads are what moves: counted, and far above the downlink.
+        received = steady["bytes_received"] - warm["bytes_received"]
+        sent = steady["bytes_sent"] - warm["bytes_sent"]
+        assert received > 6 * 2 * 160_000 and received > 1.5 * sent
+        assert trainer.backend.last_pipeline_stats["transport"][
+            "bytes_received"] == steady["bytes_received"]
+
+    def test_recovery_snapshots_travel_as_array_frames(self, four_clients):
+        """Optimizer moments and 128-bit RNG state words are in the closed
+        set too: a supervised run pickles nothing per round either."""
+        trainer, _ = _run(four_clients, rounds=3, transport="tcp",
+                          on_worker_failure="restart")
+        stats = trainer.backend.last_pipeline_stats["transport"]
+        assert stats["pickled_frames"] == 2
+
+
+# ----------------------------------------------------------------------
 # Liveness and external workers
 # ----------------------------------------------------------------------
 class TestLiveness:
