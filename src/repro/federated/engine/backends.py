@@ -263,9 +263,9 @@ class ProcessPoolBackend(ExecutionBackend):
     ``intra_worker`` selects how a worker trains its resident shard:
     ``"serial"`` uses the per-client reference loop, making the training
     history **bitwise-identical** to serial execution;
-    ``"auto"``/``"batched"`` (the default) fuse the shard into one autograd
-    graph via the batched engine when possible (falling back to the
-    per-client loop), inheriting that engine's equivalence guarantee —
+    ``"auto"`` (the default) fuses the shard into one autograd graph via
+    the batched engine when possible (falling back to the per-client
+    loop), inheriting that engine's equivalence guarantee —
     histories match serial within the batched tolerance (identical in
     practice at benchmark scale, see ``BENCH_step1.json``; low-order float
     bits may differ on fused shards).

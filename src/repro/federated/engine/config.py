@@ -81,7 +81,7 @@ class EngineConfig:
     intra_worker: str = _knob(
         "auto", "how a persistent pool worker trains its resident client "
         "shard (auto fuses it through the batched engine when possible)",
-        choices=("auto", "batched", "serial"))
+        choices=("auto", "serial"))
     round_mode: str = _knob(
         "sync", "process-pool round discipline: sync pipelined rounds "
         "(exact) or bounded-staleness async rounds", choices=("sync", "async"))

@@ -309,8 +309,8 @@ def _train_shard(residents: Dict[int, object], intra_backend,
     it (personalized strategies simply ship more distinct states).
 
     ``intra_worker`` selects how the resident shard runs its local epochs:
-    ``"serial"`` is the reference per-client loop; ``"auto"``/``"batched"``
-    route the shard through ``intra_backend``, the worker's long-lived
+    ``"serial"`` is the reference per-client loop; ``"auto"`` routes the
+    shard through ``intra_backend``, the worker's long-lived
     :class:`~repro.federated.engine.batched.BatchedBackend` (which itself
     falls back to the serial loop whenever the shard cannot be fused, and
     whose plan cache persists across rounds).
@@ -400,7 +400,7 @@ def _train_shard(residents: Dict[int, object], intra_backend,
 
         acc = DeterministicSum()
         for index, client in enumerate(shard):
-            trained = resident_plan.client_state(index) if resident_plan \
+            trained = resident_plan.read_state(index) if resident_plan \
                 else client.get_weights()
             acc.fold(trained, fold_weights[client.client_id])
         partial = acc.partial()
@@ -408,7 +408,7 @@ def _train_shard(residents: Dict[int, object], intra_backend,
         delta_values = sum(hi.size + lo.size for hi, lo in partial.values())
     elif resident_plan is not None and not lossy:
         # One vectorised bit-diff per parameter for the whole shard.
-        stacks = resident_plan.stacked_params()
+        stacks = resident_plan.read_state()
         with upload:
             stacked = encode_stacked_delta(
                 stacks, [received[cid] for cid in client_ids],
@@ -419,7 +419,7 @@ def _train_shard(residents: Dict[int, object], intra_backend,
     else:
         for index, client in enumerate(shard):
             cid = client.client_id
-            trained = resident_plan.client_state(index) if resident_plan \
+            trained = resident_plan.read_state(index) if resident_plan \
                 else client.get_weights()
             if lossy:
                 payload, residuals[cid], transported = encode_topk_delta(
@@ -430,7 +430,7 @@ def _train_shard(residents: Dict[int, object], intra_backend,
                 # Snap onto the truncated trajectory the coordinator sees.
                 truncated = apply_topk_delta(received[cid], payload)
                 if resident_plan is not None:
-                    resident_plan.load_client_state(index, truncated)
+                    resident_plan.load_state(index, truncated)
                 else:
                     client.set_weights(truncated)
             else:

@@ -136,21 +136,6 @@ def _record_eval(trainer, round_index: int, losses: Sequence[float],
                            per_client_round_sec=per_client_round_sec)
 
 
-def _fused_eval_for(trainer):
-    """Build a fused evaluation plan when every client supports it.
-
-    Delegates to the batched engine's eval-plan families
-    (:func:`repro.federated.engine.batched.build_eval_plan`): GCN, SGC,
-    GAMLP and GPR-GNN all evaluate through one fused no-grad sweep whose
-    probabilities are bitwise-identical to the per-client forwards.
-    Returns ``None`` (→ per-client fallback) for other model families or
-    heterogeneous shapes.
-    """
-    from repro.federated.engine.batched import build_eval_plan
-
-    return build_eval_plan(trainer.clients)
-
-
 class _UtilizationMeter:
     """Worker-busy vs wall-clock accounting for one loop run."""
 
@@ -219,7 +204,11 @@ class SyncPipelinedLoop:
         fused = None
         if states is not None:
             if self._fused_eval is None:
-                self._fused_eval = _fused_eval_for(self.trainer) or False
+                # looked up at call time: tracers replace the attribute
+                from repro.federated.engine.batched import build_eval_plan
+
+                self._fused_eval = build_eval_plan(
+                    self.trainer.clients) or False
             fused = self._fused_eval or None
         _record_eval(self.trainer, round_index, losses,
                      fused_eval=fused, broadcast_states=states,
@@ -390,7 +379,7 @@ class SyncPipelinedLoop:
             "hierarchical": hierarchical,
             "rounds": rounds,
             "straggler_wait_sec": straggler_wait,
-            "fused_eval": type(self._fused_eval).__name__
+            "fused_eval": self._fused_eval.family.model_type.__name__
             if self._fused_eval else None,
             "fault_stats": dict(backend.fault_stats),
             "transport": _transport_summary(backend),

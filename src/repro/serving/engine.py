@@ -366,10 +366,7 @@ class QueryEngine:
         Returns ``None`` (caller falls back to serial) when the family has
         no eval plan or any query is malformed.
         """
-        from repro.federated.engine.batched import (
-            _softmax_rows,
-            build_eval_plan,
-        )
+        from repro.federated.engine.batched import build_eval_plan
 
         try:
             prepared = [self._augmented(item.query) for item in items]
@@ -385,8 +382,7 @@ class QueryEngine:
             for entry, block, augmented in prepared])
         if plan is None:
             return None
-        probs = _softmax_rows(plan._logits(
-            [entry.state for entry, *_ in prepared]))
+        probs = plan.probabilities([entry.state for entry, *_ in prepared])
         return [np.array(probs[index, block.new_index], copy=True)
                 for index, (_, block, _) in enumerate(prepared)]
 

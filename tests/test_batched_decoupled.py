@@ -8,6 +8,10 @@ GCFL+ riding the fused eval instead of per-client forwards), the quantised
 wall-time histories.
 """
 
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,17 +23,16 @@ from repro.federated.engine import (
     group_states_by_identity,
     quantise_uniform,
 )
-from repro.federated.engine.batched import (
-    _BatchedGAMLPPlan,
-    _BatchedGPRGNNPlan,
-)
+from repro.federated.engine import batched
+from repro.federated.engine.batched import _BatchedPlan
 from repro.federated.engine.persistent import apply_topk_delta
 from repro.fgl import build_baseline
 from repro.fgl.fedgnn import FederatedGNN
+from repro.federated.trainer import FederatedTrainer
+from repro.models import GCN
 
 DECOUPLED = ["gamlp", "gprgnn"]
 EVAL_FAMILIES = ["gcn", "sgc", "gamlp", "gprgnn"]
-PLAN_OF = {"gamlp": _BatchedGAMLPPlan, "gprgnn": _BatchedGPRGNNPlan}
 
 
 @pytest.fixture(scope="module")
@@ -108,12 +111,12 @@ class TestBatchedDecoupledParity:
         with trainer:
             trainer.run()
             plans = [plan for plan in trainer.backend._plans.values()
-                     if isinstance(plan, _BatchedGAMLPPlan)]
+                     if plan.family.model_type.__name__ == "GAMLP"]
             assert len(plans) == 1
             # [x, P̃x, …, P̃ᵏx]: k+1 constant stacked blocks live on the plan.
             k = trainer.clients[0].model.k
-            assert len(plans[0].hops) == k + 1
-            assert not any(hop.requires_grad for hop in plans[0].hops)
+            assert len(plans[0].constants) == k + 1
+            assert not any(hop.requires_grad for hop in plans[0].constants)
 
     def test_serial_gamlp_caches_hop_stack(self, equal_clients):
         trainer = FederatedGNN(equal_clients, "gamlp", hidden=16,
@@ -126,15 +129,16 @@ class TestBatchedDecoupledParity:
 
     @pytest.mark.parametrize("model", DECOUPLED)
     def test_heterogeneous_k_is_not_fusable(self, model, equal_clients):
-        from repro.federated.engine.batched import _homogeneous
+        from repro.federated.engine.batched import _unfusable
 
         trainers = [FederatedGNN(equal_clients, model, hidden=16,
                                  config=_config("serial", rounds=1))
                     for _ in range(2)]
         mixed = [trainers[0].clients[0], trainers[1].clients[1]]
-        assert _homogeneous(mixed)
+        assert _unfusable(mixed, training=True) is None
         mixed[1].model.k += 1  # family signature mismatch → no fusion
-        assert not _homogeneous(mixed)
+        assert _unfusable(mixed, training=True) \
+            == "participants are not architecture-homogeneous"
 
 
 class TestPersistentPoolDecoupled:
@@ -154,8 +158,8 @@ class TestPersistentPoolDecoupled:
 class TestFusedEvalFamilies:
     """The fused coordinator eval covers the whole propagation family."""
 
-    EXPECTED_PLAN = {"gcn": "_GCNEvalPlan", "sgc": "_SGCEvalPlan",
-                     "gamlp": "_GAMLPEvalPlan", "gprgnn": "_GPRGNNEvalPlan"}
+    EXPECTED_PLAN = {"gcn": "GCN", "sgc": "SGC",
+                     "gamlp": "GAMLP", "gprgnn": "GPRGNN"}
 
     @pytest.mark.parametrize("model", EVAL_FAMILIES)
     def test_pipelined_eval_bitwise_vs_serial(self, model, community_clients):
@@ -195,6 +199,140 @@ class TestFusedEvalFamilies:
                                 trainers[1].clients[1]]) is None
 
 
+class ToyGCN(GCN):
+    """A model type no plan has heard of: GCN's layers under a new name."""
+
+
+class _ToyFamily(batched._GCNFamily):
+    model_type = ToyGCN
+
+
+@pytest.fixture
+def toy_family():
+    batched.FAMILIES.append(_ToyFamily)
+    yield
+    batched.FAMILIES.remove(_ToyFamily)
+
+
+def _toy_trainer(clients, backend, rounds=3):
+    return FederatedTrainer(
+        clients, lambda graph: ToyGCN(graph.num_features, 16,
+                                      graph.num_classes, seed=0),
+        _config(backend, rounds=rounds))
+
+
+class TestOneDefinitionThreeConsumers:
+    """A family is declared once — one class, one ``FAMILIES`` entry — and
+    batched training, the fused eval sweep and the serving flush all run it.
+    """
+
+    def test_unregistered_type_is_not_fused(self, equal_clients):
+        trainer = _toy_trainer(equal_clients, "serial", rounds=1)
+        assert build_eval_plan(trainer.clients) is None
+        assert "ToyGCN has no batched plan family" in batched._unfusable(
+            trainer.clients, training=True)
+
+    def test_batched_training_bitwise_vs_serial(self, toy_family,
+                                                equal_clients):
+        serial_history = _toy_trainer(equal_clients, "serial").run()
+        trainer = _toy_trainer(equal_clients, "batched")
+        with trainer:
+            batched_history = trainer.run()
+            assert trainer.backend.last_fallback is None
+        _assert_bitwise(serial_history, batched_history)
+
+    def test_fused_eval_equals_per_client_predict(self, toy_family,
+                                                  community_clients):
+        trainer = _toy_trainer(community_clients, "serial", rounds=1)
+        trainer.run()
+        plan = build_eval_plan(trainer.clients)
+        assert plan.family.model_type is ToyGCN
+        plan.refresh([client.get_weights() for client in trainer.clients])
+        for client in trainer.clients:
+            fused = client._prob_cache[1]
+            client.invalidate_cache()
+            np.testing.assert_array_equal(fused, client.predict())
+
+    def test_serving_flush_is_fused_and_equals_serial(self, toy_family,
+                                                      community_clients):
+        from repro.serving import InductiveQuery, QueryEngine, ServingSnapshot
+        from repro.serving.engine import FUSE_FROM
+
+        trainer = _toy_trainer(community_clients, "serial", rounds=1)
+        trainer.run()
+        snapshot = ServingSnapshot.from_trainer(trainer)
+        graph = snapshot.entries[0].graph
+        queries = [InductiveQuery(0, graph.features[node] + 0.1,
+                                  anchors=[node, node + 1])
+                   for node in range(FUSE_FROM)]
+        with QueryEngine(snapshot, max_batch=FUSE_FROM,
+                         max_delay_ms=500.0) as engine:
+            futures = [engine.submit(query) for query in queries]
+            fused = [future.result(timeout=30) for future in futures]
+            assert [result.path for result in fused] == ["fused"] * FUSE_FROM
+            for result, query in zip(fused, queries):
+                np.testing.assert_array_equal(
+                    result.probs, engine._serial_inductive(query))
+
+
+class TestOperandsAreNotRetained:
+    """A forward's operands reach the operations for that forward only."""
+
+    def test_cold_round_drops_its_parameter_stacks(self, equal_clients,
+                                                   monkeypatch):
+        trainer = FederatedGNN(equal_clients, "gcn", hidden=16,
+                               config=_config("serial", rounds=1))
+        stacks = []
+        flush = _BatchedPlan.flush
+
+        def watched_flush(plan):
+            stacks.extend(weakref.ref(param.data) for param in plan.hot[0])
+            flush(plan)
+
+        monkeypatch.setattr(_BatchedPlan, "flush", watched_flush)
+        backend = batched.BatchedBackend()
+        backend.run_local_training(trainer.clients)
+        assert backend.last_fallback is None and stacks
+        gc.collect()
+        assert [ref() for ref in stacks] == [None] * len(stacks)
+        plan, = backend._plans.values()
+        assert plan.hot is None and plan._operands is None
+
+    def test_probabilities_do_not_keep_the_state_list(self, equal_clients):
+        trainer = FederatedGNN(equal_clients, "gprgnn", hidden=16,
+                               config=_config("serial", rounds=1))
+        plan = build_eval_plan(trainer.clients)
+        states = [client.get_weights() for client in trainer.clients]
+        before = sys.getrefcount(states)
+        probs = plan.probabilities(states)
+        assert sys.getrefcount(states) == before
+        assert probs.shape[:2] == (len(states), plan.n_max)
+
+
+class TestEvalPlanErrorScope:
+    """``build_eval_plan`` turns the one anticipated failure into ``None``
+    — and nothing else, or a broken family would silently run serial."""
+
+    def test_ragged_feature_widths_return_none(self, equal_clients):
+        trainer = FederatedGNN(equal_clients, "sgc", hidden=16,
+                               config=_config("serial", rounds=1))
+        ragged = trainer.clients[1].graph.copy()
+        ragged.features = ragged.features[:, :-1]
+        trainer.clients[1].graph = ragged
+        assert build_eval_plan(trainer.clients) is None
+
+    def test_a_family_bug_propagates(self, equal_clients, monkeypatch):
+        trainer = FederatedGNN(equal_clients, "sgc", hidden=16,
+                               config=_config("serial", rounds=1))
+
+        def broken(self, ops):
+            raise TypeError("typo in a family")
+
+        monkeypatch.setattr(batched._SGCFamily, "constants", broken)
+        with pytest.raises(TypeError, match="typo in a family"):
+            build_eval_plan(trainer.clients)
+
+
 class TestGroupwisePersonalizedBroadcast:
     """Personalized broadcasts batch group-wise instead of per-client."""
 
@@ -216,28 +354,39 @@ class TestGroupwisePersonalizedBroadcast:
         pooled_history = pooled.run()
         # Personalized (non-uniform) broadcasts now ride the fused eval.
         stats = pooled.backend.last_pipeline_stats
-        assert stats["fused_eval"] == "_GCNEvalPlan"
+        assert stats["fused_eval"] == "GCN"
         _assert_bitwise(serial_history, pooled_history)
 
     def test_resident_group_write_matches_per_client(self, equal_clients):
-        """load_group_state ≡ per-client loads, one write per group."""
+        """load_state(where): an index, a list and slice(None) ≡ per-client
+        writes, one assign per parameter."""
         trainer = FederatedGNN(equal_clients, "gamlp", hidden=16,
                                config=_config("serial", rounds=1))
-        plan = _BatchedGAMLPPlan(trainer.clients)
-        plan.ensure_hot()
         rng = np.random.default_rng(0)
         state = {name: rng.normal(size=param.shape)
                  for name, param in
                  trainer.clients[0].model.named_parameters()}
-        plan.load_group_state([1, 3], state)
-        for index in (1, 3):
-            loaded = plan.client_state(index)
-            for key, value in state.items():
-                np.testing.assert_array_equal(loaded[key], value)
-        untouched = plan.client_state(0)
-        original = dict(trainer.clients[0].model.named_parameters())
-        for key, value in untouched.items():
-            np.testing.assert_array_equal(value, original[key].data)
+        originals = [dict(client.model.named_parameters())
+                     for client in trainer.clients]
+        for where, written in [(2, [2]), ([1, 3], [1, 3]),
+                               (slice(None), [0, 1, 2, 3])]:
+            plan = _BatchedPlan(trainer.clients)
+            plan.ensure_hot()
+            reference = _BatchedPlan(trainer.clients)
+            reference.ensure_hot()
+            plan.load_state(where, state)
+            for index in written:
+                reference.load_state(index, state)
+            for index in range(4):
+                loaded = plan.read_state(index)
+                assert list(loaded) == list(state)
+                for key, value in reference.read_state(index).items():
+                    np.testing.assert_array_equal(loaded[key], value)
+                    np.testing.assert_array_equal(
+                        value, state[key] if index in written
+                        else originals[index][key].data)
+            for key, stack in plan.read_state().items():
+                np.testing.assert_array_equal(stack[written[0]], state[key])
 
 
 class TestQuantisedDeltaCodec:

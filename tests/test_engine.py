@@ -28,7 +28,6 @@ from repro.federated.engine import (
     restore_client_state,
     snapshot_client_state,
 )
-from repro.federated.engine.batched import _BatchedSGCPlan
 from repro.fgl.fedgnn import FederatedGNN, make_model_factory
 from repro.federated.trainer import FederatedTrainer
 
@@ -162,9 +161,10 @@ class TestBatchedSGC:
             trainer.run()
             plans = list(trainer.backend._plans.values())
             assert len(plans) == 1
-            assert isinstance(plans[0], _BatchedSGCPlan)
+            assert plans[0].family.model_type.__name__ == "SGC"
             # The constant k-hop block exists and every epoch reuses it.
-            assert plans[0].propagated.shape[0] == len(trainer.clients)
+            propagated, = plans[0].constants
+            assert propagated.shape[0] == len(trainer.clients)
 
     def test_mixed_model_families_fall_back(self, community_clients):
         # A mixed GCN/SGC participant set is not architecture-homogeneous;
@@ -192,12 +192,7 @@ class TestBatchedSGC:
                 attempts.append(len(participants))
                 raise ValueError("cannot fuse this group")
 
-            @staticmethod
-            def signature(model):
-                return ()
-
-        monkeypatch.setattr(batched_module, "_plan_family",
-                            lambda client: ExplodingPlan)
+        monkeypatch.setattr(batched_module, "_BatchedPlan", ExplodingPlan)
         backend = BatchedBackend()
         key = tuple(c.client_id for c in trainer.clients)
         backend.run_local_training(trainer.clients)

@@ -215,7 +215,7 @@ class TestResidency:
                                for c in trainer.clients})
         assert owners[0] == owners[1]
 
-    @pytest.mark.parametrize("intra_worker", ["serial", "batched", "auto"])
+    @pytest.mark.parametrize("intra_worker", ["serial", "auto"])
     def test_intra_worker_modes_match_serial(self, intra_worker,
                                              community_clients):
         serial = FederatedGNN(community_clients, "gcn", hidden=16,
@@ -226,6 +226,13 @@ class TestResidency:
         pooled_history = pooled.run()
         _assert_history_equal(serial_history, pooled_history,
                               exact=intra_worker == "serial")
+
+    def test_batched_alias_is_refused(self, community_clients):
+        """``batched`` was ``auto`` under a second name; it is not a value."""
+        with pytest.raises(ValueError, match="intra_worker must be one of "
+                                             "auto, serial, got 'batched'"):
+            FederatedGNN(community_clients, "gcn", hidden=16,
+                         config=_config(intra_worker="batched"))
 
     def test_optimizer_and_rng_synced_at_close(self, community_clients):
         """Run → close → run again must continue exactly like serial."""
