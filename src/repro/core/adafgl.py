@@ -19,7 +19,12 @@ from repro.federated import FederatedConfig, ProcessPoolBackend
 from repro.federated.engine import EngineConfig, engine_fields
 from repro.graph import Graph, edge_homophily
 from repro.graph.normalize import normalize_adjacency
-from repro.metrics import ClientReport, TrainingHistory, masked_accuracy
+from repro.metrics import (
+    ClientReport,
+    TrainingHistory,
+    count_weighted_mean,
+    masked_accuracy,
+)
 from repro.optim import Adam, clip_grad_norm
 
 
@@ -485,15 +490,11 @@ class AdaFGL:
             all_counts[client_id] = counts
 
         for epoch in checkpoints:
-            accuracy = {}
-            for split in ("train", "test"):
-                total = sum(all_metrics[cid][epoch][split]
-                            * all_counts[cid][split]
-                            for cid in all_metrics
-                            if all_counts[cid][split] > 0)
-                weight = sum(all_counts[cid][split] for cid in all_metrics
-                             if all_counts[cid][split] > 0)
-                accuracy[split] = total / weight if weight else 0.0
+            accuracy = {
+                split: count_weighted_mean(
+                    (all_metrics[cid][epoch][split], all_counts[cid][split])
+                    for cid in all_metrics)
+                for split in ("train", "test")}
             per_client = {cid: all_metrics[cid][epoch]["test"]
                           for cid in sorted(all_metrics)}
             mean_loss = float(np.mean([all_losses[cid][epoch - 1]
@@ -518,15 +519,9 @@ class AdaFGL:
         """
         if not self.personalized:
             return self.extractor.trainer.evaluate(split)
-        total, weight = 0.0, 0
-        for client in self.personalized:
-            mask = getattr(client.graph, f"{split}_mask")
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            total += client.evaluate(split) * count
-            weight += count
-        return total / weight if weight else 0.0
+        return count_weighted_mean(
+            (client.evaluate(split), count) for client in self.personalized
+            if (count := int(getattr(client.graph, f"{split}_mask").sum())))
 
     def client_reports(self, split: str = "test") -> List[ClientReport]:
         """Per-client accuracy and homophily breakdown."""

@@ -84,7 +84,7 @@ from repro.federated.engine.persistent import (
 )
 from repro.federated.engine.pipeline import (
     AsyncRoundLoop,
-    SyncPipelinedLoop,
+    SyncRoundLoop,
     resolve_round_loop,
 )
 from repro.federated.engine.transport import (
@@ -150,7 +150,7 @@ __all__ = [
     "check_composition",
     "engine_fields",
     "AsyncRoundLoop",
-    "SyncPipelinedLoop",
+    "SyncRoundLoop",
     "resolve_round_loop",
     "TRANSPORTS",
     "PipeTransport",

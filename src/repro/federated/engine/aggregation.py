@@ -18,7 +18,8 @@ trainer code.
 
 Streaming aggregation
 ---------------------
-The pipelined round loop (:mod:`~repro.federated.engine.pipeline`) does not
+The sync round loop (:mod:`~repro.federated.engine.pipeline`), when it
+overlaps coordinator work with worker training, does not
 wait for every participant before aggregating: shard uploads are folded into
 a running weighted merge the moment they arrive, so the merge cost overlaps
 straggler compute.  A strategy opts in by returning a
@@ -200,7 +201,7 @@ class AggregationStrategy:
         Returning a :class:`StreamingAggregate` promises that folding every
         participant's state into it and sealing produces the same result as
         :meth:`aggregate` over the gathered states.  The default ``None``
-        makes the pipelined loop gather every upload first.
+        makes the round loop gather every upload first.
         """
         del weights, context
         return None

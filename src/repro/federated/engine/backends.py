@@ -159,13 +159,24 @@ def _corrupt_payload(payload) -> bool:
 # Backends
 # ----------------------------------------------------------------------
 class ExecutionBackend:
-    """Drives the local-training phase of each federated round."""
+    """Drives the local-training phase of each federated round.
+
+    The round loop speaks one protocol to every backend: ``dispatch_round``
+    → ``run_local_side`` → (collect while anything is outstanding) →
+    ``finish_round``.  The defaults here are its depth-0 form — the whole
+    cohort trains in-process through :meth:`run_local_training`, the one
+    method an in-process backend implements.
+    """
 
     name = "base"
 
-    #: True when the backend exposes the dispatch/collect round protocol the
-    #: pipelined round loops require (see ProcessPoolBackend).
+    #: True when rounds leave shards outstanding on workers (see
+    #: ProcessPoolBackend): the sync loop can then overlap coordinator work
+    #: with their training, and the async loop can run at all.
     supports_pipelining = False
+
+    #: True when workers fold their shard and ship one partial per shard
+    hierarchical = False
 
     trainer = None
 
@@ -176,6 +187,28 @@ class ExecutionBackend:
     def run_local_training(self, participants: Sequence) -> List[float]:
         """Train every participant locally; return per-participant losses."""
         raise NotImplementedError
+
+    def dispatch_round(self, participants, states=None,
+                       fold_weights=None) -> "PendingRound":
+        """Open a round: nothing leaves the process, all of it is local."""
+        pending = PendingRound(list(participants))
+        pending.local_side = pending.participants
+        return pending
+
+    def run_local_side(self, pending: "PendingRound") -> None:
+        """Train the coordinator-resident clients of the round."""
+        losses = self.run_local_training(pending.local_side)
+        for client, loss in zip(pending.local_side, losses):
+            pending.losses[client.client_id] = loss
+
+    def finish_round(self, pending: "PendingRound",
+                     apply_states: bool = True) -> List[float]:
+        """Close out the round; reporters' losses in participant order."""
+        # Dropped clients (timeouts, lost crash shards) have no loss entry;
+        # the round loop reweights the aggregate over the actual reporters.
+        return [pending.losses[client.client_id]
+                for client in pending.participants
+                if client.client_id in pending.losses]
 
     def sync_for_checkpoint(self) -> None:
         """Bring coordinator-side client state up to date for a checkpoint.
@@ -198,12 +231,14 @@ class SerialBackend(ExecutionBackend):
 
 
 class PendingRound:
-    """Handle for one dispatched-but-not-finished persistent-pool round.
+    """Handle for one dispatched-but-not-finished round.
 
-    Created by :meth:`ProcessPoolBackend.dispatch_round`; the round loop then
+    Created by :meth:`ExecutionBackend.dispatch_round`; the round loop then
+    trains ``local_side`` through :meth:`~ExecutionBackend.run_local_side`,
     pumps :meth:`~ProcessPoolBackend.collect_next` /
     :meth:`~ProcessPoolBackend.collect_worker` until ``outstanding`` is empty
-    and settles with :meth:`~ProcessPoolBackend.finish_round`.
+    and settles with :meth:`~ExecutionBackend.finish_round`.  An in-process
+    backend's round is all ``local_side`` and never has anything outstanding.
     """
 
     def __init__(self, participants: List):
@@ -228,12 +263,13 @@ class PendingRound:
         self.losses: Dict[int, float] = {}
         #: client_id → trained state reconstructed from the upload delta;
         #: applied to the mirrors by ``finish_round`` (deferring the apply
-        #: lets the pipelined loop evaluate the *previous* round — mirrors
-        #: still at broadcast state — while stragglers finish)
+        #: lets the sync loop, at depth 1, evaluate the *previous* round —
+        #: mirrors still at broadcast state — while stragglers finish)
         self.states: Dict[int, Dict[str, np.ndarray]] = {}
         #: client_id → wall seconds its shard (or its own in-process train
-        #: call) spent on local epochs this round — the sync pipeline's
-        #: per-client straggler profile (``TrainingHistory.client_round_sec``)
+        #: call) spent on local epochs this round — the sync loop's
+        #: per-client straggler profile (``TrainingHistory.client_round_sec``);
+        #: in-process backends record none
         self.round_sec: Dict[int, float] = {}
         #: client_id → normalized aggregation weight shipped with the shard
         #: (hierarchical rounds only); kept on the pending handle so crash
@@ -284,7 +320,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process_pool"
 
-    #: the pipelined round loops can drive this backend round by round
+    #: shards train on workers while the coordinator does something else
     supports_pipelining = True
 
     def __init__(self, num_workers: Optional[int] = None, **knobs):
@@ -324,7 +360,8 @@ class ProcessPoolBackend(ExecutionBackend):
         #: cumulative worker-reported busy seconds (training + simulated
         #: slowdown), indexed by worker — the utilization metric's numerator
         self.busy_sec: Dict[int, float] = {}
-        #: summary dict written by the last pipelined/async round loop
+        #: summary dict written by the last round loop that overlapped
+        #: (sync at depth 1) or ran asynchronously
         self.last_pipeline_stats: Optional[Dict] = None
         self._pool: Optional[PersistentWorkerPool] = None
         self._owner: Dict[int, int] = {}   # client_id → owning worker
@@ -335,13 +372,12 @@ class ProcessPoolBackend(ExecutionBackend):
         self._recovery: Dict[int, Dict] = {}
         #: worker → train dispatches sent so far (fault-plan addressing)
         self._dispatch_count: Dict[int, int] = {}
-        #: worker → FIFO of transport-fault event lists, one entry per
-        #: expected train reply (aligned with ``PendingRound.groups``)
-        self._transit: Dict[int, List[List]] = {}
-        #: worker → FIFO of ``[checksum, clean train args, retried]``
-        #: entries, aligned with ``pending.groups`` — the downlink-recovery
-        #: cache a checksum-rejecting worker is re-served from
-        self._sent_payloads: Dict[int, List[List]] = {}
+        #: worker → FIFO of ``[transit events, checksum, clean train args,
+        #: retried]``, one entry per expected train reply (aligned with
+        #: ``PendingRound.groups``): the transport faults to apply when the
+        #: reply lands, and the downlink-recovery cache a checksum-rejecting
+        #: worker is re-served from
+        self._in_flight: Dict[int, List[List]] = {}
         #: worker → count of stale (timed-out) replies still unread; a
         #: lagging worker is excluded from dispatch until drained
         self._lagging: Dict[int, int] = {}
@@ -368,8 +404,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._local.clear()
             self._recovery.clear()
             self._dispatch_count.clear()
-            self._transit.clear()
-            self._sent_payloads.clear()
+            self._in_flight.clear()
             self._lagging.clear()
         return self._pool
 
@@ -455,9 +490,9 @@ class ProcessPoolBackend(ExecutionBackend):
     # Round protocol: dispatch → (local side) → collect* → finish
     #
     # ``run_local_training`` composes these into the classic barrier round;
-    # the pipelined round loops (repro.federated.engine.pipeline) drive them
-    # directly so aggregation, evaluation and the next round's broadcast can
-    # overlap worker compute.
+    # the round loops (repro.federated.engine.pipeline) drive them directly
+    # so aggregation, evaluation and the next round's broadcast can overlap
+    # worker compute.
     # ------------------------------------------------------------------
     def dispatch_round(self, participants,
                        states: Optional[Dict[int, Dict[str, np.ndarray]]]
@@ -474,7 +509,7 @@ class ProcessPoolBackend(ExecutionBackend):
         alive) are left on ``pending.local_side`` for the coordinator.
 
         ``states`` optionally maps ``client_id`` to the exact state the
-        caller just broadcast (the pipelined loop hands back what
+        caller just broadcast (the sync loop, at depth 1, hands back what
         ``personalize`` returned), skipping one full-parameter copy per
         client and letting the dedup recognise shared dicts by identity.
 
@@ -641,9 +676,8 @@ class ProcessPoolBackend(ExecutionBackend):
             shipped = copy.deepcopy(args)
             _corrupt_payload(shipped)
         self._pool.send(worker, "train", (crc, shipped))
-        self._transit.setdefault(worker, []).append(transit)
-        self._sent_payloads.setdefault(worker, []).append(
-            [crc, args, False])
+        self._in_flight.setdefault(worker, []).append(
+            [transit, crc, args, False])
         pending.groups.setdefault(worker, []).append(list(ids))
         pending.outstanding.add(worker)
         self.transport.record_download(
@@ -689,7 +723,7 @@ class ProcessPoolBackend(ExecutionBackend):
         except BroadcastCorrupted:
             # The worker refused a damaged broadcast without training —
             # re-serve the cached clean payload once (the shard stays
-            # outstanding and its reply FIFOs stay aligned).
+            # outstanding, its in-flight entry in place).
             self._resend_broadcast(worker)
             return []
         except WorkerCrash as error:
@@ -700,9 +734,6 @@ class ProcessPoolBackend(ExecutionBackend):
             # _verify_reply already ran the recovery policy.
             return []
         worker_losses, deltas, stats = reply
-        sent_fifo = self._sent_payloads.get(worker)
-        if sent_fifo:
-            sent_fifo.pop(0)
         ids = pending.groups[worker].pop(0)
         if not pending.groups[worker]:
             del pending.groups[worker]
@@ -763,10 +794,7 @@ class ProcessPoolBackend(ExecutionBackend):
         through to the caller only when it happens on the *first* receive
         (i.e. the caller's own ``recv``), never from here.
         """
-        transit = []
-        fifo = self._transit.get(worker)
-        if fifo:
-            transit = fifo.pop(0)
+        transit = self._in_flight[worker].pop(0)[0]
         kinds = {event.kind for event in transit}
         damaged = False
         if "drop" in kinds:
@@ -798,25 +826,20 @@ class ProcessPoolBackend(ExecutionBackend):
         checksum-failed downlink payload without executing it, so the same
         dispatch is re-sent from the coordinator's clean cache — without
         re-counting the dispatch or re-queueing transit faults (the shard's
-        FIFO entries are still in place).  A second rejection of the same
+        in-flight entry is still in place).  A second rejection of the same
         shard is a hard :class:`WorkerError` (the corruption persisted
         across the retry).
         """
-        fifo = self._sent_payloads.get(worker)
-        if not fifo:
-            raise WorkerError(
-                f"worker {worker} rejected a broadcast but no cached "
-                "payload is available to resend", worker=worker,
-                command="train")
-        entry = fifo[0]
-        if entry[2]:
+        entry = self._in_flight[worker][0]
+        _events, crc, args, retried = entry
+        if retried:
             raise WorkerError(
                 f"worker {worker} rejected the train broadcast twice "
                 "(downlink corruption persisted across the retry)",
                 worker=worker, command="train")
-        entry[2] = True
+        entry[3] = True
         self.fault_stats["broadcast_retries"] += 1
-        self._pool.send(worker, "train", (entry[0], entry[1]))
+        self._pool.send(worker, "train", (crc, args))
 
     def collect_next(self, pending: "PendingRound",
                      timeout: Optional[float] = None) -> List[int]:
@@ -868,8 +891,7 @@ class ProcessPoolBackend(ExecutionBackend):
             pending.outstanding.discard(worker)
         if extra_shard is not None:
             lost_shards.append(list(extra_shard))
-        self._transit.pop(worker, None)
-        self._sent_payloads.pop(worker, None)
+        self._in_flight.pop(worker, None)
         self._lagging.pop(worker, None)
         lost_residents = sorted(cid for cid, owner in self._owner.items()
                                 if owner == worker)
@@ -950,21 +972,11 @@ class ProcessPoolBackend(ExecutionBackend):
         A lagging worker's residents sit out subsequent rounds until it
         catches up.  Returns the dropped client ids.
         """
-        dropped: List[int] = []
-        for worker in sorted(pending.outstanding):
-            shards = pending.groups.pop(worker, [])
-            self._lagging[worker] = self._lagging.get(worker, 0) \
-                + len(shards)
-            self.fault_stats["timeouts"] += 1
-            for shard in shards:
-                dropped.extend(shard)
-        pending.outstanding.clear()
-        pending.dropped.update(dropped)
-        self.fault_stats["dropped_reports"] += len(dropped)
-        return dropped
+        return [cid for worker in sorted(pending.outstanding)
+                for cid in self.abandon_job(pending, worker)]
 
     def abandon_job(self, pending: "PendingRound", worker: int) -> List[int]:
-        """Async-path variant of :meth:`timeout_outstanding`: one worker."""
+        """:meth:`timeout_outstanding` for one worker (the async path's)."""
         shards = pending.groups.pop(worker, [])
         pending.outstanding.discard(worker)
         self._lagging[worker] = self._lagging.get(worker, 0) + len(shards)
@@ -983,12 +995,7 @@ class ProcessPoolBackend(ExecutionBackend):
         compute the utilization metric should see.
         """
         _losses, _deltas, stats = reply
-        transit_fifo = self._transit.get(worker)
-        if transit_fifo:
-            transit_fifo.pop(0)
-        sent_fifo = self._sent_payloads.get(worker)
-        if sent_fifo:
-            sent_fifo.pop(0)
+        self._in_flight[worker].pop(0)
         if "snapshots" in stats:
             self._recovery.update(stats["snapshots"])
         self.busy_sec[worker] = self.busy_sec.get(worker, 0.0) \
@@ -1012,14 +1019,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 except BroadcastCorrupted:
                     # The stale shard was already dropped from its round —
                     # retrain would be wasted work, so absorb the rejection
-                    # and retire the shard's FIFO entries instead of
+                    # and retire the shard's in-flight entry instead of
                     # resending.
                     if command == "train":
                         self._lagging[worker] -= 1
-                        for fifo in (self._transit.get(worker),
-                                     self._sent_payloads.get(worker)):
-                            if fifo:
-                                fifo.pop(0)
+                        self._in_flight[worker].pop(0)
                     continue
                 except WorkerCrash as error:
                     self._handle_crash(None, worker, error)
@@ -1074,11 +1078,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 pending.mirrors[cid].set_weights(state)
         if advance_round:
             self.transport.next_round()
-        # Dropped clients (timeouts, lost crash shards) have no loss entry;
-        # the round loop reweights the aggregate over the actual reporters.
-        return [pending.losses[client.client_id]
-                for client in pending.participants
-                if client.client_id in pending.losses]
+        return super().finish_round(pending)
 
     def run_local_training(self, participants):
         pending = self.dispatch_round(participants)
@@ -1147,8 +1147,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._local.clear()
         self._recovery.clear()
         self._dispatch_count.clear()
-        self._transit.clear()
-        self._sent_payloads.clear()
+        self._in_flight.clear()
         self._lagging.clear()
 
 

@@ -54,7 +54,7 @@ from repro.federated.client import Client
 from repro.federated.communication import CommunicationTracker
 from repro.federated.server import DeterministicSum
 from repro.graph import Graph
-from repro.metrics import TrainingHistory
+from repro.metrics import TrainingHistory, count_weighted_mean
 
 _FORMAT_VERSION = 1
 _MASK64 = (1 << 64) - 1
@@ -573,18 +573,11 @@ class StoreFederatedTrainer:
                 for worker, ids in self._shards([int(c) for c in cids]).items()}
         for shard_report in self._run_shards(eval_store_shard, args):
             reports.update(shard_report)
-        train_weight = test_weight = 0.0
-        train_total = test_total = 0
-        per_client: Dict[int, float] = {}
+        train, test, per_client = [], [], {}
         for cid in sorted(reports):
             train_acc, train_count, test_acc, test_count = reports[cid]
+            train.append((train_acc, train_count))
+            test.append((test_acc, test_count))
             per_client[cid] = test_acc
-            if train_count:
-                train_weight += train_acc * train_count
-                train_total += train_count
-            if test_count:
-                test_weight += test_acc * test_count
-                test_total += test_count
-        return (train_weight / train_total if train_total else 0.0,
-                test_weight / test_total if test_total else 0.0,
+        return (count_weighted_mean(train), count_weighted_mean(test),
                 per_client)

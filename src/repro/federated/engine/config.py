@@ -192,8 +192,8 @@ def cli_flag(knob: Field) -> Optional[str]:
 # ----------------------------------------------------------------------
 # What composes with what
 # ----------------------------------------------------------------------
-#: the barrier-round hooks a trainer may override; the pipelined loops
-#: assume the defaults
+#: the barrier-round hooks a trainer may override; overriding one keeps the
+#: sync loop at depth 0 (no overlap), and the async loop refuses it
 ROUND_HOOKS = ("before_round", "after_round", "aggregate")
 
 
@@ -275,8 +275,8 @@ COMPOSITION_RULES: Tuple[Tuple[str, Callable, str], ...] = (
     ("async", lambda c: not 0.0 < c.config.participation <= 1.0,
      "participation must be in (0, 1]"),
     # The async loop re-dispatches each shard with the raw sealed global
-    # model and never runs the barrier-round hooks — both assume lockstep
-    # semantics.  Refuse loudly instead of silently degenerating personalized
+    # model and never runs the barrier-round hooks — both assume a
+    # synchronous round.  Refuse loudly instead of silently degenerating personalized
     # methods (FED-PUB, GCFL+) or hook-overriding trainers to plain async
     # FedAvg.
     ("async", lambda c: _overrides(c.strategy, "personalize"),

@@ -1,29 +1,40 @@
-"""Pipelined round execution: streaming sync rounds and bounded-staleness async.
+"""Round execution: the one synchronous round loop, and bounded-staleness async.
 
-The classic federated round is a lockstep barrier: every worker trains, the
-coordinator idles until the *slowest* shard returns, then the workers idle
-while the coordinator aggregates, evaluates and re-broadcasts.  This module
-replaces that barrier with two round loops built on the persistent pool's
-dispatch/collect protocol (:class:`~repro.federated.engine.backends
-.ProcessPoolBackend`):
+A synchronous federated round is select → local-train → upload → aggregate →
+broadcast → evaluate.  :class:`SyncRoundLoop` (``round_mode="sync"``) is the
+only place that sequence is written; it speaks the dispatch / collect /
+finish round protocol of :mod:`~repro.federated.engine.backends` to every
+backend and runs at one of two depths, decided once per run from what it can
+observe (:attr:`SyncRoundLoop.overlaps`):
 
-* :class:`SyncPipelinedLoop` (``round_mode="sync"``, the default for the
-  process pool) — shard uploads are folded into the running aggregate the
-  moment they arrive (:class:`~repro.federated.engine.aggregation
-  .StreamingAggregate`, so merge cost overlaps straggler compute), and the
-  next round's deduplicated broadcast is dispatched **before** the previous
-  round's evaluation runs, so the coordinator's eval/bookkeeping overlaps
-  worker training.  The fold is order-buffered, which keeps the training
-  history **bitwise-identical to serial execution** — pipelining changes
-  when work happens, never what is computed.
+* **depth 1** — the backend leaves shards outstanding on workers (the
+  process pool) and the trainer keeps the default round hooks.  Shard uploads
+  are folded into the running aggregate the moment they arrive
+  (:class:`~repro.federated.engine.aggregation.StreamingAggregate`, so merge
+  cost overlaps straggler compute), the next dispatch is handed the states
+  the last broadcast returned, and a round's evaluation runs — as one fused
+  sweep — inside the *next* round's training window.  The fold is
+  order-buffered, which keeps the training history **bitwise-identical to
+  serial execution** — overlap changes when work happens, never what is
+  computed.
 
-* :class:`AsyncRoundLoop` (``round_mode="async"``) — bounded-staleness
-  asynchronous federated rounds: a worker is re-dispatched with the current
-  global model the moment its shard report lands, the server seals an
-  aggregate after any ``async_buffer`` shard reports, stale reports are
-  merged with the staleness-discounted weight ``w_i / (1 + lag_i)`` (reports
-  older than ``staleness_cap`` server rounds are dropped), and the global
-  model moves by
+* **depth 0** — everything else: the in-process backends, whose rounds never
+  have anything outstanding to overlap with, and any trainer overriding
+  ``before_round`` / ``after_round`` / ``aggregate``, whose hooks may read or
+  write every mirror at the barrier they were written for (FedGL's
+  ``after_round`` reads ``client.predict()``).  The round gathers the
+  uploads and calls the ``trainer.aggregate`` hook, dispatch reads the
+  mirrors, and evaluation runs at once, per client, after ``after_round``.
+  On the pool this is still the same body — deadline, drop accounting and
+  per-client round times included.
+
+* :class:`AsyncRoundLoop` (``round_mode="async"``) is a different algorithm —
+  bounded-staleness asynchronous federated rounds: a worker is re-dispatched
+  with the current global model the moment its shard report lands, the
+  server seals an aggregate after any ``async_buffer`` shard reports, stale
+  reports are merged with the staleness-discounted weight ``w_i / (1 +
+  lag_i)`` (reports older than ``staleness_cap`` server rounds are dropped),
+  and the global model moves by
 
   ``x_{s+1} = (1 - η_s) · x_s + η_s · Agg(window)``  with
   ``η_s = Σ_{i ∈ window} w_i/(1+lag_i) / Σ_{all clients} w_j``.
@@ -32,11 +43,6 @@ dispatch/collect protocol (:class:`~repro.federated.engine.backends
   divided by the simulated :attr:`worker_speeds`), so an async run is exactly
   reproducible: fixed seed + fixed speeds ⇒ identical histories, per-client
   round lags included (recorded in :attr:`TrainingHistory.client_lag`).
-
-:func:`resolve_round_loop` decides which loop a trainer uses.  Trainers that
-override the round hooks (``before_round`` / ``after_round`` / ``aggregate``)
-keep the lockstep loop — their hooks assume barrier semantics — as do
-backends without the dispatch/collect protocol.
 """
 
 from __future__ import annotations
@@ -54,42 +60,23 @@ from repro.federated.engine.config import overrides_hooks
 
 
 def resolve_round_loop(trainer):
-    """Pick the round loop for a trainer (``None`` = classic lockstep).
+    """The round loop of a trainer: one per ``round_mode``, for any backend.
 
-    ``round_mode="sync"`` silently keeps lockstep semantics for backends and
-    trainers the pipeline cannot serve (serial/batched backends,
-    hook-overriding trainers) — the sync pipeline is an execution detail,
-    not an algorithm change.  Combinations no loop can serve (async without
-    the process pool, hierarchical with overridden hooks, ...) are refused
-    before this runs, by
+    ``round_mode="sync"`` is one loop at two depths (module docstring); the
+    depth is an execution detail, not an algorithm change — histories are
+    bitwise-identical either way.  Combinations no loop can serve (async
+    without the process pool, hierarchical with overridden hooks, ...) are
+    refused before this runs, by
     :func:`~repro.federated.engine.config.check_composition`.
     """
     if trainer.config.round_mode == "async":
         return AsyncRoundLoop(trainer)
-    if not getattr(trainer.backend, "supports_pipelining", False) \
-            or overrides_hooks(trainer):
-        return None
-    return SyncPipelinedLoop(trainer)
+    return SyncRoundLoop(trainer)
 
 
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _transport_summary(backend) -> Dict:
-    """Channel-level wire statistics of the backend's worker transport.
-
-    TCP pools report frames/bytes/retransmits/CRC failures/reconnects; pipe
-    pools (and closed ones) contribute the transport name alone.
-    """
-    pool = getattr(backend, "_pool", None)
-    if pool is not None and not pool.closed:
-        try:
-            return pool.network_stats()
-        except (OSError, ValueError, AttributeError):
-            pass
-    return {"transport": getattr(backend, "transport_name", "pipe")}
-
-
 def _state_size(state: Dict[str, np.ndarray]) -> int:
     return sum(value.size for value in state.values())
 
@@ -137,7 +124,12 @@ def _record_eval(trainer, round_index: int, losses: Sequence[float],
 
 
 class _UtilizationMeter:
-    """Worker-busy vs wall-clock accounting for one loop run."""
+    """Worker-busy vs wall-clock accounting for one loop run on a pool.
+
+    :meth:`summary` is the part of ``last_pipeline_stats`` the sync and the
+    async loop share: utilization, the backend's fault counters and the
+    transport's wire statistics.
+    """
 
     def __init__(self, backend):
         self.backend = backend
@@ -145,9 +137,10 @@ class _UtilizationMeter:
         self._busy_at_start = dict(backend.busy_sec)
 
     def summary(self) -> Dict:
+        backend = self.backend
         wall = time.perf_counter() - self.start
         busy = {worker: total - self._busy_at_start.get(worker, 0.0)
-                for worker, total in self.backend.busy_sec.items()}
+                for worker, total in backend.busy_sec.items()}
         workers = len(busy)
         utilization = (sum(busy.values()) / (workers * wall)
                        if workers and wall > 0 else 0.0)
@@ -156,20 +149,36 @@ class _UtilizationMeter:
             "busy_sec": busy,
             "num_workers": workers,
             "worker_utilization": utilization,
+            "fault_stats": dict(backend.fault_stats),
+            "transport": self._transport(),
         }
 
+    def _transport(self) -> Dict:
+        """Channel-level wire statistics of the pool's worker transport.
+
+        TCP pools report frames/bytes/retransmits/CRC failures/reconnects;
+        pipe pools (and closed ones) contribute the transport name alone.
+        """
+        pool = self.backend._pool
+        if pool is not None and not pool.closed:
+            try:
+                return pool.network_stats()
+            except (OSError, ValueError):
+                pass
+        return {"transport": self.backend.transport_name}
+
 
 # ----------------------------------------------------------------------
-# Synchronous streaming pipeline
+# The synchronous round
 # ----------------------------------------------------------------------
-class SyncPipelinedLoop:
-    """Streaming-aggregation round loop, bitwise-identical to lockstep.
+class SyncRoundLoop:
+    """The synchronous round, for every backend (depths: module docstring).
 
-    Per round: dispatch the (deduplicated) broadcast to the workers, run the
-    *previous* round's evaluation at once, while they train, train
-    coordinator-side clients, fold shard uploads into the streaming aggregate
-    as they arrive, seal, broadcast — and only then stop to evaluate (one
-    round later, again overlapped).  The only barrier left is the data
+    Per round: dispatch the (deduplicated) broadcast, train the
+    coordinator-side clients, absorb shard uploads as they arrive, aggregate,
+    broadcast, ``after_round``, evaluate.  At depth 1 the uploads fold into a
+    streaming aggregate while stragglers train and the evaluation moves into
+    the next round's training window, so the only barrier left is the data
     dependency itself: a round's broadcast cannot leave before its aggregate
     is sealed.
     """
@@ -177,6 +186,11 @@ class SyncPipelinedLoop:
     def __init__(self, trainer):
         self.trainer = trainer
         self.backend = trainer.backend
+        #: the depth: True when coordinator work may overlap worker training
+        #: — shards are outstanding on workers, and no overridden round hook
+        #: expects the mirrors at their barrier state
+        self.overlaps = self.backend.supports_pipelining \
+            and not overrides_hooks(trainer)
         #: built on first use; None until then, False when unsupported
         self._fused_eval = None
         #: True when the broadcast replaces every mirror's weights without
@@ -190,10 +204,11 @@ class SyncPipelinedLoop:
               broadcast_states) -> None:
         """Record one round's evaluation, fusing the forwards if possible.
 
-        The fused sweep needs one broadcast state per client; uniform
-        FedAvg broadcasts and personalized per-cluster states (FED-PUB,
-        GCFL+) both qualify — states are handled group-wise inside the
-        plan, so personalized runs no longer fall back to per-client
+        The fused sweep needs one broadcast state per client (depth 0 hands
+        ``None``: a hook may have written the mirrors since the broadcast);
+        uniform FedAvg broadcasts and personalized per-cluster states
+        (FED-PUB, GCFL+) both qualify — states are handled group-wise inside
+        the plan, so personalized runs no longer fall back to per-client
         evaluation forwards.
         """
         states = broadcast_states
@@ -218,7 +233,8 @@ class SyncPipelinedLoop:
         trainer = self.trainer
         backend = self.backend
         config = trainer.config
-        meter = _UtilizationMeter(backend)
+        overlaps = self.overlaps
+        meter = _UtilizationMeter(backend) if overlaps else None
         straggler_wait = 0.0
         deferred_eval: Optional[Tuple[int, List[float],
                                       Dict[int, float]]] = None
@@ -242,12 +258,17 @@ class SyncPipelinedLoop:
             trainer._context = context
             trainer.before_round(round_index, participants)
 
-            # The stream opens before dispatch so hierarchical dispatch can
-            # ship each edge aggregator its shard's globally normalised fold
-            # weights; begin_stream is effect-free, so flat rounds are
-            # untouched by the hoist.
-            weights = [samples[client.client_id] for client in participants]
-            fold = trainer.strategy.begin_stream(weights, context)
+            # Depth 1 folds uploads as they arrive; ``None`` (depth 0, or a
+            # strategy that cannot stream) gathers them for the
+            # ``trainer.aggregate`` hook.  The stream opens before dispatch
+            # so hierarchical dispatch can ship each edge aggregator its
+            # shard's globally normalised fold weights; begin_stream is
+            # effect-free, so flat rounds are untouched by the hoist.
+            fold = None
+            if overlaps:
+                fold = trainer.strategy.begin_stream(
+                    [samples[client.client_id] for client in participants],
+                    context)
             index_of = {client.client_id: position
                         for position, client in enumerate(participants)}
             fold_weights = None
@@ -257,9 +278,13 @@ class SyncPipelinedLoop:
                     client.client_id: float(normalized[position])
                     for position, client in enumerate(participants)}
 
-            pending = backend.dispatch_round(participants,
-                                             states=broadcast_states,
-                                             fold_weights=fold_weights)
+            # Depth 1 hands over the states the last broadcast returned;
+            # depth 0 lets dispatch read the mirrors — a hook may have
+            # written them since.
+            pending = backend.dispatch_round(
+                participants,
+                states=broadcast_states if overlaps else None,
+                fold_weights=fold_weights)
             deadline = None if config.round_timeout is None \
                 else time.monotonic() + config.round_timeout
 
@@ -321,10 +346,10 @@ class SyncPipelinedLoop:
             reported = [client for client in participants
                         if client.client_id not in pending.dropped]
 
-            # Logical upload accounting, identical to the lockstep loop
-            # (dropped clients never delivered an upload).  Hierarchical
-            # rounds already accounted one pre-aggregated partial per edge
-            # aggregator — O(workers) uplink instead of O(clients).
+            # Logical upload accounting (dropped clients never delivered an
+            # upload).  Hierarchical rounds already accounted one
+            # pre-aggregated partial per edge aggregator — O(workers) uplink
+            # instead of O(clients).
             if not hierarchical:
                 for client in reported:
                     size = sizes.get(client.client_id)
@@ -337,24 +362,32 @@ class SyncPipelinedLoop:
                 # Fully-degraded round: nothing to aggregate; the global
                 # model — and the previous broadcast — stand unchanged.
                 trainer.tracker.next_round()
-            elif fold is not None:
-                global_state = fold.seal()
-                trainer.server.commit(global_state)
-                broadcast_states = _broadcast(trainer, global_state)
             else:
-                states = [client.get_weights() for client in reported]
-                global_state = trainer.aggregate(
-                    states,
-                    [samples[client.client_id] for client in reported],
-                    reported)
+                if fold is not None:
+                    global_state = fold.seal()
+                    trainer.server.commit(global_state)
+                else:
+                    # The gathered states are the call's own arguments: they
+                    # are released before the next round trains, not held
+                    # beside the next gather.
+                    global_state = trainer.aggregate(
+                        [client.get_weights() for client in reported],
+                        [samples[client.client_id] for client in reported],
+                        reported)
                 broadcast_states = _broadcast(trainer, global_state)
             trainer.after_round(round_index, participants)
 
             if round_index % config.eval_every == 0 or round_index == rounds:
-                # Defer: the eval runs inside the *next* round's straggler
-                # window.
-                deferred_eval = (round_index, losses,
-                                 dict(pending.round_sec))
+                evaluation = (round_index, losses, dict(pending.round_sec))
+                if overlaps:
+                    # Defer: the eval runs inside the *next* round's
+                    # straggler window.
+                    deferred_eval = evaluation
+                else:
+                    # Depth 0 evaluates at once, per client, after the hook
+                    # and before the checkpoint: ``after_round`` may have
+                    # rewritten what the mirrors predict.
+                    self._eval(*evaluation, None)
             trainer._completed_rounds = round_index
             if config.checkpoint_every \
                     and round_index % config.checkpoint_every == 0:
@@ -369,22 +402,21 @@ class SyncPipelinedLoop:
 
         if deferred_eval is not None:  # final round has nothing to overlap
             self._eval(*deferred_eval, broadcast_states)
-        if getattr(backend, "flush_lagging", None) is not None \
-                and backend._lagging:
+        if backend.supports_pipelining:
+            # Stale replies of shards dropped at a deadline: drain them so
+            # the pool ends the run reply-balanced.
             backend.flush_lagging()
 
-        stats = meter.summary()
-        stats.update({
-            "round_mode": "sync",
-            "hierarchical": hierarchical,
-            "rounds": rounds,
-            "straggler_wait_sec": straggler_wait,
-            "fused_eval": self._fused_eval.family.model_type.__name__
-            if self._fused_eval else None,
-            "fault_stats": dict(backend.fault_stats),
-            "transport": _transport_summary(backend),
-        })
-        backend.last_pipeline_stats = stats
+        if meter is not None:
+            backend.last_pipeline_stats = {
+                **meter.summary(),
+                "round_mode": "sync",
+                "hierarchical": hierarchical,
+                "rounds": rounds,
+                "straggler_wait_sec": straggler_wait,
+                "fused_eval": self._fused_eval.family.model_type.__name__
+                if self._fused_eval else None,
+            }
 
 
 # ----------------------------------------------------------------------
@@ -591,8 +623,8 @@ class AsyncRoundLoop:
         for client in clients:
             client.set_weights(global_state)
 
-        stats = meter.summary()
-        stats.update({
+        backend.last_pipeline_stats = {
+            **meter.summary(),
             "round_mode": "async",
             "seals": seals,
             "async_buffer": self.buffer_size,
@@ -602,10 +634,7 @@ class AsyncRoundLoop:
             "mean_report_lag": lag_sum / max(1, total_merged + total_dropped),
             "max_report_lag": lag_max,
             "client_lag": dict(lag_by_client),
-            "fault_stats": dict(backend.fault_stats),
-            "transport": _transport_summary(backend),
-        })
-        backend.last_pipeline_stats = stats
+        }
 
     # ------------------------------------------------------------------
     def _seal(self, global_state, states, weights, participants,

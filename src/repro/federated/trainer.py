@@ -39,10 +39,11 @@ from repro.federated.engine import (
     engine_fields,
     make_aggregation,
     make_backend,
+    resolve_round_loop,
 )
 from repro.federated.server import Server
 from repro.graph import Graph
-from repro.metrics import TrainingHistory
+from repro.metrics import TrainingHistory, count_weighted_mean
 from repro.nn import Module
 
 #: stream key that separates participant selection from every other use of
@@ -254,70 +255,14 @@ class FederatedTrainer:
         return self.history
 
     def _run_rounds(self, rounds: int) -> None:
-        from repro.federated.engine.pipeline import resolve_round_loop
-
-        # The process pool gets a pipelined loop (streaming aggregation and
-        # eval overlapped with worker training; async when configured);
-        # everything else — and trainers overriding the round hooks — keeps
-        # the reference lockstep loop below.  Sync pipelining is an
+        # One synchronous loop for every backend (async when configured);
+        # whether it overlaps coordinator work with worker training is an
         # execution detail: histories are bitwise-identical either way.
-        loop = resolve_round_loop(self)
-        if loop is not None:
-            loop.run(rounds)
-            return
-        self._run_rounds_lockstep(rounds)
-
-    def _run_rounds_lockstep(self, rounds: int) -> None:
-        for round_index in range(self._completed_rounds + 1, rounds + 1):
-            participants = self._select_participants()
-            self.history.record_participants(
-                round_index, [client.client_id for client in participants])
-            self._context = AggregationContext(
-                round_index=round_index, participants=participants,
-                trainer=self)
-            self.before_round(round_index, participants)
-
-            losses = self.backend.run_local_training(participants)
-
-            states, weights = [], []
-            for client in participants:
-                state = client.get_weights()
-                states.append(state)
-                weights.append(client.num_samples)
-                self.tracker.record_upload(
-                    "model_parameters", sum(v.size for v in state.values()))
-
-            global_state = self.aggregate(states, weights, participants)
-
-            for client in self.clients:
-                personalized = self.personalize(client, global_state)
-                client.set_weights(personalized)
-                self.tracker.record_download(
-                    "model_parameters",
-                    sum(v.size for v in personalized.values()))
-            self.tracker.next_round()
-
-            self.after_round(round_index, participants)
-
-            if round_index % self.config.eval_every == 0 \
-                    or round_index == rounds:
-                # Shared with the pipelined loops: one recording path keeps
-                # the bitwise-parity guarantee a single point of truth.
-                from repro.federated.engine.pipeline import _record_eval
-
-                _record_eval(self, round_index, losses)
-            self._completed_rounds = round_index
-            self._maybe_checkpoint(round_index)
+        resolve_round_loop(self).run(rounds)
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
-    def _maybe_checkpoint(self, round_index: int) -> None:
-        """Write a checkpoint when the round hits the configured cadence."""
-        every = self.config.checkpoint_every
-        if every and round_index % every == 0:
-            self.save_checkpoint(round_index)
-
     def checkpoint_path(self, round_index: int) -> str:
         """Default on-disk location of a given round's checkpoint."""
         import os
@@ -383,8 +328,8 @@ class FederatedTrainer:
 
         ``path="latest"`` resolves to ``latest.ckpt`` in the configured
         ``checkpoint_dir`` (see :func:`resolve_checkpoint_path`).  The next
-        :meth:`run` continues from the checkpointed round — on the serial
-        and sync-pipeline paths bitwise-identically to the run that was
+        :meth:`run` continues from the checkpointed round — in sync mode,
+        on every backend, bitwise-identically to the run that was
         interrupted.
         """
         import pickle
@@ -434,18 +379,10 @@ class FederatedTrainer:
     # ------------------------------------------------------------------
     def evaluate(self, split: str = "test") -> float:
         """Test-node-weighted average accuracy across all clients."""
-        total_correct_weight = 0.0
-        total_nodes = 0
-        for client in self.clients:
-            mask = getattr(client.graph, f"{split}_mask")
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            total_correct_weight += client.evaluate(split) * count
-            total_nodes += count
-        if total_nodes == 0:
-            return 0.0
-        return total_correct_weight / total_nodes
+        # a client with an empty mask is not evaluated: no forward for it
+        return count_weighted_mean(
+            (client.evaluate(split), count) for client in self.clients
+            if (count := int(getattr(client.graph, f"{split}_mask").sum())))
 
     def client_reports(self, split: str = "test"):
         """Per-client accuracy breakdown (Fig. 2(d))."""

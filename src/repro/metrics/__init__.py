@@ -1,6 +1,11 @@
 """Evaluation metrics and training-history tracking."""
 
-from repro.metrics.classification import accuracy, masked_accuracy, macro_f1
+from repro.metrics.classification import (
+    accuracy,
+    count_weighted_mean,
+    macro_f1,
+    masked_accuracy,
+)
 from repro.metrics.history import TrainingHistory, ClientReport
 from repro.metrics.distribution import (
     client_label_distribution,
@@ -9,6 +14,7 @@ from repro.metrics.distribution import (
 
 __all__ = [
     "accuracy",
+    "count_weighted_mean",
     "masked_accuracy",
     "macro_f1",
     "TrainingHistory",

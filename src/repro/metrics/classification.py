@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,22 @@ def masked_accuracy(predictions: np.ndarray, labels: np.ndarray,
     if predictions.ndim == 2:
         predictions = predictions.argmax(axis=1)
     return accuracy(predictions[idx], np.asarray(labels)[idx])
+
+
+def count_weighted_mean(pairs: Iterable[Tuple[float, int]]) -> float:
+    """``Σ value·count / Σ count`` over ``(value, count)`` pairs, in order.
+
+    The accuracy-over-clients reduction every trainer reports: pairs are
+    accumulated in the order given (that float addition order is a parity
+    contract between the trainers), zero counts are skipped, and no pairs —
+    or only empty ones — give ``0.0``.
+    """
+    total, weight = 0.0, 0
+    for value, count in pairs:
+        if count:
+            total += value * count
+            weight += count
+    return total / weight if weight else 0.0
 
 
 def macro_f1(predictions: np.ndarray, labels: np.ndarray,

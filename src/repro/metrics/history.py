@@ -33,9 +33,9 @@ class TrainingHistory:
     client_lag: List[Dict[int, int]] = field(default_factory=list)
     #: per-client round wall-time (seconds the client's shard spent on its
     #: local epochs that round) at each recorded round — populated by the
-    #: pipelined sync loop, giving straggler profiles the same per-client
-    #: resolution :attr:`client_lag` gives async runs; empty dicts for the
-    #: lockstep/serial loops
+    #: sync loop on the process pool, giving straggler profiles the same
+    #: per-client resolution :attr:`client_lag` gives async runs; empty
+    #: dicts for the in-process backends and for async runs
     client_round_sec: List[Dict[int, float]] = field(default_factory=list)
     #: cumulative count of rounds each client was dropped from (shard
     #: timed out past ``round_timeout``, or lost with a crashed worker

@@ -172,7 +172,7 @@ class TestVerifyReply:
             lambda payload: sums.append(1) or real(payload))
         backend = backends.ProcessPoolBackend.__new__(
             backends.ProcessPoolBackend)
-        backend._transit = {}
+        backend._in_flight = {0: [[[], None, None, False]]}
         backend.fault_stats = {"retries": 0}
         backend._pool = self._Pool(resent)
         return backend, sums
@@ -325,6 +325,23 @@ class TestRoundTimeout:
         assert len(history.rounds) == 4
         assert np.isfinite(history.test_accuracy[-1])
 
+    def test_hook_overriding_trainer_keeps_the_deadline(self, four_clients,
+                                                        monkeypatch):
+        """Overriding a round hook changes the loop's depth, not its
+        body: the late shard is still dropped at the deadline."""
+        seen = []
+        monkeypatch.setattr(
+            FederatedGNN, "after_round",
+            lambda self, round_index, participants: seen.append(round_index))
+        plan = FaultPlan([FaultEvent(0, 2, "stall", duration=2.0)])
+        trainer, history = _run(four_clients, fault_plan=plan,
+                                round_timeout=0.6)
+        assert trainer.backend.fault_stats["timeouts"] >= 1
+        assert history.client_drops
+        assert seen == [1, 2, 3, 4]
+        assert all(history.client_round_sec)
+        assert trainer.backend.last_pipeline_stats is None   # depth 0
+
     def test_async_timeout_discards_stale_job(self, four_clients):
         plan = FaultPlan([FaultEvent(0, 2, "stall", duration=2.0)])
         trainer, history = _run(four_clients, round_mode="async",
@@ -363,7 +380,8 @@ class TestAsyncRecovery:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("backend", ["serial", "process_pool"])
+    @pytest.mark.parametrize("backend", ["serial", "batched",
+                                         "process_pool"])
     def test_resume_is_bitwise_identical(self, backend, four_clients,
                                          tmp_path):
         def run(rounds, **kwargs):

@@ -22,7 +22,7 @@ from repro.federated.engine import (
     encode_topk_delta,
     resolve_round_loop,
 )
-from repro.federated.engine.pipeline import AsyncRoundLoop, SyncPipelinedLoop
+from repro.federated.engine.pipeline import AsyncRoundLoop, SyncRoundLoop
 from repro.federated.server import (
     _SETTLE_EVERY as SETTLE_EVERY,
     DeterministicSum,
@@ -245,16 +245,39 @@ class TestSyncPipelined:
     def test_pipelined_loop_resolves_for_process_pool(self, community_clients):
         trainer = FederatedGNN(community_clients, "gcn", hidden=16,
                                config=_config())
-        assert isinstance(resolve_round_loop(trainer), SyncPipelinedLoop)
-        serial = FederatedGNN(community_clients, "gcn", hidden=16,
-                              config=_config("serial"))
-        assert resolve_round_loop(serial) is None
+        assert resolve_round_loop(trainer).overlaps
+        for backend in ("serial", "batched"):
+            in_process = FederatedGNN(community_clients, "gcn", hidden=16,
+                                      config=_config(backend))
+            loop = resolve_round_loop(in_process)
+            assert isinstance(loop, SyncRoundLoop) and not loop.overlaps
 
     def test_hook_overrides_fall_back_to_lockstep(self, community_clients):
         trainer = FederatedGNN(community_clients, "gcn", hidden=16,
                                config=_config())
         trainer.before_round = lambda round_index, participants: None
-        assert resolve_round_loop(trainer) is None
+        loop = resolve_round_loop(trainer)
+        assert isinstance(loop, SyncRoundLoop) and not loop.overlaps
+
+    def test_depth_zero_dispatch_reads_hook_written_mirrors(
+            self, community_clients, monkeypatch):
+        """A ``before_round`` hook may rewrite the mirrors after the
+        broadcast; the workers must train from what it wrote, not from the
+        states the last broadcast returned."""
+        def overwrite(self, round_index, participants):
+            if round_index == 2:
+                for client in self.clients:
+                    client.set_weights({
+                        key: value * 0.5
+                        for key, value in client.get_weights().items()})
+        monkeypatch.setattr(FederatedGNN, "before_round", overwrite)
+        _, serial_history = _run(community_clients, backend="serial",
+                                 rounds=4)
+        trainer, pooled_history = _run(community_clients, rounds=4,
+                                       intra_worker="serial")
+        assert not resolve_round_loop(trainer).overlaps
+        assert trainer.backend.last_pipeline_stats is None
+        _assert_bitwise_equal(serial_history, pooled_history)
 
     def test_invalid_round_mode_raises(self, community_clients):
         trainer = FederatedGNN(community_clients, "gcn", hidden=16,
