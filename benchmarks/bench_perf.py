@@ -286,59 +286,9 @@ def run_step1_backends(num_clients: int = 50, nodes_per_client: int = 40,
     report["models"] = run_step1_models(
         graphs, rounds=rounds, local_epochs=local_epochs, hidden=hidden,
         seed=seed)
-    # Array-backend arms (PR 8): the fastest execution backend (batched)
-    # under numpy vs jit kernels, bitwise parity enforced.
-    report["array_backend"] = run_step1_array_backends(
-        graphs, rounds=rounds, local_epochs=local_epochs, hidden=hidden,
-        model=model, seed=seed)
 
     record_json(output_name, report)
     return report
-
-
-def run_step1_array_backends(graphs, rounds: int = 10, local_epochs: int = 5,
-                             hidden: int = 32, model: str = "gcn",
-                             seed: int = 0, repeats: int = 3) -> Dict:
-    """Batched-engine rounds/sec under each array backend (numpy vs jit).
-
-    Same interleaved best-of-``repeats`` protocol as the backend suite.
-    The training history must be **bitwise identical** across arms — the
-    jit backend's default kernel set is parity-safe (numba CSR kernels
-    reproduce scipy's loop nest exactly; without numba the scipy fallbacks
-    serve) — so ``loss_bitwise_equal`` is a hard gate, not a tolerance.
-    ``numba_available`` is recorded so a fallback-regime number (jit ≈
-    numpy, the compiled kernels being the entire difference) is never
-    mistaken for a compiled-kernel result.
-    """
-    from repro.autograd import numba_available
-
-    section: Dict = {"numba_available": numba_available()}
-    best: Dict[str, float] = {}
-    losses: Dict[str, List[float]] = {}
-    accuracy: Dict[str, float] = {}
-    for _ in range(repeats):
-        for name in ("numpy", "jit"):
-            config = FederatedConfig(
-                rounds=rounds, local_epochs=local_epochs, seed=seed,
-                backend="batched", array_backend=name, eval_every=rounds)
-            trainer, history, rounds_per_sec = _timed_step1_run(
-                graphs, model, hidden, config)
-            best[name] = max(best.get(name, 0.0), rounds_per_sec)
-            losses[name] = history.loss
-            accuracy[name] = round(trainer.evaluate("test"), 4)
-    for name in ("numpy", "jit"):
-        section[name] = {
-            "rounds_per_sec": round(best[name], 3),
-            "sec_per_round": round(elapsed_per_round(best[name]), 4),
-            "test_accuracy": accuracy[name],
-        }
-        print(f"step1 batched/{name:6s} {best[name]:7.2f} rounds/s  "
-              f"acc {accuracy[name]:.3f}")
-    section["speedup_jit_vs_numpy"] = round(best["jit"] / best["numpy"], 2)
-    section["loss_bitwise_equal"] = bool(losses["numpy"] == losses["jit"])
-    assert section["loss_bitwise_equal"], \
-        "jit array backend diverged bitwise from the numpy reference"
-    return section
 
 
 def run_step1_models(graphs, models: Sequence[str] = ("gamlp", "gprgnn"),

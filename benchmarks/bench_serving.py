@@ -209,9 +209,7 @@ def run_serving_suite(*, smoke: bool = False,
                       array_backend: Optional[str] = None,
                       output_name: Optional[str] = None, seed: int = 0
                       ) -> Dict:
-    backends = [array_backend] if array_backend \
-        else [name for name in ("numpy", "jit")
-              if name in list_array_backends()]
+    backends = [array_backend] if array_backend else list_array_backends()
     if smoke:
         num_nodes, num_clients, rounds = 300, 3, 2
         max_batches = [1, 16]

@@ -1,9 +1,8 @@
 """Pytest entry point for the array-backend kernels bench (marker: bench).
 
 Skipped by tier-1 runs; enable with ``pytest --run-bench`` or
-``REPRO_RUN_BENCH=1``.  The CI backend-matrix job additionally runs
-``bench_kernels.py --smoke`` directly (with numba installed), so the
-compiled-kernel arm is exercised there; this wrapper keeps the harness
+``REPRO_RUN_BENCH=1``.  The CI tests job additionally runs
+``bench_kernels.py --smoke`` directly; this wrapper keeps the harness
 importable and the scatter-free sddmm-backward gate honest at pytest
 scale in every environment.
 """
@@ -22,18 +21,8 @@ def test_kernel_suite_smoke():
             "spmm_pattern_backward_dense", "dropout_mask",
             "apply_mask"} <= kernels
     for entry in entries:
-        assert entry["numpy_us"] > 0 and entry["jit_us"] > 0
+        assert entry["numpy_us"] > 0
     gates = evaluate_gates(entries)
-    # The reference (scatter-free) sddmm backward beats the frozen scatter
-    # with or without numba.
+    # The reference (scatter-free) sddmm backward beats the frozen scatter.
     assert gates["sddmm_backward"]["met"], gates
 
-
-@pytest.mark.bench
-def test_e2e_step2_parity_smoke():
-    from benchmarks.bench_kernels import run_e2e_section
-
-    section = run_e2e_section()
-    assert section["loss_bitwise_equal"] is True
-    assert section["numpy"]["step2_epochs_per_sec"] > 0
-    assert section["jit"]["step2_epochs_per_sec"] > 0

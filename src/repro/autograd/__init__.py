@@ -10,10 +10,11 @@ constant (exactly how GNN propagation matrices are used in the paper).
 Array math is routed through a backend dispatch layer
 (:mod:`repro.autograd.backend`): dense elementwise ops go through the
 backend's array-API namespace ``xp``, the sparse/fused hot paths through its
-kernel registry.  ``numpy`` is the default backend and the bitwise parity
-reference; ``jit`` swaps in numba-compiled CSR kernels where available.
-Select a backend per scope with :func:`use_backend`, per process with
-``REPRO_ARRAY_BACKEND``, or per tensor via ``Tensor(..., backend=...)``.
+kernel registry.  ``numpy`` is the one backend that ships — the default and
+the bitwise parity reference; others are registered by the caller
+(:func:`register_backend`).  Select a backend per scope with
+:func:`use_backend`, per process with ``REPRO_ARRAY_BACKEND``, or per tensor
+via ``Tensor(..., backend=...)``.
 """
 
 from repro.autograd.tensor import (
@@ -30,7 +31,6 @@ from repro.autograd.backend import (
     default_backend,
     get_backend,
     list_array_backends,
-    numba_available,
     register_backend,
     resolve_backend,
     set_default_backend,
@@ -49,7 +49,6 @@ __all__ = [
     "is_grad_enabled",
     "list_array_backends",
     "no_grad",
-    "numba_available",
     "register_backend",
     "resolve_backend",
     "set_default_backend",

@@ -4,21 +4,18 @@ Every array operation in :mod:`repro.autograd.tensor` routes through a
 namespace object ``xp`` (the Python array-API standard: numpy fulfils it
 directly), and every sparse/fused hot-path primitive in
 :mod:`repro.autograd.functional` routes through a per-backend *kernel
-registry*.  Two backends ship:
+registry*.  One backend ships:
 
 * ``numpy`` — the default and the bitwise parity reference: scipy sparse
   products, einsum row dots and a scatter-free sddmm backward that equals
   the defining ``np.add.at`` scatter bit for bit (see
   :mod:`repro.autograd.backend.numpy_backend` for the accumulation-order
   contract).
-* ``jit`` — numba-compiled CSR kernels (``prange`` over independent output
-  rows); without numba every kernel is the numpy reference.  See
-  :mod:`repro.autograd.backend.jit_backend` for the kernel-by-kernel parity
-  contract.
 
-Both share one identity-keyed structure cache (:func:`cached_structure`) for
-what a kernel derives from a fixed operator: its CSR transpose, the row of
-each stored element, the row pointers of an sddmm support.
+Every backend shares one identity-keyed structure cache
+(:func:`cached_structure`) for what a kernel derives from a fixed operator:
+its CSR transpose, the row of each stored element, the row pointers of an
+sddmm support.
 
 Registering a GPU backend (the CuPy seam)
 -----------------------------------------
@@ -369,21 +366,16 @@ def support_indptr(rows: np.ndarray, cols: np.ndarray, shape: tuple
 
 
 # ----------------------------------------------------------------------
-# Built-in backends
+# Built-in backend
 # ----------------------------------------------------------------------
 from repro.autograd.backend.numpy_backend import NumpyBackend  # noqa: E402
-from repro.autograd.backend.jit_backend import (  # noqa: E402
-    JitBackend,
-    numba_available,
-)
 
 register_backend(NumpyBackend())
-register_backend(JitBackend())
 
-if _DEFAULT_NAME not in _REGISTRY:  # pragma: no cover - env misuse guard
-    raise KeyError(
-        f"REPRO_ARRAY_BACKEND={_DEFAULT_NAME!r} is not a registered backend "
-        f"(registered: {sorted(_REGISTRY)})")
+try:  # env misuse guard: fail at import, in the registry's own words
+    default_backend()
+except KeyError as error:  # pragma: no cover - seen by a subprocess test
+    raise KeyError(f"{error.args[0]} — set by REPRO_ARRAY_BACKEND") from None
 
 __all__ = [
     "ArrayBackend",
@@ -394,7 +386,6 @@ __all__ = [
     "default_backend",
     "get_backend",
     "list_array_backends",
-    "numba_available",
     "pattern_rows",
     "register_backend",
     "resolve_backend",

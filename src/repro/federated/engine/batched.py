@@ -794,7 +794,7 @@ class BatchedBackend(ExecutionBackend):
         (GCFL+/FED-PUB groups) take one write per group.  Returning
         ``None`` guarantees the clients are coherent again (any overlapping
         hot plan has been flushed), so the caller's classic ``set_weights``
-        + train path is safe.
+        + train path is safe; the reason is left in :attr:`last_fallback`.
         """
         key = tuple(client.client_id for client in participants)
         if self._hot_key != key:
@@ -802,7 +802,9 @@ class BatchedBackend(ExecutionBackend):
         plan = self._plan_for(participants)
         if isinstance(plan, str):
             self.flush_hot()
+            self.last_fallback = plan
             return None
+        self.last_fallback = None
         plan.ensure_hot()
         self._hot_key = key
         groups = group_states_by_identity(

@@ -70,8 +70,9 @@ class EngineConfig:
         choices=_backend_names)
     array_backend: Optional[str] = _knob(
         None, "array backend for every client's local math (numpy = bitwise "
-        "reference, jit = numba CSR kernels; default: REPRO_ARRAY_BACKEND or "
-        "numpy)", choices=list_array_backends, env="REPRO_ARRAY_BACKEND")
+        "reference, plus any registered by the caller; default: "
+        "REPRO_ARRAY_BACKEND or numpy)", choices=list_array_backends,
+        env="REPRO_ARRAY_BACKEND")
     aggregation: Union[str, AggregationStrategy] = _knob(
         "fedavg", "server aggregation strategy (methods with a built-in "
         "strategy, e.g. fed-pub, keep theirs)", choices=list_aggregations)

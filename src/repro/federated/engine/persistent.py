@@ -311,9 +311,9 @@ def _train_shard(residents: Dict[int, object], intra_backend,
     ``intra_worker`` selects how the resident shard runs its local epochs:
     ``"serial"`` is the reference per-client loop; ``"auto"`` routes the
     shard through ``intra_backend``, the worker's long-lived
-    :class:`~repro.federated.engine.batched.BatchedBackend` (which itself
-    falls back to the serial loop whenever the shard cannot be fused, and
-    whose plan cache persists across rounds).
+    :class:`~repro.federated.engine.batched.BatchedBackend` (whose plan
+    cache persists across rounds); a shard it cannot fuse runs the same
+    per-client loop and reports ``mode = "serial (<reason>)"``.
 
     ``codec`` is ``(name, top_k, bits)`` and selects the upload transport:
     ``"bitdelta"`` ships the lossless bit-pattern delta; ``"topk"`` ships
@@ -364,6 +364,7 @@ def _train_shard(residents: Dict[int, object], intra_backend,
                 for client_id in client_ids}
 
     resident_plan = None
+    mode = "serial"
     if intra_worker != "serial" and len(shard) >= 2:
         # Resident fast path: the broadcast loads straight into the plan's
         # hot stacked tensors and the trained parameters read back as
@@ -372,6 +373,8 @@ def _train_shard(residents: Dict[int, object], intra_backend,
         if resident is not None:
             loss_list, resident_plan = resident
             mode = "batched"
+        else:
+            mode = f"serial ({intra_backend.last_fallback})"
 
     if resident_plan is None:
         if intra_backend is not None:
@@ -381,13 +384,7 @@ def _train_shard(residents: Dict[int, object], intra_backend,
             intra_backend.flush_hot()
         for client in shard:
             client.set_weights(received[client.client_id])
-        if intra_worker == "serial" or len(shard) < 2:
-            mode = "serial"
-            loss_list = [client.local_train() for client in shard]
-        else:
-            loss_list = intra_backend.run_local_training(shard)
-            mode = "batched" if intra_backend.last_fallback is None \
-                else f"serial ({intra_backend.last_fallback})"
+        loss_list = [client.local_train() for client in shard]
 
     lossy = codec[0] in ("topk", "qtopk")
     quant_bits = codec[2] if codec[0] == "qtopk" else None

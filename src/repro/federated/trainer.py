@@ -100,6 +100,50 @@ def resolve_checkpoint_path(spec: str,
     return spec
 
 
+def read_artifact(path: str, kind: str, version: int,
+                  required: Sequence[str]) -> Dict:
+    """Unpickle the ``kind`` file (``"checkpoint"`` / ``"snapshot"``) at
+    ``path``, or say what it is instead.
+
+    Both kinds are pickled dicts stamped ``format``; savers also stamp
+    ``kind`` (files written before they did carry none and are told apart
+    by the ``required`` top-level keys).  Anything else — a truncated file,
+    some other pickle, the other kind — is a ``ValueError`` naming the file,
+    what it was expected to be and what it looks like, raised here rather
+    than as a ``KeyError`` three layers into the restore.
+    """
+    import pickle
+
+    try:
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+    except (pickle.UnpicklingError, EOFError) as error:
+        raise ValueError(f"{path} is not a {kind}: truncated or not a "
+                         f"pickle ({error})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} is not a {kind}: it holds a "
+                         f"{type(payload).__name__}, not a dict")
+    found = payload.get("kind", kind)
+    if found != kind:
+        raise ValueError(f"{path} is not a {kind}: it is a {found}")
+    if payload.get("format") != version:
+        raise ValueError(f"unsupported {kind} format "
+                         f"{payload.get('format')!r} in {path}")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValueError(f"{path} is not a {kind}: no {missing} among its "
+                         f"keys {sorted(payload)}")
+    return payload
+
+
+def read_checkpoint(spec: str, checkpoint_dir: str) -> tuple:
+    """``(path, payload)`` of the checkpoint ``spec`` resolves to — what
+    trainer resume and serving-snapshot export both start from."""
+    path = resolve_checkpoint_path(spec, checkpoint_dir)
+    return path, read_artifact(path, "checkpoint", 1,
+                               ("clients", "server", "round"))
+
+
 @dataclass
 class FederatedConfig(EngineConfig):
     """Hyperparameters of federated collaborative training.
@@ -293,6 +337,7 @@ class FederatedTrainer:
             else int(round_index)
         self.backend.sync_for_checkpoint()
         payload = {
+            "kind": "checkpoint",
             "format": 1,
             "trainer": self.name,
             "round": round_index,
@@ -332,17 +377,9 @@ class FederatedTrainer:
         on every backend, bitwise-identically to the run that was
         interrupted.
         """
-        import pickle
-
         from repro.federated.engine.backends import restore_client_state
 
-        path = resolve_checkpoint_path(path, self.config.checkpoint_dir)
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        version = payload.get("format")
-        if version != 1:
-            raise ValueError(
-                f"unsupported checkpoint format {version!r} in {path}")
+        path, payload = read_checkpoint(path, self.config.checkpoint_dir)
         snapshots = payload["clients"]
         known = {client.client_id for client in self.clients}
         if set(snapshots) != known:

@@ -22,8 +22,8 @@ Routing happens at admission:
 Extracted blocks are structure-only and cached in a deterministic LRU keyed
 by ``(client_id, anchors)``; a block's normalised operator is built once and
 lives as long as the block (:func:`~repro.models.base.propagation_operator`).
-The ``array_backend`` knob (numpy / jit) selects the kernel set every
-forward runs under.
+The ``array_backend`` knob (``numpy``, or a backend the caller registered)
+selects the kernel set every forward runs under.
 """
 
 from __future__ import annotations

@@ -246,15 +246,9 @@ class ServingSnapshot:
         """
         from repro.autograd import use_backend
         from repro.federated.client import Client
-        from repro.federated.trainer import resolve_checkpoint_path
+        from repro.federated.trainer import read_checkpoint
 
-        resolved = resolve_checkpoint_path(path, checkpoint_dir)
-        with open(resolved, "rb") as handle:
-            payload = pickle.load(handle)
-        version = payload.get("format")
-        if version != 1:
-            raise ValueError(
-                f"unsupported checkpoint format {version!r} in {resolved}")
+        resolved, payload = read_checkpoint(path, checkpoint_dir)
         with use_backend(array_backend):
             clients = [Client(index, graph, model_factory(graph), lr=lr,
                               weight_decay=weight_decay,
@@ -279,6 +273,7 @@ class ServingSnapshot:
     def save(self, path: str) -> str:
         """Atomically pickle the snapshot; returns ``path``."""
         payload = {
+            "kind": "snapshot",
             "format": self.format,
             "entries": [ClientEntry(client_id=entry.client_id,
                                     graph=entry.graph, state=entry.state,
@@ -301,12 +296,12 @@ class ServingSnapshot:
 
     @classmethod
     def load(cls, path: str) -> "ServingSnapshot":
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        version = payload.get("format")
-        if version != SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"unsupported snapshot format {version!r} in {path}")
+        from repro.federated.trainer import read_artifact
+
+        payload = read_artifact(
+            path, "snapshot", SNAPSHOT_FORMAT,
+            ("entries", "global_state", "source", "round", "model_family",
+             "array_backend"))
         for entry in payload["entries"]:
             if entry.model is not None:
                 _reset_model_caches(entry.model)

@@ -227,6 +227,39 @@ class TestResidency:
         _assert_history_equal(serial_history, pooled_history,
                               exact=intra_worker == "serial")
 
+    def test_unfusable_shard_is_the_serial_loop(self, community_clients):
+        """A resident shard the batched engine refuses runs the per-client
+        loop itself — bitwise ``intra_worker="serial"`` — and says why."""
+        import copy
+
+        from repro.autograd import Workspace
+        from repro.federated.engine.batched import BatchedBackend
+        from repro.federated.engine.persistent import _train_shard
+
+        replies = {}
+        for intra_worker in ("auto", "serial"):
+            trainer = FederatedGNN(copy.deepcopy(community_clients), "gcn",
+                                   hidden=16, config=_config("serial"))
+            trainer.clients[1].local_epochs += 1    # no shared plan
+            residents = {c.client_id: c for c in trainer.clients}
+            ids = sorted(residents)
+            assert len(ids) >= 2
+            state = trainer.clients[0].get_weights()
+            backend = BatchedBackend()
+            replies[intra_worker] = [
+                _train_shard(residents, backend, {}, Workspace(), ids,
+                             [state], {cid: 0 for cid in ids}, intra_worker)
+                for _ in range(2)]
+        for auto, serial in zip(replies["auto"], replies["serial"]):
+            assert auto[2]["mode"] == \
+                "serial (participants are not architecture-homogeneous)"
+            assert serial[2]["mode"] == "serial"
+            assert auto[0] == serial[0]
+            assert auto[1].keys() == serial[1].keys()
+            for cid, delta in auto[1].items():
+                for name, bits in delta.items():
+                    assert bits.tobytes() == serial[1][cid][name].tobytes()
+
     def test_batched_alias_is_refused(self, community_clients):
         """``batched`` was ``auto`` under a second name; it is not a value."""
         with pytest.raises(ValueError, match="intra_worker must be one of "

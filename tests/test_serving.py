@@ -126,6 +126,69 @@ def test_snapshot_from_checkpoint_matches_live(tmp_path, community_clients):
                                   value)
 
 
+class TestArtefactOfTheWrongKind:
+    """A file that is not what the reader expects is a ``ValueError`` naming
+    the file, what was expected and what it is — at the read, not a
+    ``KeyError`` three layers into the restore."""
+
+    @staticmethod
+    def _checkpoint(trained_trainer, tmp_path):
+        return trained_trainer.save_checkpoint(
+            path=os.path.join(tmp_path, "round.ckpt"))
+
+    def test_snapshot_load_refuses_a_checkpoint(self, tmp_path,
+                                                trained_trainer):
+        path = self._checkpoint(trained_trainer, tmp_path)
+        with pytest.raises(ValueError, match="round.ckpt is not a snapshot: "
+                                             "it is a checkpoint"):
+            ServingSnapshot.load(path)
+
+    def test_checkpoint_readers_refuse_a_snapshot(self, tmp_path, snapshot,
+                                                  trained_trainer,
+                                                  community_clients):
+        path = snapshot.save(os.path.join(tmp_path, "snap.pkl"))
+        match = "snap.pkl is not a checkpoint: it is a snapshot"
+        with pytest.raises(ValueError, match=match):
+            trained_trainer.load_checkpoint(path)
+        with pytest.raises(ValueError, match=match):
+            ServingSnapshot.from_checkpoint(
+                path, community_clients, make_model_factory("gcn", hidden=16))
+
+    def test_truncated_and_unstamped_files(self, tmp_path,
+                                           trained_trainer,
+                                           community_clients):
+        import pickle
+
+        path = self._checkpoint(trained_trainer, tmp_path)
+        with open(path, "rb") as handle:
+            whole = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(whole[:len(whole) // 2])
+        with pytest.raises(ValueError, match="round.ckpt is not a checkpoint:"
+                                             " truncated or not a pickle"):
+            trained_trainer.load_checkpoint(path)
+        with pytest.raises(ValueError, match="is not a snapshot: truncated"):
+            ServingSnapshot.load(path)
+        # Files from before savers stamped ``kind`` are told apart by keys —
+        # and still load as what they are.
+        payload = pickle.loads(whole)
+        del payload["kind"]
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        with pytest.raises(ValueError, match=r"is not a snapshot: no "
+                                             r"\['entries'.*'clients'"):
+            ServingSnapshot.load(path)
+        fresh = build_baseline(
+            "fedgcn", community_clients,
+            config=FederatedConfig(rounds=2, local_epochs=1, seed=0),
+            hidden=16)
+        assert fresh.load_checkpoint(path) == payload["round"] == 2
+        with open(path, "wb") as handle:
+            pickle.dump([1, 2, 3], handle)
+        with pytest.raises(ValueError, match="it holds a list, not a dict"):
+            trained_trainer.load_checkpoint(path)
+
+
 def test_snapshot_hop_blocks_are_exact(snapshot):
     entry = snapshot.entries[0]
     operator = prepare_propagation(entry.graph.adjacency)
