@@ -142,9 +142,10 @@ def run_scale_curve(client_counts: Sequence[int] = (1_000, 10_000, 100_000),
             store = ClientStore.open(path)
             participation = min(1.0, cohort / num_clients)
             trainer = StoreFederatedTrainer(
-                store, rounds=rounds, local_epochs=local_epochs,
-                participation=participation, seed=seed,
-                num_workers=num_workers, eval_every=rounds,
+                store, FederatedConfig(
+                    rounds=rounds, local_epochs=local_epochs,
+                    participation=participation, seed=seed,
+                    num_workers=num_workers, eval_every=rounds),
                 eval_sample=eval_sample)
             start = time.perf_counter()
             history = trainer.run()
@@ -212,10 +213,9 @@ def run_parity(num_clients: int = 8, rounds: int = 3, local_epochs: int = 2,
     try:
         store = ClientStore.create(
             str(root / "parity"), (graph for graph in graphs), _spec())
-        trainer = StoreFederatedTrainer(store, rounds=rounds,
-                                        local_epochs=local_epochs,
-                                        seed=SPEC_SEED,
-                                        num_workers=num_workers)
+        trainer = StoreFederatedTrainer(store, FederatedConfig(
+            rounds=rounds, local_epochs=local_epochs, seed=SPEC_SEED,
+            num_workers=num_workers))
         store_history = trainer.run()
         trainer.close()
     finally:

@@ -53,10 +53,9 @@ def bench_nodes() -> int:
 
 
 def settings(**overrides) -> ExperimentSettings:
-    base = ExperimentSettings()
-    for key, value in overrides.items():
-        setattr(base, key, value)
-    return base
+    # Keywords, not setattr: an option no config class declares is a
+    # TypeError here instead of an attribute nobody reads.
+    return ExperimentSettings(**overrides)
 
 
 def load_bench_dataset(name: str, seed: int = 0):

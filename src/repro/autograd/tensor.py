@@ -142,15 +142,6 @@ def _matmul_into_scratch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=scratch(batch + (a.shape[-2], b.shape[-1])))
 
 
-def _as_array(value: ArrayLike) -> np.ndarray:
-    """Host float64 coercion (kept for callers outside the dispatch layer)."""
-    if isinstance(value, np.ndarray):
-        if value.dtype != np.float64:
-            return value.astype(np.float64)
-        return value
-    return np.asarray(value, dtype=np.float64)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
     if grad.shape == shape:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -16,7 +16,7 @@ from repro.core.knowledge import (
 from repro.core.modules import AdaFGLClientModel
 from repro.core.propagation import PropagationCache
 from repro.federated import FederatedConfig, ProcessPoolBackend
-from repro.federated.engine import EngineConfig, engine_fields
+from repro.federated.engine.config import project
 from repro.graph import Graph, edge_homophily
 from repro.graph.normalize import normalize_adjacency
 from repro.metrics import (
@@ -29,12 +29,13 @@ from repro.optim import Adam, clip_grad_norm
 
 
 @dataclass
-class AdaFGLConfig(EngineConfig):
-    """All hyperparameters of the two-step AdaFGL paradigm.
+class AdaFGLConfig(FederatedConfig):
+    """The hyperparameters the two-step AdaFGL paradigm adds.
 
-    How Step 1's federated rounds (and the worker pool Step 2 shares with
-    them) execute is the inherited
-    :class:`~repro.federated.engine.EngineConfig`.
+    Step 1 is federated collaborative training, so what it trains with and
+    how its rounds (and the worker pool Step 2 shares with them) execute is
+    the inherited :class:`~repro.federated.FederatedConfig`;
+    ``weight_decay`` and ``seed`` also apply to Step 2.
 
     The ``use_*`` switches correspond to the ablation components of
     Tables VI and VII:
@@ -48,14 +49,9 @@ class AdaFGLConfig(EngineConfig):
       0.5/0.5 mixture when disabled).
     """
 
-    # Step 1: federated collaborative training.
-    rounds: int = 20
-    local_epochs: int = 3
-    lr: float = 0.01
-    weight_decay: float = 5e-4
+    # Step 1: the knowledge extractor.
     hidden: int = 64
     extractor_model: str = "gcn"
-    participation: float = 1.0
 
     # Step 2: personalized propagation.
     personalized_epochs: int = 30
@@ -94,14 +90,8 @@ class AdaFGLConfig(EngineConfig):
     use_local_topology: bool = True
     use_hcs: bool = True
 
-    seed: int = 0
-
     def federated_config(self) -> FederatedConfig:
-        return FederatedConfig(
-            **engine_fields(self), rounds=self.rounds,
-            local_epochs=self.local_epochs, lr=self.lr,
-            weight_decay=self.weight_decay, participation=self.participation,
-            seed=self.seed)
+        return project(FederatedConfig, self)
 
 
 #: fallback sparsity when neither the config nor the dataset registry pins one

@@ -10,42 +10,40 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import AdaFGL, AdaFGLConfig
 from repro.datasets import load_dataset
-from repro.federated import FederatedConfig
-from repro.federated.engine import EngineConfig, engine_fields
+from repro.federated.engine.config import env_default, project
 from repro.fgl import build_baseline, list_baselines
 from repro.graph import Graph
 from repro.metrics import TrainingHistory
 from repro.simulation import community_split, structure_noniid_split
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
 def _env_knob_defaults(cls):
-    """``REPRO_*`` variables replace the defaults of the knobs declaring one.
+    """``REPRO_*`` variables replace the defaults of the fields declaring one.
 
-    The inherited knobs are declared once, in :class:`EngineConfig`, so
-    their defaults cannot be re-declared with an environment-reading factory
-    like the scale fields below; a knob the caller passes always wins.
+    Every field of the chain is declared once, in the class that owns it,
+    with the variable as ``env`` metadata, so the default cannot be
+    re-declared here with an environment-reading factory; a value the caller
+    passes always wins, and a variable that does not parse is ignored.
     """
     init = cls.__init__
 
     @functools.wraps(init)
     def __init__(self, *args, **kwargs):
-        for knob in fields(EngineConfig):
-            env = knob.metadata["env"]
+        for knob in fields(cls):
+            env = knob.metadata.get("env")
             if env and env in os.environ and knob.name not in kwargs:
-                kwargs[knob.name] = _env_int(env, knob.default) \
-                    if isinstance(knob.default, int) else os.environ[env]
+                value = os.environ[env]
+                if isinstance(knob.default, int):
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        continue
+                kwargs[knob.name] = value
         init(self, *args, **kwargs)
 
     cls.__init__ = __init__
@@ -54,47 +52,28 @@ def _env_knob_defaults(cls):
 
 @_env_knob_defaults
 @dataclass
-class ExperimentSettings(EngineConfig):
-    """Scale knobs shared by every experiment.
+class ExperimentSettings(AdaFGLConfig):
+    """The scale every experiment runs at: one config for every method.
 
-    The inherited :class:`~repro.federated.engine.EngineConfig` knobs select
-    the federation engine plug-ins for Step-1 training and every FGL
-    baseline; they are forwarded whole into both :meth:`federated_config`
-    and :meth:`adafgl_config`.  ``REPRO_WORKERS`` / ``REPRO_TRANSPORT`` /
-    ``REPRO_ARRAY_BACKEND`` replace the defaults of ``num_workers`` /
-    ``transport`` / ``array_backend``.
+    Everything is inherited — :meth:`federated_config` (the FGL baselines)
+    and :meth:`adafgl_config` are projections of this object — except the
+    client count, three defaults the paper-table runs use instead of the
+    library's, and the defaults ``REPRO_ROUNDS`` / ``REPRO_EPOCHS`` /
+    ``REPRO_CLIENTS`` / ``REPRO_PERSONALIZED_EPOCHS`` / ``REPRO_WORKERS`` /
+    ``REPRO_TRANSPORT`` / ``REPRO_ARRAY_BACKEND`` replace.
     """
 
-    num_clients: int = field(default_factory=lambda: _env_int("REPRO_CLIENTS", 5))
-    rounds: int = field(default_factory=lambda: _env_int("REPRO_ROUNDS", 20))
-    local_epochs: int = field(default_factory=lambda: _env_int("REPRO_EPOCHS", 3))
-    personalized_epochs: int = field(
-        default_factory=lambda: _env_int("REPRO_PERSONALIZED_EPOCHS", 60))
+    num_clients: int = env_default(5, "REPRO_CLIENTS")
     hidden: int = 32
-    lr: float = 0.01
-    participation: float = 1.0
-    seed: int = 0
-
-    def federated_config(self) -> FederatedConfig:
-        return FederatedConfig(**engine_fields(self), rounds=self.rounds,
-                               local_epochs=self.local_epochs, lr=self.lr,
-                               participation=self.participation,
-                               seed=self.seed)
+    personalized_epochs: int = env_default(60, "REPRO_PERSONALIZED_EPOCHS")
+    # ``sparse_propagation=True`` is the experiment-runner default since
+    # the dense-vs-sparse parity gate landed (``top_k=None`` sparse is
+    # numerically identical to dense; the default top-k is an accuracy-
+    # preserving approximation tracked by benchmarks/bench_perf.py).
+    sparse_propagation: bool = True
 
     def adafgl_config(self, **overrides) -> AdaFGLConfig:
-        # ``sparse_propagation=True`` is the experiment-runner default since
-        # the dense-vs-sparse parity gate landed (``top_k=None`` sparse is
-        # numerically identical to dense; the default top-k is an accuracy-
-        # preserving approximation tracked by benchmarks/bench_perf.py).
-        config = AdaFGLConfig(**engine_fields(self), rounds=self.rounds,
-                              local_epochs=self.local_epochs, lr=self.lr,
-                              hidden=self.hidden,
-                              personalized_epochs=self.personalized_epochs,
-                              participation=self.participation,
-                              seed=self.seed, sparse_propagation=True)
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
+        return replace(project(AdaFGLConfig, self), **overrides)
 
 
 def prepare_clients(dataset: str, split: str, settings: ExperimentSettings,

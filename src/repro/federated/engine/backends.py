@@ -328,27 +328,15 @@ class ProcessPoolBackend(ExecutionBackend):
         # ones that shape the round loop rather than the pool are ignored
         # here).  Their value domains, and the combinations the pool cannot
         # run, are checked in one place.
-        config = EngineConfig(num_workers=num_workers or 0,
-                              **knobs).validate()
+        #: the validated knobs; read where they apply (``transport`` /
+        #: ``transport_options`` when a pool is spawned, the codec, shard
+        #: mode, fault plan and crash policy on every dispatch)
+        self.config = EngineConfig(num_workers=num_workers or 0,
+                                   **knobs).validate()
         self.num_workers = num_workers
         #: edge-aggregation mode: workers fold their shard's trained states
         #: locally and ship one (weighted-sum, weight) partial per shard
-        self.hierarchical = bool(config.hierarchical)
-        self.intra_worker = config.intra_worker
-        self.delta_codec = config.delta_codec
-        self.delta_top_k = config.delta_top_k
-        self.delta_bits = int(config.delta_bits)
-        self.worker_speeds = None if config.worker_speeds is None \
-            else [float(speed) for speed in config.worker_speeds]
-        self.on_worker_failure = config.on_worker_failure
-        self.round_timeout = config.round_timeout
-        self.fault_plan = config.fault_plan
-        #: transport selection for the worker channels ("pipe" or "tcp");
-        #: options are forwarded to the transport factory (TCP knobs, WAN
-        #: model spec) — see :func:`~repro.federated.engine.transport
-        #: .make_transport`
-        self.transport_name = config.transport
-        self.transport_options = dict(config.transport_options or {})
+        self.hierarchical = bool(self.config.hierarchical)
         #: counters of every supervised failure/recovery event this backend
         #: has seen (crashes, restarts, redistributed clients, timed-out
         #: shards, corrupted-payload retries, dropped client reports)
@@ -385,9 +373,8 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def worker_speed(self, worker: int) -> float:
         """Simulated relative speed of a worker (1.0 = full speed)."""
-        if not self.worker_speeds:
-            return 1.0
-        return self.worker_speeds[worker % len(self.worker_speeds)]
+        speeds = self.config.worker_speeds
+        return float(speeds[worker % len(speeds)]) if speeds else 1.0
 
     # ------------------------------------------------------------------
     def _worker_count(self) -> int:
@@ -398,8 +385,8 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._pool is None or self._pool.closed:
             self._pool = PersistentWorkerPool(
                 self._worker_count(),
-                transport=make_transport(self.transport_name,
-                                         self.transport_options))
+                transport=make_transport(self.config.transport,
+                                         self.config.transport_options))
             self._owner.clear()
             self._local.clear()
             self._recovery.clear()
@@ -458,7 +445,7 @@ class ProcessPoolBackend(ExecutionBackend):
             worker = self._assign_worker(cid)
             batches.setdefault(worker, []).append((cid, blob))
             self._owner[cid] = worker
-            if self.on_worker_failure != "fail":
+            if self.config.on_worker_failure != "fail":
                 # Baseline recovery snapshot: the worker-owned state (moments
                 # + RNG streams) the client ships out with, so a crash before
                 # its first train reply can still re-bootstrap it exactly.
@@ -639,22 +626,21 @@ class ProcessPoolBackend(ExecutionBackend):
         fault = None
         transit: List = []
         corrupt_down = False
-        if self.fault_plan is not None:
-            worker_events = self.fault_plan.take(worker, dispatch_no,
-                                                 WORKER_KINDS)
+        config, plan = self.config, self.config.fault_plan
+        if plan is not None:
+            worker_events = plan.take(worker, dispatch_no, WORKER_KINDS)
             if worker_events:
                 event = worker_events[0]
                 fault = {"kind": event.kind, "duration": event.duration}
-            transit = self.fault_plan.take(worker, dispatch_no,
-                                           TRANSPORT_KINDS)
-            corrupt_down = bool(self.fault_plan.take(worker, dispatch_no,
-                                                     DOWNLINK_KINDS))
-            for event in self.fault_plan.take(worker, dispatch_no,
-                                              NETWORK_KINDS):
+            transit = plan.take(worker, dispatch_no, TRANSPORT_KINDS)
+            corrupt_down = bool(plan.take(worker, dispatch_no,
+                                          DOWNLINK_KINDS))
+            for event in plan.take(worker, dispatch_no, NETWORK_KINDS):
                 self._pool.inject_network_fault(worker, event.kind,
                                                 event.duration)
                 self.fault_stats["network_faults"] += 1
-        codec = (self.delta_codec, self.delta_top_k, self.delta_bits)
+        codec = (config.delta_codec, config.delta_top_k,
+                 int(config.delta_bits))
         slowdown = max(1.0, 1.0 / self.worker_speed(worker))
         fold = None
         if pending.fold_weights is not None:
@@ -665,9 +651,9 @@ class ProcessPoolBackend(ExecutionBackend):
         # pipe) or where this reply is scheduled to be damaged after the
         # channel delivered it.
         stamp = bool(transit) or not self._pool.transport.verifies_frames
-        args = (list(ids), unique, assign, self.intra_worker,
+        args = (list(ids), unique, assign, config.intra_worker,
                 codec, slowdown, fault,
-                self.on_worker_failure != "fail", fold, stamp)
+                config.on_worker_failure != "fail", fold, stamp)
         crc = payload_checksum(args)
         shipped = args
         if corrupt_down:
@@ -882,7 +868,7 @@ class ProcessPoolBackend(ExecutionBackend):
         :meth:`collect_worker` / :meth:`poll_lagging` before the next reply.
         """
         self.fault_stats["crashes"] += 1
-        if self.on_worker_failure == "fail":
+        if self.config.on_worker_failure == "fail":
             raise error
         pool = self._pool
         lost_shards: List[List[int]] = []
@@ -902,7 +888,7 @@ class ProcessPoolBackend(ExecutionBackend):
             mirrors.update(pending.mirrors)
         for cid in lost_residents:
             del self._owner[cid]
-        if self.on_worker_failure == "restart":
+        if self.config.on_worker_failure == "restart":
             pool.respawn(worker)
             self.fault_stats["restarts"] += 1
         else:  # redistribute

@@ -52,6 +52,8 @@ import scipy.sparse as sp
 
 from repro.federated.client import Client
 from repro.federated.communication import CommunicationTracker
+from repro.federated.engine.config import check_composition
+from repro.federated.engine.transport import make_transport
 from repro.federated.server import DeterministicSum
 from repro.graph import Graph
 from repro.metrics import TrainingHistory, count_weighted_mean
@@ -431,40 +433,34 @@ class StoreFederatedTrainer:
     every ``Client`` resident; this trainer keeps only the store mapping.
     Each round it draws participants from the dedicated subsampling stream,
     ships shards of **ids** (not clients) to the persistent workers, and
-    merges one fixed-point edge aggregate per shard.  With ``num_workers=0``
-    the same shard functions run in-process (the serial reference used by
-    the parity tests).
+    merges one fixed-point edge aggregate per shard.  ``config`` is a
+    :class:`~repro.federated.FederatedConfig`: its training fields,
+    ``num_workers`` and ``transport`` / ``transport_options`` are served, an
+    engine knob a store round would have to ignore is refused.  With
+    ``num_workers=0`` the same shard functions run in-process (the serial
+    reference used by the parity tests).
 
     Histories are value-identical to flat FedAvg over resident clients with
     the same spec, seed and participation — the parity contract
     ``tests/test_scale.py`` pins at small N with ``loss_gap == 0.0``.
     """
 
-    def __init__(self, store: ClientStore, rounds: int = 10,
-                 local_epochs: int = 3, lr: float = 0.01,
-                 weight_decay: float = 5e-4, participation: float = 1.0,
-                 seed: int = 0, num_workers: int = 0, eval_every: int = 1,
+    def __init__(self, store: ClientStore, config=None, *,
                  eval_sample: Optional[int] = None):
-        from repro.federated.trainer import participation_rng
+        from repro.federated.trainer import FederatedConfig, participation_rng
 
-        if not 0.0 < participation <= 1.0:
-            raise ValueError("participation must be in (0, 1]")
+        self.config = config or FederatedConfig()
+        # Before a pool exists: a store round serves the training fields,
+        # ``num_workers`` and the transport; the rest is refused, not ignored.
+        check_composition(self.config, store=store)
         self.store = store
-        self.rounds = int(rounds)
-        self.local_epochs = int(local_epochs)
-        self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
-        self.participation = float(participation)
-        self.seed = int(seed)
-        self.num_workers = int(num_workers)
-        self.eval_every = int(eval_every)
         self.eval_sample = eval_sample
         self.history = TrainingHistory()
         self.tracker = CommunicationTracker()
         self.global_state: Optional[Dict[str, np.ndarray]] = None
-        self._participation_rng = participation_rng(self.seed)
+        self._participation_rng = participation_rng(self.config.seed)
         self._eval_rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 0x45564C]))
+            np.random.SeedSequence([self.config.seed, 0x45564C]))
         self._pool = None
         #: in-process (num_workers=0) stand-in for a worker's registry
         self._local_residents: Dict = {}
@@ -473,8 +469,10 @@ class StoreFederatedTrainer:
     def _ensure_pool(self):
         from repro.federated.engine.persistent import PersistentWorkerPool
 
-        if self.num_workers >= 1 and self._pool is None:
-            self._pool = PersistentWorkerPool(self.num_workers)
+        if self.config.num_workers >= 1 and self._pool is None:
+            self._pool = PersistentWorkerPool(
+                self.config.num_workers, transport=make_transport(
+                    self.config.transport, self.config.transport_options))
         return self._pool
 
     def close(self) -> None:
@@ -483,7 +481,7 @@ class StoreFederatedTrainer:
             self._pool = None
 
     def _shards(self, cids: Sequence[int]) -> Dict[int, List[int]]:
-        workers = max(1, self.num_workers)
+        workers = max(1, self.config.num_workers)
         shards: Dict[int, List[int]] = {}
         for cid in cids:
             shards.setdefault(int(cid) % workers, []).append(int(cid))
@@ -503,7 +501,7 @@ class StoreFederatedTrainer:
     # ------------------------------------------------------------------
     def run(self) -> TrainingHistory:
         try:
-            for round_index in range(1, self.rounds + 1):
+            for round_index in range(1, self.config.rounds + 1):
                 self._run_round(round_index)
         finally:
             self.close()
@@ -513,9 +511,10 @@ class StoreFederatedTrainer:
     def _run_round(self, round_index: int) -> None:
         from repro.federated.trainer import select_participant_ids
 
+        config = self.config
         participants = select_participant_ids(
             self._participation_rng, self.store.num_clients,
-            self.participation)
+            config.participation)
         self.history.record_participants(round_index, participants)
         # Exact same normalization StreamingAggregate applies for flat
         # FedAvg — the parity contract needs the identical coefficients.
@@ -527,8 +526,8 @@ class StoreFederatedTrainer:
 
         shards = self._shards(participants)
         args = {worker: (self.store.path, ids, self.global_state,
-                         {cid: fold_weights[cid] for cid in ids}, self.lr,
-                         self.weight_decay, self.local_epochs)
+                         {cid: fold_weights[cid] for cid in ids}, config.lr,
+                         config.weight_decay, config.local_epochs)
                 for worker, ids in shards.items()}
         acc = DeterministicSum()
         losses: Dict[int, float] = {}
@@ -548,7 +547,8 @@ class StoreFederatedTrainer:
         self.global_state = acc.value()
         self.tracker.next_round()
 
-        if round_index % self.eval_every == 0 or round_index == self.rounds:
+        if round_index % config.eval_every == 0 \
+                or round_index == config.rounds:
             loss = float(np.mean([losses[cid] for cid in participants]))
             train_acc, test_acc, per_client = self._evaluate()
             self.history.record(round_index, train_acc, test_acc, loss,

@@ -4,11 +4,12 @@
 execute: name, default and — as field metadata — CLI help, allowed values,
 flag name and the environment variable the experiment runner reads.
 ``FederatedConfig``, ``AdaFGLConfig`` and ``ExperimentSettings`` inherit it,
-the CLI flags are generated from it and :func:`engine_fields` is the one
-expansion that carries the knobs from one config into another or into a
-backend factory, so a new knob is one field here.  :meth:`EngineConfig
-.validate` checks value domains; :data:`COMPOSITION_RULES` is the one ordered
-table of knob combinations the engine refuses (:func:`check_composition`).
+the CLI flags are generated from it, :func:`engine_fields` is the one
+expansion that carries the knobs into a backend factory and :func:`project`
+the one copy from a config of the chain into a class further up it, so a new
+knob is one field here.  :meth:`EngineConfig.validate` checks value domains;
+:data:`COMPOSITION_RULES` is the one ordered table of knob combinations the
+engine refuses (:func:`check_composition`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _knob(default, help: str, *, choices=None, flag: Optional[str] = "",
     return field(default=default, metadata={
         "help": help, "choices": choices, "flag": flag, "env": env,
         "parse": parse})
+
+
+def env_default(default, env: str):
+    """A training field (no flag generated) ``ExperimentSettings`` reads the
+    default of from the variable ``env``."""
+    return field(default=default, metadata={"env": env})
 
 
 @dataclass(kw_only=True)
@@ -184,6 +191,13 @@ def engine_fields(config: EngineConfig) -> Dict[str, object]:
     return {name: getattr(config, name) for name in _KNOBS}
 
 
+def project(cls, source):
+    """``source`` narrowed to ``cls``, a config class it inherits from: every
+    field of ``cls`` copied by name (shallow)."""
+    return cls(**{knob.name: getattr(source, knob.name)
+                  for knob in fields(cls)})
+
+
 def cli_flag(knob: Field) -> Optional[str]:
     """The knob's command-line flag (``None`` for structured knobs)."""
     flag = knob.metadata["flag"]
@@ -221,10 +235,17 @@ def _network_kinds(config) -> list:
                   & set(NETWORK_KINDS))
 
 
+#: the knobs a client-store round (``StoreFederatedTrainer``) would have to
+#: ignore: it runs one fixed discipline, so they must stay at their defaults
+_STORE_FIXES = ("round_mode", "aggregation", "delta_codec", "worker_speeds",
+                "on_worker_failure", "round_timeout", "checkpoint_every",
+                "resume_from", "fault_plan")
+
 #: Ordered rows ``(needs, broken, message)``, one per refused combination.
 #: ``needs`` is the context the row is checked with: ``"config"`` wherever a
 #: config is validated, ``"backend"`` once the trainer has built its backend,
-#: ``"run"`` when a run starts (these read the strategy, the trainer's hooks
+#: ``"store"`` when the config drives rounds over a client store, ``"run"``
+#: when a run starts (these read the strategy, the trainer's hooks
 #: or its clients, all of which a subclass may still replace after
 #: construction) and ``"async"`` when a ``round_mode="async"`` run starts.
 #: ``broken(c)`` is truthy when ``c.config`` / ``c.backend`` / ``c.strategy``
@@ -246,6 +267,14 @@ COMPOSITION_RULES: Tuple[Tuple[str, Callable, str], ...] = (
      "fault plan schedules network events {hit} but "
      "transport={c.config.transport!r} has no wire to disturb; network fault "
      "kinds require transport='tcp'"),
+    # A bare EngineConfig (a directly built pool backend) samples nobody.
+    ("config", lambda c: not 0.0 < getattr(c.config, "participation", 1.0)
+     <= 1.0, "participation must be in (0, 1]"),
+    ("store", lambda c: ", ".join(
+        f"{name}={getattr(c.config, name)!r}" for name in _STORE_FIXES
+        if getattr(c.config, name) != _KNOBS[name].default),
+     "a client-store round is synchronous hierarchical FedAvg over lossless "
+     "partials; it cannot serve {hit}"),
     ("run", lambda c: c.config.round_mode not in ("sync", "async"),
      "round_mode must be 'sync' or 'async', got {c.config.round_mode!r}"),
     ("async", lambda c: c.config.hierarchical,
@@ -273,8 +302,6 @@ COMPOSITION_RULES: Tuple[Tuple[str, Callable, str], ...] = (
     ("async", lambda c: c.config.checkpoint_every or c.config.resume_from,
      "round_mode='async' does not support checkpoint/resume; "
      "use round_mode='sync'"),
-    ("async", lambda c: not 0.0 < c.config.participation <= 1.0,
-     "participation must be in (0, 1]"),
     # The async loop re-dispatches each shard with the raw sealed global
     # model and never runs the barrier-round hooks — both assume a
     # synchronous round.  Refuse loudly instead of silently degenerating personalized
@@ -297,19 +324,22 @@ COMPOSITION_RULES: Tuple[Tuple[str, Callable, str], ...] = (
 
 
 def check_composition(config: EngineConfig, backend=None, strategy=None,
-                      trainer=None) -> None:
+                      trainer=None, store=None) -> None:
     """Refuse a knob combination the engine cannot run.
 
     Raises ``ValueError`` with the message of the first broken row of
     :data:`COMPOSITION_RULES`.  Called with growing context: by
-    :meth:`EngineConfig.validate` (config alone), by the trainer once its
-    backend is built, and with everything at the top of
+    :meth:`EngineConfig.validate` (config alone), by the store trainer with
+    its ``store``, by the trainer once its backend is built, and with
+    everything at the top of
     :meth:`~repro.federated.FederatedTrainer.run` — before a worker pool
     exists, so a refused run never spawns a process.
     """
     known = {"config"}
     if backend is not None:
         known.add("backend")
+    if store is not None:
+        known.add("store")
     if trainer is not None:
         known.add("run")
         if config.round_mode == "async":

@@ -625,9 +625,8 @@ class PersistentWorkerPool:
         #: set when a command failed and replies may be left queued — see
         #: :meth:`recv`
         self.poisoned = False
-        #: per-worker count of sent commands whose reply is still unread
-        self._inflight = [0] * num_workers
-        #: per-worker FIFO of in-flight command names (reply attribution)
+        #: per-worker FIFO of in-flight command names: sent, reply still
+        #: unread (reply attribution, and :meth:`safe_for_sync`)
         self._commands: List[deque] = [deque() for _ in range(num_workers)]
         #: per-worker FIFO of replies read off the channel but not yet
         #: consumed (``recv_reply_to`` sets these aside) as
@@ -681,7 +680,6 @@ class PersistentWorkerPool:
     def _crash(self, worker: int, command: Optional[str],
                cause: BaseException) -> "WorkerCrash":
         self.poisoned = True
-        self._inflight[worker] = 0
         self._commands[worker].clear()
         self._buffered[worker].clear()
         return WorkerCrash(
@@ -702,7 +700,6 @@ class PersistentWorkerPool:
             self._channels[worker].send((command, payload))
         except (OSError, ValueError, BlockingIOError) as error:
             raise self._crash(worker, command, error) from error
-        self._inflight[worker] += 1
         self._commands[worker].append(command)
 
     def recv(self, worker: int):
@@ -734,7 +731,6 @@ class PersistentWorkerPool:
         except BaseException:
             self.poisoned = True
             raise
-        self._inflight[worker] -= 1
         if self._commands[worker]:
             self._commands[worker].popleft()
         return status, result, command
@@ -838,7 +834,6 @@ class PersistentWorkerPool:
         channel, process = self.transport.spawn(worker)
         self._channels[worker] = channel
         self._procs[worker] = process
-        self._inflight[worker] = 0
         self._commands[worker].clear()
         self._buffered[worker].clear()
         self._dead.discard(worker)
@@ -855,7 +850,6 @@ class PersistentWorkerPool:
             if process.is_alive():
                 process.terminate()
             process.join(timeout=5.0)
-        self._inflight[worker] = 0
         self._commands[worker].clear()
         self._buffered[worker].clear()
 
@@ -868,7 +862,7 @@ class PersistentWorkerPool:
         them queued): the sync would read a stale ``train`` reply as its own
         result, masking the original error with a protocol desync.
         """
-        return not self.poisoned and not any(self._inflight)
+        return not self.poisoned and not any(self._commands)
 
     def call(self, worker: int, command: str, payload=None):
         self.send(worker, command, payload)

@@ -165,7 +165,7 @@ class _UtilizationMeter:
                 return pool.network_stats()
             except (OSError, ValueError):
                 pass
-        return {"transport": self.backend.transport_name}
+        return {"transport": self.backend.config.transport}
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,8 @@ host boundary:
     suffix, so an in-flight round *resumes* instead of restarting (and a
     worker process that did die is re-bootstrapped from the PR 6 recovery
     snapshots by the supervision layer, same as a dead pipe);
-  - **send timeouts with bounded retries** — socket writes carry an
-    ``io_timeout`` and retransmits are paced by ``retransmit_timeout``
+  - **send timeouts with bounded retries** — socket writes carry a
+    timeout and retransmits are paced by ``retransmit_timeout``
     inside the heartbeat budget, so a flaky link degrades into the round
     loop's ``round_timeout``/drop path instead of wedging a round.
 
@@ -323,11 +323,8 @@ class TransportKnobs:
     ``heartbeat_interval``/``heartbeat_timeout`` bound silent-link
     detection; ``reconnect_window`` is the retry budget a broken link gets
     before it is declared dead (the supervision layer then sees a crashed
-    worker); ``retransmit_timeout`` paces go-back-N retransmits;
-    ``backoff_base``/``backoff_max`` shape the dialer's exponential backoff
-    (each attempt additionally jittered uniformly in [0, backoff)); and
-    ``connect_timeout``/``io_timeout`` bound the initial handshake and any
-    single blocking socket write.
+    worker); ``retransmit_timeout`` paces go-back-N retransmits; and
+    ``connect_timeout`` bounds the initial handshake.
     """
 
     heartbeat_interval: float = 0.5
@@ -335,9 +332,13 @@ class TransportKnobs:
     reconnect_window: float = 10.0
     retransmit_timeout: float = 0.25
     connect_timeout: float = 30.0
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    io_timeout: float = 30.0
+
+
+#: the dialer's exponential backoff: base doubling to max, each attempt
+#: additionally jittered uniformly in [0, backoff) (seconds)
+_BACKOFF_BASE, _BACKOFF_MAX = 0.05, 2.0
+#: bound on any single blocking socket write (seconds)
+_IO_TIMEOUT = 30.0
 
 
 #: injectable network fault directives (see faults.NETWORK_KINDS)
@@ -515,7 +516,7 @@ class _TcpChannel:
         handshake: everything at or below it is pruned from the outbox,
         everything above is queued for retransmission.
         """
-        sock.settimeout(self.knobs.io_timeout)
+        sock.settimeout(_IO_TIMEOUT)
         with self._work:
             if self._dead:
                 sock.close()
@@ -711,8 +712,8 @@ class _TcpChannel:
             if self._sock is None:
                 # Active side: dial with exponential backoff + jitter.
                 if not self._dial_once():
-                    delay = min(knobs.backoff_max,
-                                knobs.backoff_base * (2 ** backoff_attempt))
+                    delay = min(_BACKOFF_MAX,
+                                _BACKOFF_BASE * (2 ** backoff_attempt))
                     time.sleep(delay + random.uniform(0.0, delay))
                     backoff_attempt += 1
                 continue

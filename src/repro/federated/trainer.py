@@ -41,6 +41,7 @@ from repro.federated.engine import (
     make_backend,
     resolve_round_loop,
 )
+from repro.federated.engine.config import env_default
 from repro.federated.server import Server
 from repro.graph import Graph
 from repro.metrics import TrainingHistory, count_weighted_mean
@@ -154,8 +155,8 @@ class FederatedConfig(EngineConfig):
     knob once.
     """
 
-    rounds: int = 20
-    local_epochs: int = 3
+    rounds: int = env_default(20, "REPRO_ROUNDS")
+    local_epochs: int = env_default(3, "REPRO_EPOCHS")
     lr: float = 0.01
     weight_decay: float = 5e-4
     participation: float = 1.0

@@ -107,9 +107,6 @@ class Graph:
     def val_indices(self) -> np.ndarray:
         return np.nonzero(self.val_mask)[0]
 
-    def test_indices(self) -> np.ndarray:
-        return np.nonzero(self.test_mask)[0]
-
     # ------------------------------------------------------------------
     # Manipulation
     # ------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
@@ -63,16 +61,3 @@ def subgraph(adjacency: sp.spmatrix, nodes: np.ndarray) -> sp.csr_matrix:
     """Induced-subgraph adjacency over ``nodes``."""
     nodes = np.asarray(nodes, dtype=np.int64)
     return sp.csr_matrix(adjacency)[nodes][:, nodes]
-
-
-def random_spanning_edges(num_nodes: int,
-                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Edges of a random spanning tree over ``num_nodes`` (used to keep graphs
-    connected in synthetic generation)."""
-    rng = rng if rng is not None else np.random.default_rng()
-    order = rng.permutation(num_nodes)
-    edges = []
-    for i in range(1, num_nodes):
-        j = rng.integers(0, i)
-        edges.append((order[i], order[j]))
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)

@@ -12,7 +12,7 @@ from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.autograd import Tensor, resolve_backend
+from repro.autograd import Tensor
 
 
 class Parameter(Tensor):
@@ -68,19 +68,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def to_backend(self, backend) -> "Module":
-        """Move every parameter onto the given array backend (in place).
-
-        Only trainable parameters move; constant operands (propagation
-        matrices, feature arrays) are converted lazily at the dispatch seam
-        by the backend consuming them.
-        """
-        resolved = resolve_backend(backend)
-        for param in self.parameters():
-            param.backend = resolved
-            param.data = resolved.asarray(param.data)
-        return self
 
     # ------------------------------------------------------------------
     # Train / eval mode

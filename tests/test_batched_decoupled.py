@@ -437,7 +437,7 @@ class TestQuantisedDeltaCodec:
             ProcessPoolBackend(2, delta_codec="qtopk", delta_bits=1)
         backend = ProcessPoolBackend(2, delta_codec="qtopk", delta_top_k=8,
                                      delta_bits=4)
-        assert backend.delta_bits == 4
+        assert backend.config.delta_bits == 4
 
     def test_qtopk_run_ships_fewer_values_than_topk(self, community_clients):
         base = dict(rounds=3, intra_worker="serial", delta_top_k=8)

@@ -6,11 +6,16 @@
   runs — lossless sync cells bitwise-equal to serial, the rest finite;
 * every knob survives the trip CLI flag → ``ExperimentSettings`` →
   ``FederatedConfig`` (directly and through ``AdaFGLConfig``), which is
-  what the three hand-copied configs used to be trusted for.
+  what the three hand-copied configs used to be trusted for;
+* the training half the same way: the chain ``EngineConfig`` ←
+  ``FederatedConfig`` ← ``AdaFGLConfig`` ← ``ExperimentSettings`` declares
+  every field in one class body, every field reaches the trainer, and the
+  defaults are the ones the hand-copied classes had.
 """
 
 import dataclasses
 import itertools
+import tempfile
 
 import numpy as np
 import pytest
@@ -20,10 +25,13 @@ from repro.core import AdaFGLConfig
 from repro.experiments import ExperimentSettings
 from repro.federated import FederatedConfig
 from repro.federated.engine import (
+    ClientStore,
     EngineConfig,
     FaultEvent,
     FaultPlan,
     FedAvgAggregation,
+    ModelSpec,
+    StoreFederatedTrainer,
     backends,
     check_composition,
     engine_fields,
@@ -33,6 +41,35 @@ from repro.fgl.fedgnn import FederatedGNN
 from repro.simulation import community_split
 
 KNOBS = dataclasses.fields(EngineConfig)
+CHAIN = (EngineConfig, FederatedConfig, AdaFGLConfig, ExperimentSettings)
+
+#: every field → default of the chain's classes, captured at the commit
+#: before the classes became one chain (ExperimentSettings: the fields it
+#: had; the rest it now inherits)
+ENGINE_DEFAULTS = dict(
+    backend=None, array_backend=None, aggregation="fedavg", num_workers=0,
+    intra_worker="auto", round_mode="sync", hierarchical=False,
+    async_buffer=1, staleness_cap=3, delta_codec="bitdelta", delta_top_k=32,
+    delta_bits=8, worker_speeds=None, transport="pipe",
+    transport_options=None, on_worker_failure="fail", round_timeout=None,
+    checkpoint_every=0, checkpoint_dir="checkpoints", resume_from=None,
+    fault_plan=None)
+TRAINING_DEFAULTS = dict(
+    rounds=20, local_epochs=3, lr=0.01, weight_decay=5e-4, participation=1.0,
+    seed=0, eval_every=1)
+ADAFGL_DEFAULTS = dict(
+    hidden=64, extractor_model="gcn", personalized_epochs=30,
+    personalized_lr=0.01, alpha=0.7, beta=0.7, k_prop=3, message_layers=2,
+    dropout=0.3, knowledge_weight=0.1, sparse_propagation=False,
+    propagation_top_k="auto", use_propagation_cache=True, lp_steps=5,
+    lp_kappa=0.5, mask_probability=0.5, use_knowledge_preserving=True,
+    use_topology_independent=True, use_learnable_message=True,
+    use_local_topology=True, use_hcs=True)
+SETTINGS_DEFAULTS = dict(num_clients=5, hidden=32, personalized_epochs=60,
+                         sparse_propagation=True)
+#: a non-default value for each of the seven training fields
+TRAINING = dict(rounds=2, local_epochs=1, lr=0.02, weight_decay=0.0,
+                participation=0.75, seed=3, eval_every=2)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +96,50 @@ class TestDeclaration:
             assert issubclass(config_class, EngineConfig)
             own = set(config_class.__annotations__)
             assert not own & {knob.name for knob in KNOBS}
+
+    def test_every_field_is_declared_in_one_class_body(self):
+        assert [cls.__mro__[1] for cls in CHAIN[1:]] == list(CHAIN[:-1])
+        redefaulted = set()
+        for parent, cls in zip(CHAIN, CHAIN[1:]):
+            inherited = {f.name: f.default for f in dataclasses.fields(parent)}
+            own = {f.name: f.default for f in dataclasses.fields(cls)}
+            for name in vars(cls)["__annotations__"]:
+                if name in inherited:
+                    assert own[name] != inherited[name], (cls, name)
+                    redefaulted.add((cls, name))
+        assert redefaulted == {(ExperimentSettings, name) for name in (
+            "hidden", "personalized_epochs", "sparse_propagation")}
+        assert set(vars(FederatedConfig)["__annotations__"]) == set(TRAINING)
+
+    def test_defaults_are_the_hand_copied_classes(self, monkeypatch):
+        for knob in dataclasses.fields(ExperimentSettings):
+            if knob.metadata.get("env"):
+                monkeypatch.delenv(knob.metadata["env"], raising=False)
+        assert vars(EngineConfig()) == ENGINE_DEFAULTS
+        assert vars(FederatedConfig()) == {**ENGINE_DEFAULTS,
+                                           **TRAINING_DEFAULTS}
+        assert vars(AdaFGLConfig()) == {
+            **ENGINE_DEFAULTS, **TRAINING_DEFAULTS, **ADAFGL_DEFAULTS}
+        settings = ExperimentSettings()
+        assert vars(settings) == {
+            **ENGINE_DEFAULTS, **TRAINING_DEFAULTS, **ADAFGL_DEFAULTS,
+            **SETTINGS_DEFAULTS}
+        # What the two converters handed the trainers at the parent.
+        assert settings.federated_config() == FederatedConfig()
+        assert settings.adafgl_config() == AdaFGLConfig(
+            hidden=32, personalized_epochs=60, sparse_propagation=True)
+
+    def test_scale_variables_replace_the_declaring_fields_defaults(
+            self, monkeypatch):
+        for env, value in [("REPRO_ROUNDS", "7"), ("REPRO_EPOCHS", "2"),
+                           ("REPRO_CLIENTS", "9"),
+                           ("REPRO_PERSONALIZED_EPOCHS", "not-a-number")]:
+            monkeypatch.setenv(env, value)
+        settings = ExperimentSettings(local_epochs=4)
+        assert (settings.rounds, settings.local_epochs, settings.num_clients,
+                settings.personalized_epochs) == (7, 4, 9, 60)
+        assert settings.federated_config().rounds == 7
+        assert (FederatedConfig().rounds, AdaFGLConfig().rounds) == (20, 20)
 
     def test_unset_backend_follows_the_worker_count(self):
         assert EngineConfig().execution_backend() == "serial"
@@ -111,6 +192,15 @@ def _extra_loss(trainer):
     trainer.clients[0].extra_loss = lambda client, logits: None
 
 
+def _store_round(trainer):
+    """Hand the trainer's config to a store trainer over the same clients."""
+    with tempfile.TemporaryDirectory() as path:
+        store = ClientStore.create(
+            path, (client.graph for client in trainer.clients),
+            ModelSpec(hidden=16))
+        StoreFederatedTrainer(store, trainer.config)
+
+
 ASYNC = dict(round_mode="async")
 
 #: (config overrides, trainer tweak or None, client count, exact message)
@@ -124,6 +214,13 @@ SCENARIOS = [
      None, 4,
      "fault plan schedules network events ['delay'] but transport='pipe' "
      "has no wire to disturb; network fault kinds require transport='tcp'"),
+    (dict(backend="serial", participation=1.5), None, 4,
+     "participation must be in (0, 1]"),
+    (dict(ASYNC, delta_codec="topk", aggregation="trimmed_mean"), _store_round,
+     4,
+     "a client-store round is synchronous hierarchical FedAvg over lossless "
+     "partials; it cannot serve round_mode='async', "
+     "aggregation='trimmed_mean', delta_codec='topk'"),
     (dict(backend="serial", round_mode="chaotic"), None, 4,
      "round_mode must be 'sync' or 'async', got 'chaotic'"),
     (dict(ASYNC, hierarchical=True), None, 4,
@@ -143,8 +240,6 @@ SCENARIOS = [
     (dict(ASYNC, checkpoint_every=1), None, 4,
      "round_mode='async' does not support checkpoint/resume; "
      "use round_mode='sync'"),
-    (dict(ASYNC, participation=1.5), None, 4,
-     "participation must be in (0, 1]"),
     (dict(ASYNC, aggregation=_Personal()), None, 4,
      "round_mode='async' does not support personalized aggregation "
      "('personal' overrides personalize); use round_mode='sync'"),
@@ -294,6 +389,46 @@ class TestCliRoundTrip:
             for name, value in structured.items():
                 assert getattr(config, name) is value
 
+    @pytest.mark.parametrize("config_class",
+                             [AdaFGLConfig, ExperimentSettings])
+    def test_every_federated_field_survives_the_projections(
+            self, config_class):
+        values = {knob.name: _non_default(knob) for knob in KNOBS}
+        values.update(TRAINING)
+        assert set(values) == {
+            knob.name for knob in dataclasses.fields(FederatedConfig)}
+        config = config_class(**values)
+        copies = [config.federated_config()]
+        if config_class is ExperimentSettings:
+            copies += [config.adafgl_config(),
+                       config.adafgl_config().federated_config()]
+        for copy in copies:
+            for name, value in values.items():
+                assert getattr(copy, name) == value, name
+
+    @pytest.mark.parametrize("method", ["fedgcn", "adafgl"])
+    def test_training_fields_reach_the_trainer_run_method_builds(
+            self, method, four_clients):
+        from repro.experiments import run_method
+
+        settings = ExperimentSettings(**TRAINING, personalized_epochs=2,
+                                      hidden=8)
+        trainer = run_method(method, four_clients, settings)["trainer"]
+        if method == "adafgl":
+            assert trainer.config == settings.adafgl_config()
+            trainer = trainer.extractor.trainer
+        for name, value in TRAINING.items():
+            assert getattr(trainer.config, name) == value, name
+        assert trainer.history.rounds == [2]
+
+    def test_an_override_that_names_no_field_is_refused(self):
+        settings = ExperimentSettings(weight_decay=0.0, eval_every=7)
+        assert settings.adafgl_config(alpha=0.3).alpha == 0.3
+        with pytest.raises(TypeError, match="weight_decy"):
+            settings.adafgl_config(weight_decy=0.0)
+        with pytest.raises(TypeError, match="weight_decy"):
+            ExperimentSettings(weight_decy=0.0)
+
     def test_copies_carry_every_knob(self):
         settings = ExperimentSettings(num_workers=2, delta_codec="qtopk")
         assert engine_fields(settings.federated_config()) \
@@ -329,3 +464,25 @@ class TestKnobDocsGuard:
         assert any("`num_workers`: flag" in finding for finding in findings)
         assert any("`delta_bits`: default" in finding for finding in findings)
         assert guard.check(readme.replace(guard.HEADER, "")) != []
+
+    def test_chain_walk_counts_and_catches_a_second_declaration(self):
+        guard, _ = self._guard()
+        findings, declarations, redefaults, names = guard.check_chain()
+        assert (findings, declarations, redefaults, names) == ([], 51, 3, 51)
+
+        @dataclasses.dataclass
+        class Forked(ExperimentSettings):
+            lr: float = 0.01
+            hidden: int = 16
+
+        class Store:
+            def __init__(self, store, config=None, *, rounds=10):
+                pass
+
+        findings, declarations, redefaults, names = guard.check_chain(
+            Forked, outside=(Store,))
+        assert findings == [
+            "Forked.lr re-declares the field of FederatedConfig with an "
+            "unchanged default",
+            "Store(rounds=) re-declares an option of FederatedConfig"]
+        assert (declarations, redefaults, names) == (51, 4, 50)

@@ -434,7 +434,7 @@ class TestContextManager:
         backend = make_backend("process_pool", num_workers=2,
                                intra_worker="serial")
         assert isinstance(backend, ProcessPoolBackend)
-        assert backend.intra_worker == "serial"
+        assert backend.config.intra_worker == "serial"
         with pytest.raises(ValueError):
             ProcessPoolBackend(2, intra_worker="quantum")
 

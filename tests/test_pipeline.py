@@ -543,10 +543,12 @@ class TestAsyncRounds:
 
     def test_async_rejects_out_of_range_participation(
             self, community_clients):
-        trainer = FederatedGNN(community_clients, "gcn", hidden=16,
-                               config=self._async_config(participation=1.5))
-        with pytest.raises(ValueError, match="participation"):
-            trainer.run()
+        for fraction in (1.5, 0.0, -0.2):
+            with pytest.raises(ValueError,
+                               match=r"participation must be in \(0, 1\]"):
+                FederatedGNN(community_clients, "gcn", hidden=16,
+                             config=self._async_config(
+                                 participation=fraction))
 
     def test_async_rejects_personalized_aggregation(self, community_clients):
         """Personalized strategies assume per-client broadcasts; the async

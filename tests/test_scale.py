@@ -276,8 +276,7 @@ class TestClientStore:
 
     def test_store_trainer_matches_flat_serial(self, subgraphs, store):
         h_flat, w_flat = _run_flat(subgraphs, backend="serial")
-        trainer = StoreFederatedTrainer(store, rounds=3, local_epochs=2,
-                                        seed=7, num_workers=0)
+        trainer = StoreFederatedTrainer(store, _config(num_workers=0))
         h_store = trainer.run()
         loss_gap = max(abs(a - b)
                        for a, b in zip(h_flat.loss, h_store.loss))
@@ -294,9 +293,8 @@ class TestClientStore:
         def run(name, workers):
             store = ClientStore.create(str(tmp_path / name),
                                        (graph for graph in subgraphs), spec)
-            trainer = StoreFederatedTrainer(store, rounds=3, local_epochs=2,
-                                            seed=7, participation=0.5,
-                                            num_workers=workers)
+            trainer = StoreFederatedTrainer(store, _config(
+                participation=0.5, num_workers=workers))
             return trainer.run()
 
         serial = run("serial", 0)
@@ -304,3 +302,46 @@ class TestClientStore:
         assert serial.participants == pooled.participants
         assert serial.loss == pooled.loss
         assert serial.test_accuracy == pooled.test_accuracy
+
+    def test_store_round_over_tcp_equals_the_pipe_round(self, subgraphs,
+                                                        tmp_path):
+        """``transport`` is honoured, not ignored: the pool the store round
+        trains on is built from the config's channel."""
+        spec = ModelSpec(model_name="gcn", hidden=16, dropout=0.5, seed=7)
+        runs = {}
+        for transport in ("pipe", "tcp"):
+            store = ClientStore.create(str(tmp_path / transport),
+                                       (graph for graph in subgraphs), spec)
+            trainer = StoreFederatedTrainer(store, _config(
+                rounds=2, num_workers=2, transport=transport))
+            assert trainer._ensure_pool().transport.name == transport
+            runs[transport] = (trainer.run(), trainer.global_state)
+        (pipe, w_pipe), (tcp, w_tcp) = runs["pipe"], runs["tcp"]
+        assert pipe.loss == tcp.loss
+        assert pipe.test_accuracy == tcp.test_accuracy
+        assert all(np.array_equal(w_pipe[k], w_tcp[k]) for k in w_pipe)
+
+    @pytest.mark.parametrize("unserved", [
+        dict(round_mode="async"), dict(delta_codec="topk"),
+        dict(aggregation="trimmed_mean"), dict(participation=1.5),
+        dict(participation=0.0)], ids=lambda knobs: "-".join(knobs))
+    def test_unservable_config_is_refused_before_a_pool_exists(
+            self, store, unserved, monkeypatch):
+        from repro.federated.engine import persistent
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was spawned")
+
+        monkeypatch.setattr(persistent, "PersistentWorkerPool", no_pool)
+        (name, value), = unserved.items()
+        with pytest.raises(ValueError, match=name):
+            StoreFederatedTrainer(store, _config(num_workers=2, **unserved))
+
+    def test_constructor_is_the_store_the_config_and_eval_sample(self):
+        import inspect
+
+        signature = inspect.signature(StoreFederatedTrainer.__init__)
+        bare = signature.replace(parameters=[
+            parameter.replace(annotation=parameter.empty)
+            for parameter in signature.parameters.values()])
+        assert str(bare) == "(self, store, config=None, *, eval_sample=None)"

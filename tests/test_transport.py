@@ -248,7 +248,7 @@ class TestSelection:
         # The same plan is accepted when the transport has a wire.
         backend = ProcessPoolBackend(num_workers=2, fault_plan=plan,
                                      transport="tcp")
-        assert backend.transport_name == "tcp"
+        assert backend.config.transport == "tcp"
 
     def test_pipe_channel_refuses_injection(self):
         pool = PersistentWorkerPool(1)

@@ -9,6 +9,14 @@ when a knob is added, renamed, re-defaulted or re-flagged without the table
 following (or the other way round).  The last column is prose and is not
 checked.  A default cell may continue after the value (``` `None` (auto) ```).
 
+It also walks the config chain ``EngineConfig`` ← ``FederatedConfig`` ←
+``AdaFGLConfig`` ← ``ExperimentSettings`` (:func:`check_chain`): a class body
+that annotates an inherited field must give it a different default (a
+re-default), and an option declared outside the chain — a keyword of
+``StoreFederatedTrainer`` — must not carry a name already declared elsewhere.
+Every run prints ``declarations / distinct names``: the two are equal while
+every option is declared exactly once.
+
 Exit status: 0 when in step, 1 with a findings listing otherwise.  Needs no
 install; CI runs it beside ``check_backend_dispatch.py``::
 
@@ -17,6 +25,7 @@ install; CI runs it beside ``check_backend_dispatch.py``::
 
 from __future__ import annotations
 
+import inspect
 import pathlib
 import sys
 from dataclasses import fields
@@ -24,6 +33,8 @@ from dataclasses import fields
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.experiments import ExperimentSettings  # noqa: E402
+from repro.federated.engine import StoreFederatedTrainer  # noqa: E402
 from repro.federated.engine.config import EngineConfig, cli_flag  # noqa: E402
 
 HEADER = "| knob | default | flag | env | composes with |"
@@ -79,14 +90,47 @@ def check(readme: str) -> list:
     return findings
 
 
+def check_chain(leaf=ExperimentSettings, outside=(StoreFederatedTrainer,)):
+    """``(findings, declarations, re-defaults, distinct names)`` of the
+    config chain ending in ``leaf`` plus the keywords ``outside`` add."""
+    chain = [cls for cls in reversed(leaf.__mro__)
+             if issubclass(cls, EngineConfig)]
+    findings, seen, declarations, redefaults = [], {}, 0, 0
+    for cls in chain:
+        defaults = {knob.name: knob.default for knob in fields(cls)}
+        for name in vars(cls).get("__annotations__", {}):
+            if name not in seen:
+                declarations += 1
+            elif defaults[name] == seen[name][1]:
+                findings.append(
+                    f"{cls.__name__}.{name} re-declares the field of "
+                    f"{seen[name][0]} with an unchanged default")
+            else:
+                redefaults += 1
+            seen[name] = (cls.__name__, defaults[name])
+    for cls in outside:
+        for name in inspect.signature(cls.__init__).parameters:
+            if name in ("self", "store", "config"):
+                continue
+            declarations += 1
+            if name in seen:
+                findings.append(f"{cls.__name__}({name}=) re-declares an "
+                                f"option of {seen[name][0]}")
+            seen[name] = (cls.__name__, None)
+    return findings, declarations, redefaults, len(seen)
+
+
 def main() -> int:
     findings = check((ROOT / "README.md").read_text())
-    for finding in findings:
+    chain_findings, declarations, redefaults, names = check_chain()
+    for finding in findings + chain_findings:
         print(finding)
     if not findings:
         print(f"knob table matches EngineConfig ({len(declared_rows())} "
               "knobs)")
-    return 1 if findings else 0
+    print(f"config chain: {declarations} declarations (+{redefaults} "
+          f"re-defaults) / {names} distinct option names")
+    return 1 if findings or chain_findings else 0
 
 
 if __name__ == "__main__":
