@@ -8,7 +8,9 @@ selects anything there), a **batch-size × arrival-rate × array-backend
 grid** for inductive queries (fused batched subgraph inference, with the
 LRU's hit rate), a **crossover section** (serial vs fused µs per inductive
 query at 2 / 4 / 8 / 32 per flush — where ``serving.engine.FUSE_FROM`` comes
-from), and a **parity bar** asserting that served answers are
+from), a **miss-path section** (µs per block for extract, normalise and
+serial forward, and a whole served query on an LRU hit vs a miss), and a
+**parity bar** asserting that served answers are
 bitwise-equal to offline ``Client.predict`` on the numpy backend (and fused
 inductive answers bitwise-equal to per-query serial forwards).
 
@@ -32,15 +34,19 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from benchmarks.bench_utils import host_stamp, record_json
-from repro.autograd import list_array_backends, use_backend
+from repro.autograd import Tensor, list_array_backends, no_grad, use_backend
 from repro.datasets import load_dataset
 from repro.federated import FederatedConfig
 from repro.fgl import build_baseline
+from repro.models.base import prepare_propagation
 from repro.serving import (
     InductiveQuery,
     QueryEngine,
     ServingSnapshot,
+    SubgraphLRU,
     build_query_mix,
+    extract_block,
+    receptive_depth,
     run_open_loop,
 )
 from repro.serving.engine import FUSE_FROM, _Pending
@@ -148,6 +154,62 @@ def run_crossover(snapshot, *, sizes: Sequence[int] = CROSSOVER_SIZES,
             "measured_fuse_from": crossover, "engine_fuse_from": FUSE_FROM}
 
 
+def run_miss_path(snapshot, *, blocks: int = 16, repeats: int = 60,
+                  seed: int = 0) -> Dict:
+    """µs per block on the inductive miss path, layer by layer.
+
+    For each of ``blocks`` inductive queries: ``extract_us`` (the
+    receptive-field block), ``normalise_us`` (its propagation operator),
+    ``forward_us`` (the serial forward with the operator built); then the
+    whole served query through the engine on a cold LRU (``miss_us``) and
+    again on the block it just cached (``hit_us``).  Medians over
+    ``repeats`` of the per-block mean, after one untimed pass.
+    """
+    queries = build_query_mix(snapshot, blocks, inductive_fraction=1.0,
+                              seed=seed + 2)
+    names = ("extract_us", "normalise_us", "forward_us", "miss_us",
+             "hit_us")
+    samples = {name: [] for name in names}
+    with QueryEngine(snapshot, array_backend="numpy") as engine, \
+            use_backend(engine.array_backend), no_grad():
+        for repeat in range(repeats + 1):
+            engine.cache = SubgraphLRU(len(queries))
+            totals = dict.fromkeys(names, 0.0)
+            for query in queries:
+                entry = snapshot.entry(query.client_id)
+                entry.model.eval()
+                start = time.perf_counter()
+                block = extract_block(entry.graph, query.anchors,
+                                      receptive_depth(entry.model))
+                extracted = time.perf_counter()
+                prepare_propagation(block.adjacency)
+                normalised = time.perf_counter()
+                features = Tensor(np.concatenate(
+                    [block.features, query.features.reshape(1, -1)]))
+                entry.model(features, block.adjacency)  # caches the operator
+                before = time.perf_counter()
+                entry.model(features, block.adjacency)
+                forwarded = time.perf_counter()
+                engine._serial_inductive(query)     # a miss: the LRU is new
+                missed = time.perf_counter()
+                engine._serial_inductive(query)     # a hit on that block
+                hit = time.perf_counter()
+                for name, seconds in zip(names, (
+                        extracted - start, normalised - extracted,
+                        forwarded - before, missed - forwarded,
+                        hit - missed)):
+                    totals[name] += seconds
+            if repeat:
+                for name in names:
+                    samples[name].append(totals[name] / len(queries) * 1e6)
+    row = {name: statistics.median(values)
+           for name, values in samples.items()}
+    print("  " + ", ".join(f"{name} {value:.0f}"
+                           for name, value in row.items()))
+    return {"host": host_stamp(), "blocks": len(queries),
+            "repeats": repeats, **row}
+
+
 def run_parity_bar(snapshot, trainer, *, probes: int = 64,
                    seed: int = 0) -> Dict:
     """Bitwise parity of served answers vs offline references (numpy).
@@ -241,6 +303,9 @@ def run_serving_suite(*, smoke: bool = False,
     print("crossover (serial vs fused, us per inductive query):")
     crossover = run_crossover(snapshot, repeats=10 if smoke else 60,
                               seed=seed)
+    print("miss path (us per block):")
+    miss_path = run_miss_path(snapshot, repeats=10 if smoke else 60,
+                              seed=seed)
     print("parity bar:")
     parity = run_parity_bar(snapshot, trainer,
                             probes=32 if smoke else 64, seed=seed)
@@ -258,6 +323,7 @@ def run_serving_suite(*, smoke: bool = False,
         "transductive": transductive,
         "inductive": inductive,
         "crossover": crossover,
+        "miss_path": miss_path,
         "parity": parity,
         "headline": {"achieved_qps": best["achieved_qps"],
                      "p50_ms": best["p50_ms"], "p99_ms": best["p99_ms"],

@@ -33,6 +33,11 @@ def test_serving_harness_smoke():
         == [2, 4, 8, 32]
     assert all(row["serial_us"] > 0 and row["fused_us"] > 0
                for row in report["crossover"]["rows"])
+    # The miss-path section times every layer of an LRU miss, host-stamped.
+    miss_path = report["miss_path"]
+    assert miss_path["host"]["nproc"] >= 1
+    assert all(miss_path[name] > 0 for name in (
+        "extract_us", "normalise_us", "forward_us", "miss_us", "hit_us"))
     assert report["host"]["nproc"] >= 1
     # Inductive cells actually exercised the subgraph LRU.
     assert any(point["cache"]["hits"] + point["cache"]["misses"] > 0

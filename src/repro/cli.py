@@ -252,7 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="micro-batch flush size")
     p_serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                         help="micro-batch flush deadline in milliseconds")
+                         help="milliseconds a micro-batch waits for more "
+                              "inductive queries once it has company (a "
+                              "query that finds the queue empty is answered "
+                              "at once)")
     p_serve.add_argument("--cache-size", type=int, default=128,
                          help="LRU capacity over extracted subgraph blocks")
     p_serve.add_argument("--max-queue", type=int, default=0,

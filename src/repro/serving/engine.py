@@ -7,10 +7,13 @@ Routing happens at admission:
   :meth:`QueryEngine.submit` returns (``trigger="inline"``): a row read
   gains nothing from waiting for a batching deadline;
 * **inductive** (new-node) queries enter the admission queue, which a single
-  worker thread drains with **adaptive micro-batching**: a batch flushes
-  at ``max_batch`` queries or ``max_delay_ms`` after its first query was
-  admitted, whichever comes first (plus a final flush on ``close``); under
-  backlog the worker drains what is already queued without waiting.  Each
+  worker thread drains with **adaptive micro-batching**: a query that
+  finds nothing else queued when the worker takes it is answered at once
+  (``trigger="idle"`` — a lone query gains nothing from waiting for
+  company); otherwise the batch flushes at ``max_batch`` queries or
+  ``max_delay_ms`` after its first query was admitted, whichever comes
+  first (plus a final flush on ``close``), and under backlog the worker
+  drains what is already queued without waiting.  Each
   query extracts its anchor set's receptive-field block
   (:mod:`repro.serving.subgraph`), appends its feature row, and runs the
   frozen client model over the augmented subgraph: :data:`FUSE_FROM` or
@@ -82,7 +85,8 @@ class QueryResult:
     #: or "serial" (single inductive forward).
     path: str
     batch_size: int
-    #: "size" / "deadline" / "close" of a flush, "inline" of a table read
+    #: "idle" (nothing else was queued), "size", "deadline" or "close" of a
+    #: flush; "inline" of a table read
     trigger: str
     arrival: float
     completed: float
@@ -166,7 +170,9 @@ class AdmissionRejected(RuntimeError):
 class QueryEngine:
     """Inline table reads + a micro-batching worker over a frozen snapshot.
 
-    The knobs govern what is queued, the inductive queries.  ``max_queue``
+    The knobs govern what is queued, the inductive queries.  ``max_delay_ms``
+    bounds how long a batch that already has company waits for more (a
+    query that finds the queue empty is answered at once).  ``max_queue``
     bounds the admission queue: ``0`` (default) admits every query, a
     positive bound sheds overload by raising :class:`AdmissionRejected`
     from :meth:`submit` once that many queries are waiting (rejections are
@@ -198,6 +204,9 @@ class QueryEngine:
         #: guards both counters: callers and the worker bump them
         self._counters = threading.Lock()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.max_queue)
+        #: makes "not closed, so enqueue" one step against ``close``: no
+        #: query can land behind the worker's stop sentinel
+        self._admission = threading.Lock()
         self._closed = False
         self._worker = threading.Thread(target=self._loop,
                                         name="repro-serving-worker",
@@ -220,14 +229,17 @@ class QueryEngine:
             self.batch_log.append(_INLINE)
             self._finish_transductive(pending)
             return pending.future
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            with self._counters:
-                self.rejected += 1
-            raise AdmissionRejected(
-                f"admission queue full ({self.max_queue} queries waiting); "
-                "query rejected") from None
+        with self._admission:
+            if self._closed:
+                raise RuntimeError("QueryEngine is closed")
+            try:
+                self._queue.put_nowait(pending)
+            except queue.Full:
+                with self._counters:
+                    self.rejected += 1
+                raise AdmissionRejected(
+                    f"admission queue full ({self.max_queue} queries "
+                    "waiting); query rejected") from None
         return pending.future
 
     def query(self, query: Query, timeout: Optional[float] = 60.0
@@ -237,9 +249,10 @@ class QueryEngine:
 
     def close(self) -> None:
         """Flush the queue and stop the worker (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._admission:
+            if self._closed:
+                return
+            self._closed = True
         self._queue.put(_CLOSE)
         self._worker.join()
 
@@ -258,6 +271,10 @@ class QueryEngine:
             if first is _CLOSE:
                 return
             batch = [first]
+            if self.max_batch > 1 and self._queue.empty():
+                # No company is waiting: holding the query buys nothing.
+                self._execute(batch, "idle")
+                continue
             trigger = "size"
             deadline = first.arrival + self.max_delay
             closing = False
@@ -343,15 +360,15 @@ class QueryEngine:
                 f"snapshot entry {query.client_id} is transductive-only "
                 f"(family {self.snapshot.model_family}): inductive "
                 f"queries are unsupported")
+        features = query.features.reshape(1, -1)
+        if features.shape[1] != entry.graph.num_features:
+            raise ValueError(
+                f"inductive query carries {features.shape[1]} features, "
+                f"client graph has {entry.graph.num_features}")
         block = self.cache.get(
             (query.client_id, tuple(sorted(set(query.anchors)))),
             lambda: extract_block(entry.graph, query.anchors,
                                   receptive_depth(entry.model)))
-        features = query.features.reshape(1, -1)
-        if features.shape[1] != block.features.shape[1]:
-            raise ValueError(
-                f"inductive query carries {features.shape[1]} features, "
-                f"client graph has {block.features.shape[1]}")
         return entry, block, np.concatenate([block.features, features])
 
     def _fused_inductive(self, items: List[_Pending]

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graph.normalize import canonical_csr, csr_from_entries
 from repro.models.gamlp import GAMLP
 from repro.models.gcn import GCN, SGC
 from repro.models.gcnii import GCNII
@@ -50,21 +51,39 @@ def receptive_depth(model) -> Optional[int]:
     return None
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the stored entries of ``rows``, row after row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    return (np.repeat(starts - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+
+
 def khop_nodes(adjacency, seeds: Sequence[int], depth: int) -> np.ndarray:
-    """Sorted node ids within ``depth`` hops of ``seeds`` (seeds included)."""
-    adjacency = sp.csr_matrix(adjacency)
+    """Sorted node ids within ``depth`` hops of ``seeds`` (seeds included).
+
+    Every stored entry is an edge, explicit zeros included.
+    """
     visited = np.unique(np.asarray(seeds, dtype=np.int64))
+    depth = int(depth)
+    if depth <= 0 or visited.size == 0:
+        return visited
+    if not (sp.issparse(adjacency) and adjacency.format == "csr"):
+        adjacency = sp.csr_matrix(adjacency)
+    indptr, indices = adjacency.indptr, adjacency.indices
+    if visited[0] < 0 or visited[-1] >= adjacency.shape[0]:
+        raise IndexError(f"seed ids {visited.tolist()} out of range for "
+                         f"{adjacency.shape[0]} nodes")
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[visited] = True
     frontier = visited
-    for _ in range(int(depth)):
+    for _ in range(depth):
+        neighbours = indices[_row_entries(indptr, frontier)]
+        frontier = np.unique(neighbours[~reached[neighbours]])
         if frontier.size == 0:
             break
-        neighbours = adjacency[frontier].indices
-        fresh = np.setdiff1d(neighbours, visited)
-        if fresh.size == 0:
-            break
-        visited = np.union1d(visited, fresh)
-        frontier = fresh
-    return visited
+        reached[frontier] = True
+    return np.flatnonzero(reached)
 
 
 @dataclass(frozen=True)
@@ -99,20 +118,31 @@ def extract_block(graph, anchors: Sequence[int],
         raise ValueError(
             f"anchor ids {anchors.tolist()} out of range for a graph of "
             f"{graph.num_nodes} nodes")
+    adjacency = canonical_csr(graph.adjacency)
     if depth is None:
         nodes = np.arange(graph.num_nodes, dtype=np.int64)
     else:
-        nodes = khop_nodes(graph.adjacency, anchors, max(int(depth) - 1, 0))
-    base = sp.csr_matrix(graph.adjacency)[nodes][:, nodes].tocoo()
+        nodes = khop_nodes(adjacency, anchors, max(int(depth) - 1, 0))
     size = int(nodes.size)
+    # The induced block: the rows of ``nodes``, columns renumbered by
+    # position in ``nodes`` (ascending, so sorted rows stay sorted) ...
+    entries = _row_entries(adjacency.indptr, nodes)
+    position = np.full(graph.num_nodes, -1, dtype=np.int64)
+    position[nodes] = np.arange(size)
+    cols = position[adjacency.indices[entries]]
+    keep = cols >= 0
+    rows = np.repeat(np.arange(size), np.diff(adjacency.indptr)[nodes])
+    # ... each anchor row gaining the new node's column last, and the new
+    # node's row listing the anchors.
     anchor_positions = np.searchsorted(nodes, anchors)
-    rows = np.concatenate([base.row, anchor_positions,
-                           np.full(anchors.size, size, dtype=np.int64)])
-    cols = np.concatenate([base.col,
-                           np.full(anchors.size, size, dtype=np.int64),
-                           anchor_positions])
-    data = np.concatenate([base.data, np.ones(2 * anchors.size)])
-    adjacency = sp.csr_matrix((data, (rows, cols)), shape=(size + 1, size + 1))
+    new = np.full(anchors.size, size, dtype=np.int64)
+    rows = np.concatenate([rows[keep], anchor_positions, new])
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    cols = np.concatenate([cols[keep], new, anchor_positions])[order]
+    data = np.concatenate([adjacency.data[entries][keep],
+                           np.ones(2 * anchors.size)])[order]
+    block = csr_from_entries(size + 1, rows, cols, data)
     features = np.asarray(graph.features)[nodes]
-    return SubgraphBlock(nodes=nodes, adjacency=adjacency,
+    return SubgraphBlock(nodes=nodes, adjacency=block,
                          features=features, new_index=size)

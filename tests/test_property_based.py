@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,8 @@ from repro.graph import (
     node_homophily,
     normalize_adjacency,
 )
-from repro.graph.normalize import row_normalize
+from repro.graph.normalize import add_self_loops, row_normalize
+from repro.serving import extract_block, khop_nodes
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +118,141 @@ def test_row_normalize_rows_sum_to_one_or_zero(n, seed):
     out = row_normalize(matrix)
     sums = out.sum(axis=1)
     assert np.all((np.isclose(sums, 1.0)) | (np.isclose(sums, 0.0)))
+
+
+# ----------------------------------------------------------------------
+# Array CSR code against the scipy expressions it replaced, bit for bit
+# ----------------------------------------------------------------------
+def _scipy_add_self_loops(adjacency, weight=1.0):
+    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    n = adjacency.shape[0]
+    return (adjacency + weight * sp.eye(n, format="csr")).tocsr()
+
+
+def _scipy_normalize_adjacency(adjacency, r=0.5, self_loops=True):
+    matrix = _scipy_add_self_loops(adjacency) if self_loops else \
+        sp.csr_matrix(adjacency, dtype=np.float64)
+    degrees = np.asarray(matrix.sum(axis=1)).ravel()
+    degrees[degrees == 0] = 1.0
+    left = sp.diags(np.power(degrees, r - 1.0))
+    right = sp.diags(np.power(degrees, -r))
+    return (left @ matrix @ right).tocsr()
+
+
+def _scipy_khop_nodes(adjacency, seeds, depth):
+    adjacency = sp.csr_matrix(adjacency)
+    visited = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontier = visited
+    for _ in range(int(depth)):
+        if frontier.size == 0:
+            break
+        neighbours = adjacency[frontier].indices
+        fresh = np.setdiff1d(neighbours, visited)
+        if fresh.size == 0:
+            break
+        visited = np.union1d(visited, fresh)
+        frontier = fresh
+    return visited
+
+
+def _scipy_extract_block(graph, anchors, depth):
+    """``(nodes, adjacency, features, new_index)``."""
+    anchors = np.unique(np.asarray(anchors, dtype=np.int64))
+    if depth is None:
+        nodes = np.arange(graph.num_nodes, dtype=np.int64)
+    else:
+        nodes = _scipy_khop_nodes(graph.adjacency, anchors,
+                                  max(int(depth) - 1, 0))
+    base = sp.csr_matrix(graph.adjacency)[nodes][:, nodes].tocoo()
+    size = int(nodes.size)
+    anchor_positions = np.searchsorted(nodes, anchors)
+    rows = np.concatenate([base.row, anchor_positions,
+                           np.full(anchors.size, size, dtype=np.int64)])
+    cols = np.concatenate([base.col,
+                           np.full(anchors.size, size, dtype=np.int64),
+                           anchor_positions])
+    data = np.concatenate([base.data, np.ones(2 * anchors.size)])
+    adjacency = sp.csr_matrix((data, (rows, cols)),
+                              shape=(size + 1, size + 1))
+    return nodes, adjacency, np.asarray(graph.features)[nodes], size
+
+
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
+
+WEIGHTS = st.sampled_from([1.0, 0.0, -0.0, -1.0, 0.5, 2.0, 1e-3]) | st.floats(
+    min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def stored_adjacency(draw, max_nodes=10):
+    """A square CSR as a caller may hand it over.
+
+    Unit or weighted entries, explicit zeros, diagonal entries (a -1.0
+    among them cancels the added self-loop), isolated nodes; stored
+    canonically or exactly as drawn — unsorted, with duplicates.  Rows
+    hold at most eight entries: scipy sorts a longer row with an unstable
+    sort, so the reference itself leaves the order of duplicates there
+    undefined.  Indices are int32; for int64 input scipy picks the
+    result's index dtype from uninitialised memory.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    weights = st.just(1.0) if draw(st.booleans()) else WEIGHTS
+    stored = [draw(st.lists(st.tuples(st.integers(0, n - 1), weights),
+                            max_size=8)) for _ in range(n)]
+    rows = np.repeat(np.arange(n), [len(row) for row in stored])
+    cols = np.array([col for row in stored for col, _ in row], dtype=np.int32)
+    data = np.array([value for row in stored for _, value in row],
+                    dtype=np.float64)
+    if draw(st.booleans()):
+        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in stored])])
+    return sp.csr_matrix((data, cols, indptr.astype(np.int32)), shape=(n, n))
+
+
+def _assert_same_csr(got, expected):
+    assert type(got) is type(expected) and got.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@given(stored_adjacency())
+@FUZZ
+def test_normalize_adjacency_is_the_scipy_expression(adjacency):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for r in (0.0, 0.25, 0.5, 1.0):
+            for self_loops in (True, False):
+                _assert_same_csr(
+                    normalize_adjacency(adjacency, r, self_loops),
+                    _scipy_normalize_adjacency(adjacency, r, self_loops))
+    _assert_same_csr(add_self_loops(adjacency),
+                     _scipy_add_self_loops(adjacency))
+
+
+@given(stored_adjacency(), st.data())
+@FUZZ
+def test_khop_and_extract_block_are_the_scipy_expressions(adjacency, data):
+    n = adjacency.shape[0]
+    anchors = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=4))      # duplicates included
+    graph = SimpleNamespace(
+        adjacency=adjacency, num_nodes=n,
+        features=np.arange(3.0 * n).reshape(n, 3))
+    for depth in (0, 1, 2, 3):
+        got = khop_nodes(adjacency, anchors, depth)
+        expected = _scipy_khop_nodes(adjacency, anchors, depth)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    for depth in (None, 0, 1, 2, 3):
+        block = extract_block(graph, anchors, depth)
+        nodes, expected, features, new_index = _scipy_extract_block(
+            graph, anchors, depth)
+        assert block.nodes.dtype == nodes.dtype
+        assert block.nodes.tobytes() == nodes.tobytes()
+        assert block.features.tobytes() == features.tobytes()
+        assert block.new_index == new_index
+        _assert_same_csr(block.adjacency, expected)
 
 
 # ----------------------------------------------------------------------

@@ -450,15 +450,38 @@ def test_close_flushes_pending_queries(snapshot):
     engine.close()   # idempotent
 
 
+def _parked(engine, queries):
+    """Submit ``queries`` while the worker is held inside an earlier
+    query's cache read, so the worker finds them all queued: the first
+    opens a batch the others join, parked until its deadline or close."""
+    import threading
+
+    inside, release = threading.Event(), threading.Event()
+    get = engine.cache.get
+
+    def held(key, build):
+        inside.set()
+        release.wait(30)
+        return get(key, build)
+
+    engine.cache.get = held
+    engine.submit(queries[0])
+    assert inside.wait(30)
+    parked = [engine.submit(query) for query in queries[1:]]
+    del engine.cache.get
+    release.set()
+    return parked
+
+
 def test_table_query_is_answered_at_admission(snapshot, offline_probs):
     """A table read never waits for the worker: its future is done when
     ``submit`` returns, even with the worker parked on a 10 s deadline."""
     engine = QueryEngine(snapshot, max_batch=100, max_delay_ms=10_000.0)
     try:
-        parked = engine.submit(_inductive(snapshot, 1)[0])
+        parked = _parked(engine, _inductive(snapshot, 3))
         future = engine.submit(TransductiveQuery(0, 3))
         assert future.done()
-        assert not parked.done()
+        assert not any(query.done() for query in parked)
         result = future.result(timeout=0)
         assert (result.path, result.batch_size, result.trigger) \
             == ("table", 1, "inline")
@@ -466,7 +489,72 @@ def test_table_query_is_answered_at_admission(snapshot, offline_probs):
         assert engine.batch_log[-1] == {"size": 1, "trigger": "inline"}
     finally:
         engine.close()
-    assert parked.result(timeout=30).trigger == "close"
+    assert [query.result(timeout=30).trigger for query in parked] \
+        == ["close", "close"]
+
+
+def test_lone_query_is_not_held_for_company(snapshot):
+    """A query that finds the queue empty is answered at once, whatever
+    the deadline: nothing is waiting that it could be batched with."""
+    with QueryEngine(snapshot, max_batch=100,
+                     max_delay_ms=10_000.0) as engine:
+        result = engine.query(_inductive(snapshot, 1)[0], timeout=30)
+        assert (result.trigger, result.batch_size, result.path) \
+            == ("idle", 1, "serial")
+        assert result.latency < 5.0
+        assert engine.batch_log == [{"size": 1, "trigger": "idle"}]
+
+
+def test_submit_racing_close_is_answered_not_stranded(snapshot, monkeypatch):
+    """``close`` running between a submit's closed-check and its enqueue
+    must not leave the query behind the stop sentinel: admission and
+    close are one step against each other, so the query is answered."""
+    import queue
+    import threading
+
+    closers = []
+
+    class CloseFirst(queue.Queue):
+        """Runs ``close`` on another thread inside the first enqueue."""
+        engine = None
+
+        def put_nowait(self, item):
+            if self.engine is not None and not closers:
+                closer = threading.Thread(target=self.engine.close)
+                closers.append(closer)
+                closer.start()
+                closer.join(0.5)   # unguarded, close() finishes in here
+            super().put_nowait(item)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(queue, "Queue", CloseFirst)
+        engine = QueryEngine(snapshot, max_batch=100, max_delay_ms=10_000.0)
+    engine._queue.engine = engine
+    racing = engine.submit(_inductive(snapshot, 1)[0])
+    assert racing.result(timeout=10).path == "serial"
+    closers[0].join(timeout=30)
+    assert not closers[0].is_alive()
+    with pytest.raises(RuntimeError, match="closed"):
+        engine.submit(_inductive(snapshot, 1)[0])
+
+
+def test_wrong_width_query_leaves_the_cache_alone(snapshot):
+    """A malformed query is refused before the LRU is consulted: it counts
+    no miss and evicts no live block."""
+    graph = snapshot.entries[0].graph
+    with QueryEngine(snapshot, max_batch=1, max_delay_ms=0.0,
+                     cache_size=1) as engine:
+        engine.query(InductiveQuery(0, graph.features[0], (0, 1)), timeout=30)
+        counters = (engine.cache.hits, engine.cache.misses,
+                    engine.cache.evictions)
+        with pytest.raises(ValueError, match="features"):
+            engine.query(InductiveQuery(0, np.ones(graph.num_features + 1),
+                                        (2, 3)), timeout=30)
+        assert (engine.cache.hits, engine.cache.misses,
+                engine.cache.evictions) == counters
+        assert engine.cache.keys() == [(0, (0, 1))]
+        engine.query(InductiveQuery(0, graph.features[0], (1, 0)), timeout=30)
+        assert engine.cache.hits == counters[0] + 1
 
 
 def test_engine_surfaces_bad_queries_without_wedging(snapshot):
@@ -579,7 +667,7 @@ def test_each_block_is_normalised_once(snapshot, monkeypatch):
         base, "normalize_adjacency",
         lambda *args, **kwargs: calls.append(1) or normalize(*args, **kwargs))
     queries = _inductive(snapshot, 6)
-    # A lone query waits out its 20 ms deadline and runs serially; six at
+    # A lone query finds the queue empty and runs serially at once; six at
     # once flush on size and fuse.
     with QueryEngine(snapshot, max_batch=6, max_delay_ms=20.0) as engine:
         for _ in range(2):
