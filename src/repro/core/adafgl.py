@@ -69,7 +69,8 @@ class AdaFGLConfig(FederatedConfig):
     # the dataset registry stamped into ``graph.metadata`` (picked off the
     # BENCH_topk.json accuracy-vs-k curve) and falls back to 32 — an explicit
     # integer (or ``None`` for the exact keep-every-entry sparse path) always
-    # wins over the registry default.  ``use_propagation_cache`` precomputes
+    # wins over the registry default; an integer on the dense path would be
+    # ignored, so ``AdaFGL`` refuses it.  ``use_propagation_cache`` precomputes
     # the constant k-hop feature blocks once per client.  The inherited
     # ``num_workers > 1`` trains the (embarrassingly parallel) Step-2
     # clients in the persistent worker pool — shared with Step-1 local
@@ -122,6 +123,23 @@ def resolve_propagation_top_k(config: AdaFGLConfig,
             return DEFAULT_PROPAGATION_TOP_K
         return int(registry_default)
     return top_k
+
+
+def _check_propagation_top_k(config: AdaFGLConfig) -> None:
+    """Refuse a ``propagation_top_k`` that the configured P̃ path would drop.
+
+    ``"auto"`` and ``None`` are valid on both paths; an integer is a
+    sparse-path setting (the dense P̃ keeps every entry), so with
+    ``sparse_propagation=False`` it is an error rather than a silent no-op,
+    as is any other string.
+    """
+    top_k = config.propagation_top_k
+    if top_k not in ("auto", None) and (isinstance(top_k, str)
+                                        or not config.sparse_propagation):
+        raise ValueError(
+            f"propagation_top_k={top_k!r} with sparse_propagation="
+            f"{config.sparse_propagation}: propagation_top_k must be 'auto', "
+            f"None, or an int with sparse_propagation=True")
 
 
 class PersonalizedClient:
@@ -245,47 +263,37 @@ class PersonalizedClient:
         return masked_accuracy(self.predict(), self.graph.labels, mask)
 
 
-def _train_personalized_client(payload: Tuple) -> Tuple:
-    """Process-pool worker: train one Step-2 client end to end.
+def _personalize(residents: Dict, client_id: int, graph: Optional[Graph],
+                 extractor_probs: np.ndarray, config: AdaFGLConfig,
+                 epochs: int, checkpoints: Sequence[int]) -> Tuple:
+    """Step 2 (Alg. 2) of one client, end to end: the whole schedule.
 
-    Clients are embarrassingly parallel — no state is exchanged during
-    personalized training — so each worker builds its client from the same
-    (graph, P̂, config) triple the serial path uses, runs every epoch, and
-    ships back the trained weights plus the per-epoch losses and the metrics
-    needed to reconstruct the aggregate training history.
+    Clients exchange nothing during personalized training, so one client's
+    run is a self-contained job: build its :class:`PersonalizedClient`, run
+    every epoch, and evaluate train / test at the ``checkpoints`` epochs.
+    Returns ``(client_id, state, losses, metrics, counts, P̃, HCS)`` —
+    everything :meth:`AdaFGL._run_step2` needs to rebuild the client and the
+    history without paying P̃ / HCS twice.
+
+    In-process runs call it with an empty ``residents`` registry; pooled
+    runs send it as a ``call`` (see
+    :mod:`repro.federated.engine.persistent`), where ``graph=None`` takes
+    the subgraph of the worker-resident Step-1 client instead of shipping
+    it again.
     """
-    client_id, graph, extractor_probs, config, epochs, checkpoints = payload
+    if graph is None:
+        graph = residents[client_id].graph
     client = PersonalizedClient(client_id, graph, extractor_probs, config)
-    checkpoint_set = set(checkpoints)
-    losses: List[float] = []
-    metrics: Dict[int, Dict[str, float]] = {}
+    losses, metrics = [], {}
     for epoch in range(1, epochs + 1):
         losses.append(client.train_epoch())
-        if epoch in checkpoint_set:
+        if epoch in checkpoints:
             metrics[epoch] = {"train": client.evaluate("train"),
                               "test": client.evaluate("test")}
     counts = {split: int(getattr(graph, f"{split}_mask").sum())
               for split in ("train", "test")}
     return (client_id, client.model.state_dict(), losses, metrics, counts,
             client.propagation, client.hcs)
-
-
-def _step2_worker_job(residents: Dict, payload: Tuple) -> Tuple:
-    """Persistent-pool entry point for one Step-2 client.
-
-    Runs inside a worker's command loop (see
-    :mod:`repro.federated.engine.persistent`): when the worker already holds
-    the client's Step-1 :class:`~repro.federated.client.Client` resident, the
-    subgraph is taken from it instead of being shipped again — only P̂ and
-    the config cross the process boundary, and the
-    :class:`~repro.core.propagation.PropagationCache` blocks are built once
-    in the owning worker.
-    """
-    client_id, graph, extractor_probs, config, epochs, checkpoints = payload
-    if graph is None:
-        graph = residents[client_id].graph
-    return _train_personalized_client(
-        (client_id, graph, extractor_probs, config, epochs, checkpoints))
 
 
 class AdaFGL:
@@ -304,6 +312,7 @@ class AdaFGL:
     def __init__(self, subgraphs: Sequence[Graph],
                  config: Optional[AdaFGLConfig] = None):
         self.config = config or AdaFGLConfig()
+        _check_propagation_top_k(self.config)
         self.subgraphs = list(subgraphs)
         if not self.subgraphs:
             raise ValueError("AdaFGL requires at least one client subgraph")
@@ -353,10 +362,12 @@ class AdaFGL:
     def run_step2(self, epochs: Optional[int] = None) -> TrainingHistory:
         """Personalized propagation on every client (Alg. 2).
 
-        With ``config.num_workers > 1`` the clients — which never exchange
-        state during Step 2 — are trained concurrently in a process pool;
-        the recorded history is reconstructed from per-worker metrics and
-        matches the serial schedule checkpoint for checkpoint.
+        Each client is one :func:`_personalize` job — in this process, or,
+        with ``config.num_workers > 1``, on the worker pool (the Step-1 pool
+        and its resident subgraphs when there is one).  Either way the
+        personalized clients and the history are assembled once, from the
+        per-client results, so both schedules give the same bits.  Every
+        call trains fresh clients and replaces the Step-2 history in place.
         """
         if self.step1_history is None:
             raise RuntimeError("run_step1 must be executed before run_step2")
@@ -371,126 +382,77 @@ class AdaFGL:
                 self.close()
 
     def _run_step2(self, epochs: int) -> TrainingHistory:
-        probabilities = self.extractor.client_probabilities()
+        p_hats = self.extractor.client_probabilities()  # P̂ per client
         graphs = self.extractor.client_graphs()
         offset = self.step1_history.rounds[-1] if self.step1_history.rounds else 0
         checkpoints = [epoch for epoch in range(1, epochs + 1)
                        if epoch % max(1, epochs // 10) == 0 or epoch == epochs]
+        jobs = [(cid, graph, probs, self.config, epochs, checkpoints)
+                for cid, (graph, probs) in enumerate(zip(graphs, p_hats))]
+        if self.config.num_workers > 1 and len(jobs) > 1:
+            results = self._personalize_on_pool(jobs)
+        else:
+            results = [_personalize({}, *job) for job in jobs]
 
-        if self.config.num_workers > 1 and len(graphs) > 1:
-            self._run_step2_parallel(graphs, probabilities, epochs,
-                                     checkpoints, offset)
-            return self.history
-
-        self.personalized = [
-            PersonalizedClient(index, graph, probs, self.config)
-            for index, (graph, probs) in enumerate(zip(graphs, probabilities))
-        ]
-        for epoch in range(1, epochs + 1):
-            losses = [client.train_epoch() for client in self.personalized]
-            if epoch in set(checkpoints):
-                train_acc = self.evaluate("train")
-                test_acc = self.evaluate("test")
-                per_client = {c.client_id: c.evaluate("test")
-                              for c in self.personalized}
-                self.history.record(offset + epoch, train_acc, test_acc,
-                                    float(np.mean(losses)), per_client)
+        # P̃ and HCS come back with the weights, so their setup is not paid
+        # twice; the rebuilt clients carry fresh optimizer moments.
+        ids, states, losses, metrics, counts, props, scores = zip(*results)
+        self.personalized = []
+        for cid, state, prop, hcs in zip(ids, states, props, scores):
+            client = PersonalizedClient(cid, graphs[cid], p_hats[cid],
+                                        self.config, propagation=prop, hcs=hcs)
+            client.model.load_state_dict(state)
+            self.personalized.append(client)
+        self.history.clear()
+        for epoch in checkpoints:
+            accuracy = {split: count_weighted_mean(
+                            (metric[epoch][split], count[split])
+                            for metric, count in zip(metrics, counts))
+                        for split in ("train", "test")}
+            self.history.record(
+                offset + epoch, accuracy["train"], accuracy["test"],
+                float(np.mean([loss[epoch - 1] for loss in losses])),
+                {cid: metric[epoch]["test"]
+                 for cid, metric in zip(ids, metrics)})
         return self.history
 
-    def _run_step2_parallel(self, graphs: Sequence[Graph],
-                            probabilities: Sequence[np.ndarray], epochs: int,
-                            checkpoints: List[int], offset: int) -> None:
-        """Train every Step-2 client on the persistent pool, merge results.
+    def _personalize_on_pool(self, jobs: List[Tuple]) -> List[Tuple]:
+        """Run the :func:`_personalize` jobs on the worker pool, in id order.
 
         Reuses the Step-1 :class:`~repro.federated.ProcessPoolBackend` when
-        the extractor trained on one — each worker already holds its shard's
-        subgraphs resident, so only P̂ and the config are shipped down — and
-        spins up a dedicated pool otherwise (released before returning).
+        the extractor trained on one: a client resident in a worker goes to
+        that worker with ``graph=None``, so only P̂ and the config cross the
+        process boundary.  Everyone else is sharded by ``cid`` over the
+        *alive* slots (a Step-1 crash under the redistribute policy may have
+        retired some).  Without a Step-1 pool a dedicated one is spun up and
+        released before returning.
         """
         backend = self.extractor.trainer.backend
         owned = not isinstance(backend, ProcessPoolBackend)
         if owned:
             backend = ProcessPoolBackend(
-                min(self.config.num_workers, len(graphs)),
+                min(self.config.num_workers, len(jobs)),
                 intra_worker=self.config.intra_worker)
         try:
-            results = self._dispatch_step2_jobs(backend, graphs,
-                                                probabilities, epochs,
-                                                checkpoints)
+            pool = backend.ensure_pool()
+            alive = pool.alive_workers
+            per_worker: Dict[int, List[Tuple[str, object]]] = {}
+            for cid, *rest in jobs:
+                owner = backend.owner_of(cid)
+                if owner is not None:
+                    rest[0] = None  # the owner holds the subgraph resident
+                target = alive[cid % len(alive)] if owner is None else owner
+                per_worker.setdefault(target, []).append(
+                    ("call", (_personalize, (cid, *rest))))
+            # run_batches keeps one job in flight per worker: Step-2 payloads
+            # and replies (graphs, P̃ matrices) are far larger than a pipe
+            # buffer, so naive queue-everything dispatch can deadlock.
+            batches = pool.run_batches(per_worker).values()
         finally:
             if owned:
                 backend.close()
-
-        # Rebuild in-process clients carrying the trained weights so that
-        # evaluate() / client_reports() / client_hcs() work exactly as after
-        # a serial run; P̃ and HCS come back from the workers so their
-        # expensive setup is not paid twice.
-        self.personalized = []
-        self._merge_step2_results(results, graphs, probabilities,
-                                  checkpoints, offset)
-
-    def _dispatch_step2_jobs(self, backend: ProcessPoolBackend,
-                             graphs: Sequence[Graph],
-                             probabilities: Sequence[np.ndarray], epochs: int,
-                             checkpoints: List[int]) -> List[Tuple]:
-        """Fan Step-2 jobs out over the workers; collect in client-id order.
-
-        Clients whose Step-1 counterpart is resident in a worker are routed
-        to that worker with ``graph=None`` (the resident subgraph is reused);
-        everyone else is sharded deterministically by ``cid % workers``.
-        """
-        pool = backend.ensure_pool()
-        alive = pool.alive_workers
-        per_worker: Dict[int, List[Tuple[str, object]]] = {}
-        for cid in range(len(graphs)):
-            owner = backend.owner_of(cid)
-            resident = owner is not None
-            if not resident:
-                # Shard over the *alive* slots only — a Step-1 crash under
-                # the redistribute policy may have retired some workers.
-                owner = alive[cid % len(alive)]
-            payload = (cid, None if resident else graphs[cid],
-                       probabilities[cid], self.config, epochs, checkpoints)
-            per_worker.setdefault(owner, []).append(
-                ("call", (_step2_worker_job, (payload,))))
-        # run_batches keeps one job in flight per worker: Step-2 payloads
-        # and replies (graphs, P̃ matrices) are far larger than a pipe
-        # buffer, so naive queue-everything dispatch can deadlock.
-        results: Dict[int, Tuple] = {}
-        for batch in pool.run_batches(per_worker).values():
-            for result in batch:
-                results[result[0]] = result
-        return [results[cid] for cid in range(len(graphs))]
-
-    def _merge_step2_results(self, results: List[Tuple],
-                             graphs: Sequence[Graph],
-                             probabilities: Sequence[np.ndarray],
-                             checkpoints: List[int], offset: int) -> None:
-        all_losses: Dict[int, List[float]] = {}
-        all_metrics: Dict[int, Dict[int, Dict[str, float]]] = {}
-        all_counts: Dict[int, Dict[str, int]] = {}
-        for client_id, state, losses, metrics, counts, prop, hcs in results:
-            client = PersonalizedClient(client_id, graphs[client_id],
-                                        probabilities[client_id], self.config,
-                                        propagation=prop, hcs=hcs)
-            client.model.load_state_dict(state)
-            self.personalized.append(client)
-            all_losses[client_id] = losses
-            all_metrics[client_id] = metrics
-            all_counts[client_id] = counts
-
-        for epoch in checkpoints:
-            accuracy = {
-                split: count_weighted_mean(
-                    (all_metrics[cid][epoch][split], all_counts[cid][split])
-                    for cid in all_metrics)
-                for split in ("train", "test")}
-            per_client = {cid: all_metrics[cid][epoch]["test"]
-                          for cid in sorted(all_metrics)}
-            mean_loss = float(np.mean([all_losses[cid][epoch - 1]
-                                       for cid in sorted(all_losses)]))
-            self.history.record(offset + epoch, accuracy["train"],
-                                accuracy["test"], mean_loss, per_client)
+        return sorted((result for batch in batches for result in batch),
+                      key=lambda result: result[0])
 
     def run(self, rounds: Optional[int] = None,
             epochs: Optional[int] = None) -> TrainingHistory:

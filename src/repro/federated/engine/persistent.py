@@ -29,8 +29,10 @@ that communication model for the simulator:
 
 The pool is generic: besides the built-in Step-1 ``train`` command it can
 ``call`` any module-level function against the worker's resident-client
-registry, which is how AdaFGL Step 2 reuses the same workers (and their
-already-resident subgraphs) for personalized training.
+registry.  AdaFGL Step 2 is one such function — the per-client job
+``repro.core.adafgl._personalize``, which the in-process schedule calls
+with an empty registry — so pooled personalized training reuses the same
+workers and, for a client resident there, its already-resident subgraph.
 """
 
 from __future__ import annotations

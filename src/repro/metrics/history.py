@@ -46,6 +46,10 @@ class TrainingHistory:
     #: clients merged into each seal)
     participants: Dict[int, List[int]] = field(default_factory=dict)
 
+    def clear(self) -> None:
+        """Forget everything recorded, in place (holders keep the object)."""
+        self.__init__()
+
     def record_drop(self, client_id: int) -> None:
         """Count one dropped-round event for a client (fault degradation)."""
         self.client_drops[client_id] = self.client_drops.get(client_id, 0) + 1

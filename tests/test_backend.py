@@ -496,6 +496,7 @@ class TestStructureCacheLifetime:
 
     def test_more_live_owners_than_any_cap_all_hit(self):
         owners = [_random_csr(6, 6, density=0.5, seed=s) for s in range(100)]
+        gc.collect()    # earlier tests' cyclic garbage owns entries too
         before = structure_cache_size()
         first = [cached_transpose(owner) for owner in owners]
         assert structure_cache_size() == before + 100
