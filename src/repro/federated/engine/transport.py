@@ -64,10 +64,12 @@ import hmac
 import ipaddress
 import json
 import multiprocessing as mp
+import os
 import pickle
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -875,6 +877,42 @@ class PipeTransport(WorkerTransport):
         return [conn for conn in channels if id(conn) in ready_ids]
 
 
+#: what a TCP worker imports: the command loop, and the batched plan its
+#: ``train`` command builds lazily (numpy, scipy and the models come along)
+WORKER_MODULES = ("repro.federated.engine.persistent",
+                  "repro.federated.engine.batched")
+_FORKSERVER_ENV_LOCK = threading.Lock()
+
+
+def _ensure_forkserver() -> None:
+    """Have the forkserver running with :data:`WORKER_MODULES` imported.
+
+    The forkserver imports its preload list once; every worker forked from
+    it starts with those modules loaded instead of importing them itself.
+    The server is a fresh ``python -c`` that finds modules through
+    ``PYTHONPATH`` alone: CPython 3.11 ignores the ``sys_path`` it hands
+    the server, and the server skips a preload that fails to import without
+    a word.  So while it starts, ``PYTHONPATH`` names this process's
+    ``sys.path`` (and is restored after), which also covers a coordinator
+    that found ``repro`` through ``sys.path`` alone.  A running server is
+    left as it is; one that was stopped or died is started again, preloaded.
+    """
+    from multiprocessing import forkserver
+
+    forkserver.set_forkserver_preload(list(WORKER_MODULES))
+    with _FORKSERVER_ENV_LOCK:
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            entry or os.getcwd() for entry in sys.path)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+
+
 def _tcp_worker_main(address, worker: int, token: str,
                      session: Optional[str], knob_dict: Dict,
                      link_spec: Optional[Tuple]) -> None:
@@ -932,6 +970,16 @@ class TcpTransport(WorkerTransport):
     ``fork``: the coordinator runs acceptor/reader/writer threads, and a
     forked child would additionally inherit every connected socket fd,
     keeping links half-open after the coordinator closes them.
+
+    How a worker starts: the first process-mode :meth:`spawn` starts the
+    forkserver with :data:`WORKER_MODULES` preloaded (see
+    :func:`_ensure_forkserver`), so that server pays the one import of
+    numpy, scipy and ``repro`` and every worker after it — each spawn,
+    each respawn — is a fork that reaches its first reply without importing
+    anything.  Every spawn re-checks the server, so one that was
+    stopped or died comes back preloaded.  ``mode="external"`` starts no
+    helper process.  Where there is no forkserver, workers are started
+    with ``spawn`` and import everything themselves.
     """
 
     name = "tcp"
@@ -997,6 +1045,8 @@ class TcpTransport(WorkerTransport):
             link_spec = None
             if self.wan is not None:
                 link_spec = (asdict(self.wan.link_for(index)), self.wan.seed)
+            if self._context.get_start_method() == "forkserver":
+                _ensure_forkserver()
             process = self._context.Process(
                 target=_tcp_worker_main,
                 args=(self.address, index, self.token, session,

@@ -515,3 +515,101 @@ class TestLiveness:
                     worker.kill()
                     worker.wait(timeout=10)
                     pytest.fail("external worker did not exit after stop")
+
+
+# ----------------------------------------------------------------------
+# Worker start-up: a fork of the preloaded forkserver, not an interpreter
+# ----------------------------------------------------------------------
+#: a worker forked from the preloaded forkserver spends a few CPU-ms up to
+#: its first reply; one that imports numpy, scipy and ``repro`` itself
+#: spends ≈ 0.5–1 s
+WARM_SPAWN_CPU_S = 0.15
+
+#: run in a fresh interpreter that finds ``repro`` through ``sys.path``
+#: alone (``argv[1]`` names ``src/``, the environment has no PYTHONPATH)
+_SYS_PATH_ONLY = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from multiprocessing import forkserver
+from repro.federated.engine import PersistentWorkerPool, TcpTransport
+
+def cpu_seconds(pid):
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+def children():
+    found = []
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as handle:
+            found += handle.read().split()
+    return found
+
+def first_replies():
+    pool = PersistentWorkerPool(2, transport=TcpTransport())
+    try:
+        for worker in range(2):
+            pool.call(worker, "fetch_all", False)
+        return [cpu_seconds(process.pid) for process in pool._procs]
+    finally:
+        pool.shutdown()
+
+external = TcpTransport(mode="external")
+external.spawn(0)
+external.close()
+report = {"after_external": children(), "cold": first_replies()}
+forkserver._forkserver._stop()      # as benchmarks/e2e/run.py ends a run
+report["restarted"] = first_replies()
+print(json.dumps(report))
+"""
+
+
+def _cpu_seconds(pid: int) -> float:
+    """CPU time a process has used: ``utime + stime`` of /proc/<pid>/stat."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads per-process CPU time from /proc")
+class TestWarmSpawn:
+    """A process-mode TCP worker is forked from a forkserver that has
+    already imported what a worker runs, so it reaches its first reply
+    without importing numpy, scipy or ``repro``.  The forkserver skips a
+    preload that does not import without a word, so these CPU budgets are
+    what notices it."""
+
+    def test_spawned_and_respawned_workers_import_nothing(self):
+        pool = PersistentWorkerPool(2, transport=TcpTransport())
+        try:
+            for worker in range(2):
+                pool.call(worker, "fetch_all", False)
+            spent = [_cpu_seconds(process.pid) for process in pool._procs]
+            assert max(spent) < WARM_SPAWN_CPU_S, spent
+            pool.respawn(0)
+            pool.call(0, "fetch_all", False)
+            spent = _cpu_seconds(pool._procs[0].pid)
+            assert spent < WARM_SPAWN_CPU_S, spent
+        finally:
+            pool.shutdown()
+
+    def test_preload_reaches_a_coordinator_without_pythonpath(self,
+                                                              tmp_path):
+        """``benchmarks/e2e/run.py`` finds ``repro`` through ``sys.path``;
+        the forkserver must import it all the same — started cold, and
+        started again after it was stopped.  An ``external`` transport
+        starts no helper process at all."""
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", _SYS_PATH_ONLY, os.path.abspath(src)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report["after_external"] == []
+        assert max(report["cold"]) < WARM_SPAWN_CPU_S, report
+        assert max(report["restarted"]) < WARM_SPAWN_CPU_S, report
