@@ -29,7 +29,7 @@ import inspect
 import os
 import pickle
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -246,10 +246,9 @@ class PendingRound:
         self.participants = participants
         #: client_id → coordinator mirror client
         self.mirrors = {c.client_id: c for c in participants}
-        #: worker → FIFO of shards (id lists) whose reply is expected from
-        #: it; normally one entry per worker, but crash recovery under the
-        #: ``redistribute`` policy may queue a second shard on a survivor
-        self.groups: Dict[int, List[List[int]]] = {}
+        #: worker → the shard (client ids) whose reply it owes; a second
+        #: shard for a busy worker waits in the backend's queue
+        self.groups: Dict[int, List[int]] = {}
         #: client ids dropped from this round (timed-out shards, lost
         #: crash shards under a non-``fail`` policy)
         self.dropped: Set[int] = set()
@@ -257,8 +256,6 @@ class PendingRound:
         self.sent: Dict[int, Dict[str, np.ndarray]] = {}
         #: coordinator-resident clients (non-poolable)
         self.local_side: List = []
-        #: workers whose shard report has not been absorbed yet
-        self.outstanding: Set[int] = set()
         #: client_id → mean local-training loss
         self.losses: Dict[int, float] = {}
         #: client_id → trained state reconstructed from the upload delta;
@@ -278,6 +275,11 @@ class PendingRound:
         #: hierarchical rounds: ``(client_ids, fixed-point partial)`` edge
         #: aggregates, one per worker shard, awaiting a coordinator merge
         self.partials: List = []
+
+    @property
+    def outstanding(self):
+        """Workers whose shard report has not been absorbed yet."""
+        return self.groups.keys()
 
     def take_partials(self) -> List:
         """Drain the edge-aggregated partial sums collected so far."""
@@ -360,15 +362,17 @@ class ProcessPoolBackend(ExecutionBackend):
         self._recovery: Dict[int, Dict] = {}
         #: worker → train dispatches sent so far (fault-plan addressing)
         self._dispatch_count: Dict[int, int] = {}
-        #: worker → FIFO of ``[transit events, checksum, clean train args,
-        #: retried]``, one entry per expected train reply (aligned with
-        #: ``PendingRound.groups``): the transport faults to apply when the
-        #: reply lands, and the downlink-recovery cache a checksum-rejecting
-        #: worker is re-served from
-        self._in_flight: Dict[int, List[List]] = {}
-        #: worker → count of stale (timed-out) replies still unread; a
-        #: lagging worker is excluded from dispatch until drained
-        self._lagging: Dict[int, int] = {}
+        #: worker → ``[transit events, checksum, clean train args,
+        #: retried]`` of the train reply it owes: the transport faults to
+        #: apply when the reply lands, and the downlink-recovery cache a
+        #: checksum-rejecting worker is re-served from
+        self._in_flight: Dict[int, List] = {}
+        #: workers whose owed reply is a stale (timed-out) train reply; a
+        #: lagging worker is excluded from dispatch until it is drained
+        self._lagging: Set[int] = set()
+        #: worker → commands waiting for its owed reply to be read, in
+        #: order: ``("adopt", batch)`` and ``("train", client ids)``
+        self._waiting: Dict[int, List[Tuple[str, object]]] = {}
 
     # ------------------------------------------------------------------
     def worker_speed(self, worker: int) -> float:
@@ -393,6 +397,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._dispatch_count.clear()
             self._in_flight.clear()
             self._lagging.clear()
+            self._waiting.clear()
         return self._pool
 
     def owner_of(self, client_id: int) -> Optional[int]:
@@ -455,9 +460,14 @@ class ProcessPoolBackend(ExecutionBackend):
                                            len(blob) / 8.0)
             pooled.append(client)
         for worker, batch in batches.items():
-            pool.send(worker, "adopt", batch)
+            if pool.owed(worker):
+                # A lagging worker adopts once its stale reply is drained.
+                self._waiting.setdefault(worker, []).append(("adopt", batch))
+            else:
+                pool.send(worker, "adopt", batch)
         for worker in batches:
-            pool.recv(worker)
+            if pool.owed(worker) == "adopt":    # sent above, not queued
+                pool.recv(worker)
         return pooled
 
     def _evict(self, client) -> None:
@@ -535,8 +545,7 @@ class ProcessPoolBackend(ExecutionBackend):
         # Rejoin lagging workers whose stale (timed-out) replies have landed
         # since the last round; clients owned by a still-lagging worker
         # cannot train this round and are dropped from it.
-        if self._lagging:
-            self.poll_lagging()
+        self.poll_lagging()
         pooled = self._bootstrap(candidates)
         pooled_ids = {client.client_id for client in pooled}
         local_side.extend(c for c in candidates
@@ -555,7 +564,7 @@ class ProcessPoolBackend(ExecutionBackend):
         for client in pooled:
             cid = client.client_id
             owner = self._owner[cid]
-            if self._lagging.get(owner):
+            if owner in self._lagging:
                 # The owner still owes a stale reply from a timed-out round;
                 # dispatching to it would interleave fresh and stale shards.
                 pending.dropped.add(cid)
@@ -590,25 +599,47 @@ class ProcessPoolBackend(ExecutionBackend):
             if by_identity is not None:
                 by_identity[id(state)] = assign[cid]
         for worker, ids in sorted(groups.items()):
-            try:
-                self._send_shard(pending, worker, ids)
-            except WorkerCrash as error:
-                # The worker died between rounds; recover per policy (the
-                # shard itself was never queued, so hand it over explicitly).
-                self._handle_crash(pending, worker, error, extra_shard=ids)
+            # A worker that took over a crashed worker's shard earlier in
+            # this loop is busy: its own shard waits behind that one.
+            self._waiting.setdefault(worker, []).append(("train", ids))
+            self._drain(pending, worker)
         return pending
+
+    def _drain(self, pending: Optional["PendingRound"], worker: int) -> None:
+        """Send ``worker``'s waiting commands, in order, while it owes none.
+
+        An adopt is a ``call`` (its ack is read at once); a shard becomes
+        the worker's owed ``train``, so draining stops behind it.  Only the
+        round that owes ``worker`` a shard reply queues shards there, so
+        ``pending`` is the round every waiting shard belongs to.  A worker
+        found dead runs the crash policy, which takes over its queue.
+        """
+        waiting = self._waiting.get(worker, [])
+        while waiting and self._pool.owed(worker) is None:
+            command, payload = waiting.pop(0)
+            try:
+                if command == "adopt":
+                    self._pool.call(worker, "adopt", payload)
+                else:
+                    self._send_shard(pending, worker, payload)
+            except WorkerCrash as error:
+                self._handle_crash(
+                    pending, worker, error,
+                    extra_shard=payload if command == "train" else None)
+                return
+        if not waiting:
+            self._waiting.pop(worker, None)
 
     def _send_shard(self, pending: "PendingRound", worker: int,
                     ids: Sequence[int]) -> None:
         """Ship one shard's ``train`` command (dedup by state identity).
 
-        Appends the shard to the worker's expected-reply FIFO
-        (``pending.groups``) and records any fault-plan events addressed to
-        this dispatch: worker-side kinds (crash/stall) ride along in the
-        payload, transport kinds (corrupt/drop) are queued coordinator-side
-        and applied when the reply arrives.  Also the re-dispatch primitive
-        of crash recovery, which is why a worker's FIFO can hold more than
-        one shard.
+        Records the shard as the worker's owed reply (``pending.groups``)
+        and any fault-plan events addressed to this dispatch: worker-side
+        kinds (crash/stall) ride along in the payload, transport kinds
+        (corrupt/drop) are kept coordinator-side and applied when the reply
+        arrives.  Called through :meth:`_drain`, for a worker that owes
+        nothing.
         """
         unique: List[Dict[str, np.ndarray]] = []
         assign: Dict[int, int] = {}
@@ -662,10 +693,8 @@ class ProcessPoolBackend(ExecutionBackend):
             shipped = copy.deepcopy(args)
             _corrupt_payload(shipped)
         self._pool.send(worker, "train", (crc, shipped))
-        self._in_flight.setdefault(worker, []).append(
-            [transit, crc, args, False])
-        pending.groups.setdefault(worker, []).append(list(ids))
-        pending.outstanding.add(worker)
+        self._in_flight[worker] = [transit, crc, args, False]
+        pending.groups[worker] = list(ids)
         self.transport.record_download(
             "broadcast_weights",
             sum(v.size for state in unique for v in state.values()))
@@ -695,17 +724,15 @@ class ProcessPoolBackend(ExecutionBackend):
         the sync discipline — its lost shards are re-sent to recovered
         owners (the call then returns ``[]`` and the caller keeps pumping
         ``pending.outstanding``).  ``redispatch=False`` (the async
-        discipline) marks the lost shard dropped instead.
+        discipline) marks the lost shard dropped instead.  Once the report
+        is absorbed the worker's waiting commands are sent
+        (:meth:`_drain`); a waiting shard keeps the worker outstanding.
         """
         if worker not in pending.outstanding:
             raise ValueError(f"worker {worker} has no outstanding shard")
         try:
-            # Recovery adoptions are queued asynchronously on survivors;
-            # their acks precede the shard reply in the pipe.
-            while self._pool.next_reply_command(worker) == "adopt":
-                self._pool.recv(worker)
-            reply = self._pool.recv(worker)
-            reply = self._verify_reply(pending, worker, reply)
+            reply = self._verify_reply(pending, worker,
+                                       self._pool.recv(worker))
         except BroadcastCorrupted:
             # The worker refused a damaged broadcast without training —
             # re-serve the cached clean payload once (the shard stays
@@ -720,10 +747,7 @@ class ProcessPoolBackend(ExecutionBackend):
             # _verify_reply already ran the recovery policy.
             return []
         worker_losses, deltas, stats = reply
-        ids = pending.groups[worker].pop(0)
-        if not pending.groups[worker]:
-            del pending.groups[worker]
-            pending.outstanding.discard(worker)
+        ids = pending.groups.pop(worker)
         if "snapshots" in stats:
             # Freshest worker-side optimizer/RNG state per shard client —
             # the baseline a future crash recovery restores from.
@@ -765,6 +789,7 @@ class ProcessPoolBackend(ExecutionBackend):
         # the straggler profile actually has (shards train as one unit).
         for cid in ids:
             pending.round_sec[cid] = stats.get("busy_sec", 0.0)
+        self._drain(pending, worker)
         return ids
 
     def _verify_reply(self, pending: "PendingRound", worker: int, reply):
@@ -780,7 +805,7 @@ class ProcessPoolBackend(ExecutionBackend):
         through to the caller only when it happens on the *first* receive
         (i.e. the caller's own ``recv``), never from here.
         """
-        transit = self._in_flight[worker].pop(0)[0]
+        transit = self._in_flight.pop(worker)[0]
         kinds = {event.kind for event in transit}
         damaged = False
         if "drop" in kinds:
@@ -793,8 +818,10 @@ class ProcessPoolBackend(ExecutionBackend):
                        and payload_checksum(reply[1]) != stamped):
             self.fault_stats["retries"] += 1
             try:
+                # Nothing is queued behind the reply just read, so the
+                # worker's cached ``last_train`` is that reply.
                 self._pool.send(worker, "resend")
-                reply = self._pool.recv_reply_to(worker, "resend")
+                reply = self._pool.recv(worker)
             except WorkerCrash as error:
                 self._handle_crash(pending, worker, error)
                 return None
@@ -806,7 +833,7 @@ class ProcessPoolBackend(ExecutionBackend):
         return reply
 
     def _resend_broadcast(self, worker: int) -> None:
-        """Re-serve the oldest cached clean train broadcast (once).
+        """Re-serve the cached clean train broadcast (once).
 
         The mirror image of the uplink resend path: the worker rejected a
         checksum-failed downlink payload without executing it, so the same
@@ -816,7 +843,7 @@ class ProcessPoolBackend(ExecutionBackend):
         shard is a hard :class:`WorkerError` (the corruption persisted
         across the retry).
         """
-        entry = self._in_flight[worker][0]
+        entry = self._in_flight[worker]
         _events, crc, args, retried = entry
         if retried:
             raise WorkerError(
@@ -840,7 +867,7 @@ class ProcessPoolBackend(ExecutionBackend):
         ready = self._pool.wait(sorted(pending.outstanding), timeout=timeout)
         collected: List[int] = []
         for worker in ready:
-            if worker in pending.outstanding:   # recovery may mutate the set
+            if worker in pending.outstanding:   # recovery may change it
                 collected.extend(self.collect_worker(pending, worker))
         return collected
 
@@ -863,22 +890,26 @@ class ProcessPoolBackend(ExecutionBackend):
         (``redispatch=False``, the async discipline, where the round loop
         re-enqueues work itself).
 
-        Adoption is *asynchronous*: survivors may still owe train replies,
-        so the adopt acks are left in their pipes and drained by
-        :meth:`collect_worker` / :meth:`poll_lagging` before the next reply.
+        Adopts and re-dispatched shards join their new owner's waiting
+        queue: a survivor that still owes a train reply receives them once
+        that reply is read (:meth:`collect_worker` / :meth:`poll_lagging`).
         """
         self.fault_stats["crashes"] += 1
         if self.config.on_worker_failure == "fail":
             raise error
         pool = self._pool
         lost_shards: List[List[int]] = []
-        if pending is not None:
-            lost_shards.extend(pending.groups.pop(worker, []))
-            pending.outstanding.discard(worker)
+        if pending is not None and worker in pending.groups:
+            lost_shards.append(pending.groups.pop(worker))
         if extra_shard is not None:
             lost_shards.append(list(extra_shard))
+        # The dead worker's waiting adopts are remade below from the
+        # recovery snapshots; its waiting shards are lost with it.
+        lost_shards.extend(ids for command, ids
+                           in self._waiting.pop(worker, [])
+                           if command == "train")
         self._in_flight.pop(worker, None)
-        self._lagging.pop(worker, None)
+        self._lagging.discard(worker)
         lost_residents = sorted(cid for cid, owner in self._owner.items()
                                 if owner == worker)
         mirrors = {}
@@ -929,97 +960,83 @@ class ProcessPoolBackend(ExecutionBackend):
             self.transport.record_download("bootstrap_payload",
                                            len(blob) / 8.0)
         for new_worker, batch in adopt_batches.items():
-            pool.send(new_worker, "adopt", batch)
+            self._waiting.setdefault(new_worker, []).append(("adopt", batch))
         # Re-dispatch (or drop) the shards that died with the worker.
         regrouped: Dict[int, List[int]] = {}
         for shard in lost_shards:
             for cid in shard:
                 owner = self._owner.get(cid)
-                if owner is None or not redispatch \
-                        or self._lagging.get(owner):
+                if owner is None or not redispatch or owner in self._lagging:
                     if pending is not None:
                         pending.dropped.add(cid)
                     self.fault_stats["dropped_reports"] += 1
                 else:
                     regrouped.setdefault(owner, []).append(cid)
-        for owner, ids in sorted(regrouped.items()):
-            try:
-                self._send_shard(pending, owner, ids)
-            except WorkerCrash as chained:
-                self._handle_crash(pending, owner, chained, extra_shard=ids,
-                                   redispatch=redispatch)
+        for owner, ids in regrouped.items():
+            self._waiting.setdefault(owner, []).append(("train", ids))
+        for owner in sorted(set(adopt_batches) | set(regrouped)):
+            self._drain(pending, owner)
 
     def timeout_outstanding(self, pending: "PendingRound") -> List[int]:
         """Drop every still-outstanding shard from the round (deadline hit).
 
-        The late workers stay alive but are marked *lagging*: their stale
-        replies remain queued in the pipes and are drained opportunistically
-        (:meth:`poll_lagging`), keeping the request/reply protocol aligned.
-        A lagging worker's residents sit out subsequent rounds until it
-        catches up.  Returns the dropped client ids.
+        The late workers stay alive but are marked *lagging*: each still
+        owes its stale reply, which is drained opportunistically
+        (:meth:`poll_lagging`).  A shard still waiting in a late worker's
+        queue is dropped unsent.  A lagging worker's residents sit out
+        subsequent rounds until it catches up.  Returns the dropped client
+        ids.
         """
         return [cid for worker in sorted(pending.outstanding)
                 for cid in self.abandon_job(pending, worker)]
 
     def abandon_job(self, pending: "PendingRound", worker: int) -> List[int]:
         """:meth:`timeout_outstanding` for one worker (the async path's)."""
-        shards = pending.groups.pop(worker, [])
-        pending.outstanding.discard(worker)
-        self._lagging[worker] = self._lagging.get(worker, 0) + len(shards)
+        dropped = pending.groups.pop(worker, [])
+        if dropped:
+            self._lagging.add(worker)
+        waiting = self._waiting.pop(worker, [])
+        dropped.extend(cid for command, ids in waiting if command == "train"
+                       for cid in ids)
+        adopts = [entry for entry in waiting if entry[0] == "adopt"]
+        if adopts:
+            self._waiting[worker] = adopts
         self.fault_stats["timeouts"] += 1
-        dropped = [cid for shard in shards for cid in shard]
         pending.dropped.update(dropped)
         self.fault_stats["dropped_reports"] += len(dropped)
         return dropped
 
-    def _absorb_stale_reply(self, worker: int, reply) -> None:
-        """Account a drained stale (timed-out) reply without using it.
-
-        The training it reports was dropped from its round, so losses and
-        deltas are discarded — but the recovery snapshots it carries are
-        still the freshest worker-side state, and the busy seconds are real
-        compute the utilization metric should see.
-        """
-        _losses, _deltas, stats = reply
-        self._in_flight[worker].pop(0)
-        if "snapshots" in stats:
-            self._recovery.update(stats["snapshots"])
-        self.busy_sec[worker] = self.busy_sec.get(worker, 0.0) \
-            + stats.get("busy_sec", 0.0)
-
     def poll_lagging(self) -> List[int]:
         """Drain ready stale replies; return the workers that caught up.
 
-        Non-blocking: each lagging worker gives up its queued replies as
-        they land.  A worker found dead here runs the crash policy (its
-        stale shards were already dropped, so there is nothing to
+        Non-blocking.  A stale reply's training was dropped from its round,
+        so its losses and deltas are discarded, but the recovery snapshots
+        it carries are still the freshest worker-side state and its busy
+        seconds are real compute.  A caught-up worker is then sent its
+        waiting adopts.  A worker found dead here runs the crash policy
+        (its stale shard was already dropped, so there is nothing to
         re-dispatch).
         """
         caught_up: List[int] = []
         for worker in sorted(self._lagging):
-            while self._lagging.get(worker, 0) > 0 \
-                    and self._pool.poll(worker):
-                command = self._pool.next_reply_command(worker)
-                try:
-                    reply = self._pool.recv(worker)
-                except BroadcastCorrupted:
-                    # The stale shard was already dropped from its round —
-                    # retrain would be wasted work, so absorb the rejection
-                    # and retire the shard's in-flight entry instead of
-                    # resending.
-                    if command == "train":
-                        self._lagging[worker] -= 1
-                        self._in_flight[worker].pop(0)
-                    continue
-                except WorkerCrash as error:
-                    self._handle_crash(None, worker, error)
-                    break
-                if command == "train":
-                    self._lagging[worker] -= 1
-                    self._absorb_stale_reply(worker, reply)
-            if self._lagging.get(worker) == 0:
-                del self._lagging[worker]
-                caught_up.append(worker)
+            if not self._pool.poll(worker):
+                continue
+            try:
+                stats = self._pool.recv(worker)[2]
+            except BroadcastCorrupted:
+                # The rejected broadcast was never trained, and retraining
+                # a dropped shard would be wasted work: no resend.
+                stats = {}
+            except WorkerCrash as error:
+                self._handle_crash(None, worker, error)
+                continue
+            self._lagging.discard(worker)
+            del self._in_flight[worker]
+            self._recovery.update(stats.get("snapshots", {}))
+            self.busy_sec[worker] = self.busy_sec.get(worker, 0.0) \
+                + stats.get("busy_sec", 0.0)
+            self._drain(None, worker)
+            caught_up.append(worker)
         return caught_up
 
     def worker_ready(self, worker: int,
@@ -1029,8 +1046,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def wait_lagging(self, timeout: Optional[float] = None) -> List[int]:
         """Block (up to ``timeout``) for any lagging worker's stale reply."""
-        if not self._lagging:
-            return []
         self._pool.wait(sorted(self._lagging), timeout=timeout)
         return self.poll_lagging()
 
@@ -1112,7 +1127,7 @@ class ProcessPoolBackend(ExecutionBackend):
         """
         if self.trainer is None or self._pool is None or self._pool.closed:
             return
-        if self._pool.safe_for_sync and not self._lagging:
+        if self._pool.safe_for_sync and not self._waiting:
             self._sync_worker_state()
             return
         mirrors = {c.client_id: c for c in self.trainer.clients}
@@ -1135,6 +1150,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._dispatch_count.clear()
         self._in_flight.clear()
         self._lagging.clear()
+        self._waiting.clear()
 
 
 #: name → factory for every built-in backend; factories accept (and may

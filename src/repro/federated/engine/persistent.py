@@ -42,7 +42,6 @@ import pickle
 import time
 import traceback
 import weakref
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -607,6 +606,17 @@ class PersistentWorkerPool:
     ``send``/``recv``/``poll``/``close`` surface both channel kinds share,
     so the command protocol is transport-agnostic.
 
+    **One command in flight per worker.**  A worker owes at most one reply:
+    :meth:`send` to a worker whose last reply is unread raises a
+    ``RuntimeError`` naming the owed and the refused command.  A command
+    written behind an unread reply could deadlock two full pipes — the
+    coordinator blocked writing a large payload while the worker is blocked
+    writing a large reply nobody reads — and the next :meth:`recv` would
+    have to guess which command a reply answers.  Callers that must queue
+    work for a busy worker keep it themselves until the owed reply is read
+    (:meth:`run_batches`, and the per-worker waiting queue of
+    :class:`~repro.federated.engine.backends.ProcessPoolBackend`).
+
     Supervision: :meth:`respawn` replaces a dead worker's process and
     channel in place, :meth:`mark_dead` retires a slot so surviving workers
     absorb its load, and :meth:`wait` accepts a timeout so round loops can
@@ -624,16 +634,10 @@ class PersistentWorkerPool:
 
             transport = PipeTransport()
         self.transport = transport
-        #: set when a command failed and replies may be left queued — see
-        #: :meth:`recv`
+        #: set when a command failed or a channel died — see :meth:`recv`
         self.poisoned = False
-        #: per-worker FIFO of in-flight command names: sent, reply still
-        #: unread (reply attribution, and :meth:`safe_for_sync`)
-        self._commands: List[deque] = [deque() for _ in range(num_workers)]
-        #: per-worker FIFO of replies read off the channel but not yet
-        #: consumed (``recv_reply_to`` sets these aside) as
-        #: (status, result, command)
-        self._buffered: List[deque] = [deque() for _ in range(num_workers)]
+        #: per worker, the command whose reply it owes (None when idle)
+        self._commands: List[Optional[str]] = [None] * num_workers
         #: worker slots retired by :meth:`mark_dead`
         self._dead: Set[int] = set()
         self._channels = []
@@ -682,50 +686,50 @@ class PersistentWorkerPool:
     def _crash(self, worker: int, command: Optional[str],
                cause: BaseException) -> "WorkerCrash":
         self.poisoned = True
-        self._commands[worker].clear()
-        self._buffered[worker].clear()
+        self._commands[worker] = None
         return WorkerCrash(
             f"worker {worker} died (channel closed) "
             f"while '{command}' was in flight: {cause!r}",
             worker=worker, command=command)
 
     def send(self, worker: int, command: str, payload=None) -> None:
-        """Queue one command on a worker (non-blocking for small payloads).
+        """Write one command to an idle worker.
 
-        A dead pipe raises :class:`WorkerCrash` so the supervision layer can
-        recover instead of the raw ``BrokenPipeError`` aborting the run.
+        A worker that still owes a reply refuses a second command with a
+        ``RuntimeError`` (see the class docstring).  A dead pipe raises
+        :class:`WorkerCrash` so the supervision layer can recover instead
+        of the raw ``BrokenPipeError`` aborting the run.
         """
         if worker in self._dead:
             raise WorkerCrash(f"worker {worker} has been retired",
                               worker=worker, command=command)
+        owed = self._commands[worker]
+        if owed is not None:
+            raise RuntimeError(
+                f"worker {worker} still owes the reply to '{owed}'; "
+                f"refusing to send '{command}' behind it (a worker has "
+                "at most one command in flight)")
         try:
             self._channels[worker].send((command, payload))
         except (OSError, ValueError, BlockingIOError) as error:
             raise self._crash(worker, command, error) from error
-        self._commands[worker].append(command)
+        self._commands[worker] = command
+
+    def owed(self, worker: int) -> Optional[str]:
+        """The command whose reply ``worker`` owes, or None when idle."""
+        return self._commands[worker]
 
     def recv(self, worker: int):
-        """Collect the next reply from a worker, re-raising worker errors.
+        """Collect the reply a worker owes, re-raising worker errors.
 
-        A failed command (or a dead pipe) poisons the pool: workers may
-        still have unread replies queued, so the strict request→reply
-        pairing can no longer be trusted and best-effort operations (the
-        close-time state sync) must be skipped rather than consume a stale
-        reply.  A dead pipe raises :class:`WorkerCrash`; a command that
-        failed worker-side raises :class:`WorkerError`, both carrying the
-        worker index, the command the reply answers and (for errors) the
-        remote traceback.
+        A failed command (or a dead pipe) poisons the pool, so best-effort
+        operations (the close-time state sync) are skipped after it.  A
+        dead pipe raises :class:`WorkerCrash`; a command that failed
+        worker-side raises :class:`WorkerError`, both carrying the worker
+        index, the command the reply answers and (for errors) the remote
+        traceback.
         """
-        if self._buffered[worker]:
-            status, result, command = self._buffered[worker].popleft()
-        else:
-            status, result, command = self._raw_recv(worker)
-        return self._interpret(worker, status, result, command)
-
-    def _raw_recv(self, worker: int):
-        """Read the next reply off the pipe; returns (status, result, cmd)."""
-        command = self._commands[worker][0] if self._commands[worker] \
-            else None
+        command = self._commands[worker]
         try:
             status, result = self._channels[worker].recv()
         except (EOFError, OSError) as error:
@@ -733,11 +737,7 @@ class PersistentWorkerPool:
         except BaseException:
             self.poisoned = True
             raise
-        if self._commands[worker]:
-            self._commands[worker].popleft()
-        return status, result, command
-
-    def _interpret(self, worker: int, status, result, command):
+        self._commands[worker] = None
         if status == "retry":
             # The worker refused a checksum-failed broadcast and is waiting
             # for a clean resend.  The request→reply pairing is intact (this
@@ -754,38 +754,10 @@ class PersistentWorkerPool:
                 worker=worker, command=command, remote_traceback=result)
         return result
 
-    def recv_reply_to(self, worker: int, command: str):
-        """Reply to the oldest in-flight command named ``command``.
-
-        Replies always arrive in send order; replies to *earlier* commands
-        are set aside (and served by later :meth:`recv` calls in order), so
-        a caller can chase one specific reply — the corruption-retry path
-        sends ``resend`` while earlier train replies may still be queued.
-        """
-        for index, (status, result, cmd) in enumerate(self._buffered[worker]):
-            if cmd == command:
-                del self._buffered[worker][index]
-                return self._interpret(worker, status, result, cmd)
-        while True:
-            status, result, cmd = self._raw_recv(worker)
-            if cmd == command:
-                return self._interpret(worker, status, result, cmd)
-            self._buffered[worker].append((status, result, cmd))
-
-    def next_reply_command(self, worker: int) -> Optional[str]:
-        """Name of the command the worker's next reply answers (or None)."""
-        if self._buffered[worker]:
-            return self._buffered[worker][0][2]
-        if self._commands[worker]:
-            return self._commands[worker][0]
-        return None
-
     def poll(self, worker: int) -> bool:
         """True when a reply from this worker can be read without blocking."""
         if worker in self._dead:
             return False
-        if self._buffered[worker]:
-            return True
         try:
             return self._channels[worker].poll(0)
         except (OSError, ValueError):
@@ -836,8 +808,7 @@ class PersistentWorkerPool:
         channel, process = self.transport.spawn(worker)
         self._channels[worker] = channel
         self._procs[worker] = process
-        self._commands[worker].clear()
-        self._buffered[worker].clear()
+        self._commands[worker] = None
         self._dead.discard(worker)
 
     def mark_dead(self, worker: int) -> None:
@@ -852,17 +823,15 @@ class PersistentWorkerPool:
             if process.is_alive():
                 process.terminate()
             process.join(timeout=5.0)
-        self._commands[worker].clear()
-        self._buffered[worker].clear()
+        self._commands[worker] = None
 
     @property
     def safe_for_sync(self) -> bool:
-        """True when every sent command has been answered and none failed.
+        """True when no worker owes a reply and no command failed.
 
-        The close-time state sync must not issue new commands while replies
-        are pending (a coordinator-side abort between send and recv leaves
-        them queued): the sync would read a stale ``train`` reply as its own
-        result, masking the original error with a protocol desync.
+        A coordinator-side abort between send and recv leaves a reply owed;
+        the close-time state sync then stands aside rather than have its
+        ``fetch_all`` refused and the original error masked.
         """
         return not self.poisoned and not any(self._commands)
 
@@ -886,11 +855,6 @@ class PersistentWorkerPool:
                       if worker not in self._dead]
         if not candidates:
             return []
-        buffered = [worker for worker in candidates
-                    if self._buffered[worker]]
-        if buffered:
-            # Replies set aside by recv_reply_to are already readable.
-            return buffered
         ready = self.transport.wait(
             [self._channels[worker] for worker in candidates],
             timeout=timeout)
@@ -902,13 +866,10 @@ class PersistentWorkerPool:
                     ) -> Dict[int, List]:
         """Pump many queued commands through the workers, deadlock-free.
 
-        Keeps **at most one command in flight per worker**: queueing several
-        large payloads at once can fill a worker's inbound pipe while the
-        worker is itself blocked writing a large reply nobody is reading —
-        a send/send deadlock.  Here the next command for a worker is written
-        only after its previous reply has been drained (the worker is then
-        guaranteed to be parked on ``recv``), and replies are consumed as
-        soon as any connection becomes readable.
+        Each worker's next command is written once its previous reply has
+        been read (the one-command invariant of the class docstring), and
+        replies are consumed as soon as any connection becomes readable.
+        A worker that already owes a reply refuses the first command.
 
         Returns per-worker result lists in the order the commands were
         queued; worker errors re-raise with the worker traceback.

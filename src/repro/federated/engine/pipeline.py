@@ -529,10 +529,9 @@ class AsyncRoundLoop:
             # Fault degradation left workers idle?  Lagging workers rejoin
             # once their stale replies drain; recovered/respawned owners
             # just need a fresh job.
-            if backend._lagging:
-                backend.poll_lagging()
+            backend.poll_lagging()
             for idle in sorted(shards):
-                if idle not in jobs and not backend._lagging.get(idle):
+                if idle not in jobs and idle not in backend._lagging:
                     dispatch(idle)
             if not jobs:
                 # Every owner is lagging — block for a stale reply.
@@ -588,7 +587,7 @@ class AsyncRoundLoop:
             else:
                 total_dropped += 1
 
-            if worker in shards and not backend._lagging.get(worker):
+            if worker in shards and worker not in backend._lagging:
                 dispatch(worker)  # worker never idles waiting for a seal
 
             if window_reports >= self.buffer_size:

@@ -13,7 +13,10 @@ against the persistent-worker engine's recovery machinery:
 * checkpoint/resume parity on the serial and sync-pipelined paths;
 * :class:`StreamingAggregate` drop renormalisation;
 * the enriched :class:`WorkerError` diagnostics and the pool's tolerance of
-  already-dead workers at shutdown.
+  already-dead workers at shutdown;
+* one command in flight per worker: the pool's guard, and recovery and lazy
+  bootstrap waiting for a busy worker's reply (regressions plus a seeded,
+  derandomised chaos sweep).
 
 CI runs this file as the ``chaos-smoke`` job under a tight per-test hang
 guard (``REPRO_TEST_TIMEOUT``), because these tests kill real worker
@@ -22,9 +25,11 @@ processes and a supervision bug would otherwise hang forever.
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.federated import FederatedConfig
 from repro.federated.engine import (
@@ -39,6 +44,7 @@ from repro.federated.engine import (
 from repro.federated.server import fedavg_aggregate
 from repro.fgl.fedgnn import FederatedGNN
 from repro.simulation import community_split
+from tests.conftest import small_csbm
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +52,12 @@ def four_clients(homophilous_graph):
     return community_split(homophilous_graph, 4, seed=0)
 
 
-def _run(clients, rounds=4, **kwargs):
+def _run(clients, rounds=4, hidden=16, **kwargs):
     defaults = dict(rounds=rounds, local_epochs=2, lr=0.02, seed=0,
                     backend="process_pool", num_workers=2,
                     intra_worker="serial")
     defaults.update(kwargs)
-    trainer = FederatedGNN(clients, "gcn", hidden=16,
+    trainer = FederatedGNN(clients, "gcn", hidden=hidden,
                            config=FederatedConfig(**defaults))
     history = trainer.run()
     return trainer, history
@@ -159,7 +165,7 @@ class TestVerifyReply:
         def send(self, worker, command):
             self.sent.append((worker, command))
 
-        def recv_reply_to(self, worker, command):
+        def recv(self, worker):
             return self.resent
 
     def _backend(self, monkeypatch, resent=None):
@@ -172,7 +178,7 @@ class TestVerifyReply:
             lambda payload: sums.append(1) or real(payload))
         backend = backends.ProcessPoolBackend.__new__(
             backends.ProcessPoolBackend)
-        backend._in_flight = {0: [[[], None, None, False]]}
+        backend._in_flight = {0: [[], None, None, False]}
         backend.fault_stats = {"retries": 0}
         backend._pool = self._Pool(resent)
         return backend, sums
@@ -574,3 +580,180 @@ class TestWorkerDiagnostics:
             assert pool.call(1, "fetch_all", None) == {}
         finally:
             pool.shutdown()
+
+
+class TestOneCommandInFlight:
+    """A worker owes at most one reply; work for a busy worker waits."""
+
+    def test_second_send_is_refused_with_a_sentence(self):
+        pool = PersistentWorkerPool(1)
+        try:
+            pool.send(0, "fetch_all", False)
+            assert pool.owed(0) == "fetch_all" and not pool.safe_for_sync
+            with pytest.raises(RuntimeError,
+                               match="worker 0 still owes the reply to "
+                                     "'fetch_all'; refusing to send 'call'"):
+                pool.send(0, "call", (len, ()))
+            assert pool.recv(0) == {}
+            assert pool.owed(0) is None and pool.safe_for_sync
+        finally:
+            pool.shutdown()
+
+    def test_run_batches_behind_an_undrained_reply_is_refused(self):
+        pool = PersistentWorkerPool(2)
+        try:
+            pool.send(0, "fetch_all", False)
+            with pytest.raises(RuntimeError, match="worker 0 still owes"):
+                pool.run_batches({0: [("fetch_all", False)]})
+        finally:
+            pool.shutdown()
+
+    def test_evicting_a_lagging_owners_client_is_refused(self, four_clients):
+        trainer = FederatedGNN(four_clients, "gcn", hidden=16,
+                               config=FederatedConfig(
+                                   rounds=1, local_epochs=1, seed=0,
+                                   backend="process_pool", num_workers=2,
+                                   intra_worker="serial"))
+        backend = trainer.backend
+        try:
+            pending = backend.dispatch_round(trainer.clients)
+            backend.abandon_job(pending, 0)
+            assert backend._lagging == {0}
+            trainer.clients[0].extra_loss = lambda client: 0.0
+            with pytest.raises(RuntimeError, match="worker 0 still owes the "
+                               "reply to 'train'; refusing to send 'fetch'"):
+                backend.dispatch_round(trainer.clients)
+        finally:
+            backend.close()
+        assert backend._pool is None
+
+    def test_checkpoint_sync_stands_aside_while_commands_wait(
+            self, four_clients, monkeypatch):
+        with FederatedGNN(four_clients, "gcn", hidden=16,
+                          config=FederatedConfig(
+                              rounds=1, local_epochs=1, seed=0,
+                              backend="process_pool", num_workers=2,
+                              intra_worker="serial")) as trainer:
+            trainer.run()
+            backend = trainer.backend
+            assert backend._pool.safe_for_sync
+            fetched = []
+            monkeypatch.setattr(backend, "_sync_worker_state",
+                                lambda: fetched.append(True))
+            backend._waiting[1] = [("adopt", [])]
+            backend.sync_for_checkpoint()
+            assert fetched == []
+            backend._waiting.clear()
+            backend.sync_for_checkpoint()
+            assert fetched == [True]
+
+    def test_recovery_adopt_waits_for_a_busy_survivor(self):
+        """The survivor writes a shard reply while the coordinator would
+        write it a re-adopt: both exceed a pipe's buffer, so writing the
+        adopt behind the owed reply deadlocked."""
+        clients = community_split(
+            small_csbm(num_nodes=500, num_features=64, homophily=0.85,
+                       seed=1), 4, seed=0)
+        hidden = 96
+        # Worker 0's residents (clients 0 and 2) are re-adopted; a
+        # two-client shard reply carries two GCN deltas of 8-byte words.
+        assert min(len(pickle.dumps(clients[cid])) for cid in (0, 2)) \
+            > 64 * 1024
+        assert 2 * 8 * (64 * hidden + hidden * 3) > 64 * 1024
+        _, baseline = _run(clients, hidden=hidden)
+        trainer, history = _run(
+            clients, hidden=hidden, on_worker_failure="redistribute",
+            fault_plan=FaultPlan([FaultEvent(0, 2, "crash")]))
+        assert trainer.backend.fault_stats["crashes"] == 1
+        _assert_history_bitwise(baseline, history)
+
+    @pytest.mark.parametrize("intra_worker", ["serial", "auto"])
+    @pytest.mark.parametrize("kind", ["corrupt", "drop"])
+    def test_crash_and_uplink_fault_under_redistribute(
+            self, four_clients, kind, intra_worker):
+        """Worker 1 used to train the redistributed shard before reading
+        ``resend`` and answered it with that shard's reply.  The stall only
+        delays worker 1's reply so that worker 0's crash is handled first."""
+        _, baseline = _run(four_clients, intra_worker=intra_worker)
+        plan = FaultPlan([FaultEvent(0, 2, "crash"), FaultEvent(1, 2, kind),
+                          FaultEvent(1, 2, "stall", duration=0.2)])
+        trainer, history = _run(four_clients, intra_worker=intra_worker,
+                                on_worker_failure="redistribute",
+                                fault_plan=plan)
+        assert trainer.backend.fault_stats["crashes"] == 1
+        assert trainer.backend.fault_stats["retries"] == 1
+        _assert_history_bitwise(baseline, history)
+
+    def test_lazy_bootstrap_waits_for_a_lagging_worker(self, monkeypatch):
+        """Client 3 is first selected while worker 1 lags: its adopt waits
+        for the stale reply instead of having that reply read as its ack."""
+        from repro.federated.engine.backends import ProcessPoolBackend
+
+        lagging_at_close = []
+        close = ProcessPoolBackend.close
+
+        def recording_close(backend):
+            lagging_at_close.append(set(backend._lagging))
+            close(backend)
+        monkeypatch.setattr(ProcessPoolBackend, "close", recording_close)
+        clients = community_split(
+            small_csbm(num_nodes=300, homophily=0.85, seed=1), 8, seed=0)
+        start = time.perf_counter()
+        trainer, history = _run(
+            clients, rounds=25, participation=0.5, round_timeout=0.1,
+            fault_plan=FaultPlan([FaultEvent(1, 1, "stall",
+                                              duration=0.3)]))
+        elapsed = time.perf_counter() - start
+        assert history.participants[3] == [0, 3]   # 3 joins while 1 lags
+        assert trainer.backend.fault_stats["timeouts"] >= 1
+        assert lagging_at_close == [set()]
+        # flush_lagging gives a stuck worker 10 s before giving up.
+        assert elapsed < 5.0
+
+
+#: fault-free histories of the chaos sweep, by (intra_worker, participation)
+_SWEEP_BASELINES = {}
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 16 - 1),
+       crash_rate=st.sampled_from([0.0, 0.1, 0.25]),
+       corrupt_rate=st.sampled_from([0.0, 0.1, 0.25]),
+       drop_rate=st.sampled_from([0.0, 0.1, 0.25]),
+       policy=st.sampled_from(["restart", "redistribute"]),
+       intra_worker=st.sampled_from(["serial", "auto"]),
+       participation=st.sampled_from([1.0, 0.5]))
+# Seed 244 fires crash (0, 2) and corrupt (1, 2); worker 0's later events
+# never fire once it is retired — the plan of the redistribute regression.
+@example(seed=244, crash_rate=0.1, corrupt_rate=0.25, drop_rate=0.0,
+         policy="redistribute", intra_worker="serial", participation=1.0)
+def test_seeded_chaos_equals_fault_free(four_clients, seed, crash_rate,
+                                        corrupt_rate, drop_rate, policy,
+                                        intra_worker, participation):
+    """Recoverable faults leave no trace: bitwise history, nothing owed."""
+    plan = FaultPlan.seeded(seed, 2, 8, crash_rate=crash_rate,
+                            corrupt_rate=corrupt_rate, drop_rate=drop_rate)
+    assume(plan.remaining)
+    if policy == "redistribute":
+        # Two retired workers leave nobody to redistribute to.
+        assume(len({worker for (worker, _), events in plan._events.items()
+                    if any(event.kind == "crash" for event in events)}) <= 1)
+    key = (intra_worker, participation)
+    if key not in _SWEEP_BASELINES:
+        _SWEEP_BASELINES[key] = _run(four_clients, intra_worker=intra_worker,
+                                     participation=participation)[1]
+    with FederatedGNN(four_clients, "gcn", hidden=16,
+                      config=FederatedConfig(
+                          rounds=4, local_epochs=2, lr=0.02, seed=0,
+                          backend="process_pool", num_workers=2,
+                          intra_worker=intra_worker,
+                          participation=participation,
+                          on_worker_failure=policy,
+                          fault_plan=plan)) as trainer:
+        history = trainer.run()
+        backend = trainer.backend
+        pool = backend._pool
+        assert [pool.owed(worker) for worker in pool.alive_workers] == \
+            [None] * len(pool.alive_workers)
+        assert not backend._waiting and not backend._lagging
+    _assert_history_bitwise(_SWEEP_BASELINES[key], history)
