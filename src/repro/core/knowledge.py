@@ -78,7 +78,7 @@ def _topk_similarity(probabilities: np.ndarray, top_k: Optional[int],
     return matrix
 
 
-def _finalize_sparse(blended: sp.spmatrix, n: int) -> sp.csr_matrix:
+def _debias_sparse(blended: sp.spmatrix, n: int) -> sp.csr_matrix:
     """Eq. 6 on a sparse blend: zero diagonal, row-normalise, tiny self-loop."""
     coo = blended.tocoo()
     off_diag = coo.row != coo.col
@@ -151,7 +151,7 @@ def optimized_propagation_matrix(adjacency: sp.spmatrix,
         similarity = _topk_similarity(probabilities, top_k,
                                       block_size=block_size)
         blended = (alpha * local + (1.0 - alpha) * similarity).tocsr()
-        return _finalize_sparse(blended, n)
+        return _debias_sparse(blended, n)
 
     similarity = probabilities @ probabilities.T
 

@@ -155,7 +155,8 @@ class AdaFGLClientModel(Module):
                 seed=seed + 13)
         # Learnable combination of the heterophilous views (Eq. 13 uses a
         # plain average; a per-client softmax gate lets each client emphasise
-        # whichever view its topology supports — see DESIGN.md).
+        # whichever view its topology supports — see README, "Departures
+        # from the paper").
         num_views = 1 + int(use_topology_independent) + int(use_learnable_message)
         self.view_logits = Parameter(np.zeros(num_views), name="view_logits")
 

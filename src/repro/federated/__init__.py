@@ -8,7 +8,6 @@ from repro.federated.engine import (
     BatchedBackend,
     ClientStore,
     ExecutionBackend,
-    FedAdamAggregation,
     ModelSpec,
     ProcessPoolBackend,
     SerialBackend,
@@ -35,7 +34,6 @@ __all__ = [
     "AggregationContext",
     "AggregationStrategy",
     "ExecutionBackend",
-    "FedAdamAggregation",
     "SerialBackend",
     "ProcessPoolBackend",
     "BatchedBackend",

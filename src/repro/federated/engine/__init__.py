@@ -10,8 +10,8 @@ five FGL baselines and AdaFGL:
   serial training state (weights, optimizer moments, RNG streams) exactly.
 * **Aggregation strategies** (:mod:`~repro.federated.engine.aggregation`)
   decide *what* the server does with the uploaded states — FedAvg,
-  topology-aware weighting à la FedGTA, robust trimmed-mean, or the
-  personalized schemes the FED-PUB / GCFL+ baselines declare.
+  topology-aware weighting à la FedGTA, or the personalized schemes the
+  FED-PUB / GCFL+ baselines declare.
 
 Select both through :class:`~repro.federated.FederatedConfig`
 (``backend=``/``aggregation=``) or the CLI (``--backend``/``--aggregation``);
@@ -23,14 +23,9 @@ from repro.federated.engine.aggregation import (
     AGGREGATION_REGISTRY,
     AggregationContext,
     AggregationStrategy,
-    FedAdagradAggregation,
-    FedAdamAggregation,
     FedAvgAggregation,
-    FedYogiAggregation,
-    ServerOptAggregation,
     StreamingAggregate,
     TopologyWeightedAggregation,
-    TrimmedMeanAggregation,
     list_aggregations,
     make_aggregation,
     register_aggregation,
@@ -103,14 +98,9 @@ __all__ = [
     "AGGREGATION_REGISTRY",
     "AggregationContext",
     "AggregationStrategy",
-    "FedAdagradAggregation",
-    "FedAdamAggregation",
     "FedAvgAggregation",
-    "FedYogiAggregation",
-    "ServerOptAggregation",
     "StreamingAggregate",
     "TopologyWeightedAggregation",
-    "TrimmedMeanAggregation",
     "list_aggregations",
     "make_aggregation",
     "register_aggregation",

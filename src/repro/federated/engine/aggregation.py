@@ -24,9 +24,10 @@ wait for every participant before aggregating: shard uploads are folded into
 a running weighted merge the moment they arrive, so the merge cost overlaps
 straggler compute.  A strategy opts in by returning a
 :class:`StreamingAggregate` from :meth:`AggregationStrategy.begin_stream`;
-strategies that need every state at once (e.g. the coordinate-wise trimmed
-mean) return ``None`` and the loop falls back to gather-then-aggregate —
-still pipelined across rounds, just not within the merge.
+strategies that need every state at once (FED-PUB's pairwise similarities,
+GCFL+'s clustering of update directions) return ``None`` and the loop falls
+back to gather-then-aggregate — still pipelined across rounds, just not
+within the merge.
 """
 
 from __future__ import annotations
@@ -66,21 +67,17 @@ class StreamingAggregate:
     identical to a two-tier merge of per-worker partials
     (:meth:`add_partial`), which is what hierarchical edge aggregation ships.
 
-    ``finalize`` post-processes the sealed average (e.g. the FedOpt server
-    update); the full participant ``weights`` must be known at construction
-    time, exactly as they are at dispatch time (``client.num_samples`` is
-    static).
+    The full participant ``weights`` must be known at construction time,
+    exactly as they are at dispatch time (``client.num_samples`` is static).
     """
 
-    def __init__(self, weights: Sequence[float],
-                 finalize: Optional[Callable[[StateDict], StateDict]] = None):
+    def __init__(self, weights: Sequence[float]):
         base = np.asarray(weights, dtype=np.float64)
         if base.size == 0:
             raise ValueError("streaming aggregation needs at least one weight")
         if base.sum() <= 0:
             raise ValueError("aggregation weights must sum to a positive value")
         self._weights = base / base.sum()
-        self._finalize = finalize
         self._expected = int(base.size)
         self._folded: set = set()
         self._dropped: set = set()
@@ -178,8 +175,6 @@ class StreamingAggregate:
                 raise RuntimeError(
                     "cannot seal: dropped participants held all the weight")
             merged = {key: value / kept for key, value in merged.items()}
-        if self._finalize is not None:
-            return self._finalize(merged)
         return merged
 
 
@@ -215,8 +210,8 @@ class AggregationStrategy:
     def state_dict(self) -> Dict:
         """Round-persistent strategy state for checkpointing (default none).
 
-        Strategies carrying cross-round state (e.g. the FedOpt server
-        moments) override this pair so :meth:`load_state_dict` restores the
+        Strategies carrying cross-round state (e.g. GCFL+'s cluster
+        assignments) override this pair so :meth:`load_state_dict` restores the
         exact mid-run state and a resumed run continues bitwise.
         """
         return {}
@@ -300,7 +295,7 @@ class TopologyWeightedAggregation(AggregationStrategy):
         return (base * scaled).tolist()
 
     def aggregate(self, states, weights, context=None):
-        if context is None or len(states) != len(context.participants):
+        if context is None:
             return fedavg_aggregate(states, weights)
         return fedavg_aggregate(
             states, self.participant_weights(weights, context))
@@ -308,176 +303,15 @@ class TopologyWeightedAggregation(AggregationStrategy):
     def begin_stream(self, weights, context=None):
         # The topology statistics are static per client, so the adjusted
         # weights are fully known before any upload arrives.
-        if context is None or len(weights) != len(context.participants):
+        if context is None:
             return StreamingAggregate(weights)
         return StreamingAggregate(self.participant_weights(weights, context))
-
-
-class TrimmedMeanAggregation(AggregationStrategy):
-    """Coordinate-wise trimmed mean (robust aggregation).
-
-    Sorts every parameter coordinate across clients and discards the
-    ``trim_ratio`` fraction of the smallest and largest values before
-    averaging, which bounds the influence of any single outlier/poisoned
-    client.  Sample weights are intentionally ignored — robust estimators
-    treat every client vote equally.
-    """
-
-    name = "trimmed_mean"
-
-    def __init__(self, trim_ratio: float = 0.2):
-        if not 0.0 <= trim_ratio < 0.5:
-            raise ValueError("trim_ratio must be in [0, 0.5)")
-        self.trim_ratio = trim_ratio
-
-    def aggregate(self, states, weights, context=None):
-        del weights, context
-        if not states:
-            raise ValueError("trimmed_mean needs at least one state dict")
-        keys = set(states[0])
-        for state in states[1:]:
-            if set(state) != keys:
-                raise KeyError(
-                    "client state dicts have mismatching parameter names")
-        count = len(states)
-        trim = int(self.trim_ratio * count)
-        aggregated: StateDict = {}
-        for key in states[0]:
-            stacked = np.stack([state[key] for state in states])
-            if trim and count - 2 * trim >= 1:
-                stacked = np.sort(stacked, axis=0)[trim:count - trim]
-            aggregated[key] = stacked.mean(axis=0)
-        return aggregated
-
-
-class ServerOptAggregation(AggregationStrategy):
-    """Server-side adaptive optimisation over the FedAvg pseudo-gradient.
-
-    Adaptive federated optimisation (FedOpt, Reddi et al., 2021): the server
-    keeps its own model ``x`` and first/second moment estimates.  Every round
-    the participants' uploads are FedAvg-combined and their offset from the
-    server model is treated as a pseudo-gradient
-
-    ``Δ_t = avg(states) - x_t``,
-    ``m_t = β₁ m_{t-1} + (1 - β₁) Δ_t``,
-    ``x_{t+1} = x_t + η · m_t / (√v_t + τ)``
-
-    (no bias correction, matching the paper).  Subclasses differ only in the
-    second-moment recursion ``v_t`` (:meth:`_second_moment`): FedAdam uses an
-    exponential moving average, FedYogi the sign-controlled additive update,
-    FedAdagrad the plain running sum.  The very first aggregate call has no
-    server model yet, so it adopts the FedAvg result as ``x₁`` with zero
-    moments — identical to FedAvg for that round.
-    """
-
-    name = "serveropt"
-
-    def __init__(self, server_lr: float = 0.1, beta1: float = 0.9,
-                 beta2: float = 0.99, tau: float = 1e-3):
-        if server_lr <= 0:
-            raise ValueError("server_lr must be positive")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("beta1/beta2 must be in [0, 1)")
-        if tau <= 0:
-            # tau=0 turns a zero pseudo-gradient into 0/0 = NaN.
-            raise ValueError("tau must be positive")
-        self.server_lr = server_lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.tau = tau
-        self._model: Optional[StateDict] = None
-        self._m: Optional[StateDict] = None
-        self._v: Optional[StateDict] = None
-
-    def _second_moment(self, v: np.ndarray, squared: np.ndarray) -> np.ndarray:
-        """Next second-moment estimate given ``Δ²`` (subclass-specific)."""
-        raise NotImplementedError
-
-    def _server_update(self, average: StateDict) -> StateDict:
-        """Fold one round's FedAvg result into the server model."""
-        if self._model is None:
-            self._model = {key: value.copy()
-                           for key, value in average.items()}
-            self._m = {key: np.zeros_like(value)
-                       for key, value in average.items()}
-            self._v = {key: np.zeros_like(value)
-                       for key, value in average.items()}
-            return average
-        updated: StateDict = {}
-        for key, x in self._model.items():
-            delta = average[key] - x
-            self._m[key] = self.beta1 * self._m[key] \
-                + (1.0 - self.beta1) * delta
-            self._v[key] = self._second_moment(self._v[key], delta * delta)
-            updated[key] = x + self.server_lr * self._m[key] / (
-                np.sqrt(self._v[key]) + self.tau)
-        self._model = updated
-        return {key: value.copy() for key, value in updated.items()}
-
-    def aggregate(self, states, weights, context=None):
-        del context
-        return self._server_update(fedavg_aggregate(states, weights))
-
-    def begin_stream(self, weights, context=None):
-        # The pseudo-gradient step is a pure function of the FedAvg result,
-        # so the average streams and the server update runs at seal time.
-        del context
-        return StreamingAggregate(weights, finalize=self._server_update)
-
-    def state_dict(self):
-        def _copy(states):
-            if states is None:
-                return None
-            return {key: value.copy() for key, value in states.items()}
-        return {"model": _copy(self._model), "m": _copy(self._m),
-                "v": _copy(self._v)}
-
-    def load_state_dict(self, state):
-        self._model = state.get("model")
-        self._m = state.get("m")
-        self._v = state.get("v")
-
-
-class FedAdamAggregation(ServerOptAggregation):
-    """FedAdam: exponential-moving-average second moment."""
-
-    name = "fedadam"
-
-    def _second_moment(self, v, squared):
-        return self.beta2 * v + (1.0 - self.beta2) * squared
-
-
-class FedYogiAggregation(ServerOptAggregation):
-    """FedYogi: additive second moment controlled by ``sign(v - Δ²)``.
-
-    ``v_t = v_{t-1} - (1 - β₂) Δ_t² · sign(v_{t-1} - Δ_t²)`` grows ``v``
-    at most additively, making the effective server step shrink more slowly
-    than Adam's when pseudo-gradients suddenly spike.
-    """
-
-    name = "fedyogi"
-
-    def _second_moment(self, v, squared):
-        return v - (1.0 - self.beta2) * squared * np.sign(v - squared)
-
-
-class FedAdagradAggregation(ServerOptAggregation):
-    """FedAdagrad: monotone running-sum second moment ``v_t = v_{t-1} + Δ_t²``."""
-
-    name = "fedadagrad"
-
-    def _second_moment(self, v, squared):
-        return v + squared
 
 
 #: name → zero-argument factory for every built-in strategy.
 AGGREGATION_REGISTRY: Dict[str, Callable[[], AggregationStrategy]] = {
     FedAvgAggregation.name: FedAvgAggregation,
     TopologyWeightedAggregation.name: TopologyWeightedAggregation,
-    TrimmedMeanAggregation.name: TrimmedMeanAggregation,
-    FedAdamAggregation.name: FedAdamAggregation,
-    FedYogiAggregation.name: FedYogiAggregation,
-    FedAdagradAggregation.name: FedAdagradAggregation,
 }
 
 

@@ -647,10 +647,10 @@ class PersistentWorkerPool:
             self._channels.append(channel)
             self._procs.append(process)
         # Reclaim abandoned pools at GC time (daemon workers additionally
-        # guarantee nothing survives coordinator exit).  The finalizer
+        # guarantee nothing survives coordinator exit).  The reaper
         # captures the *live* lists — respawned workers replace their slot
         # in place, so they are reaped too.
-        self._finalizer = weakref.finalize(
+        self._reaper = weakref.finalize(
             self, PersistentWorkerPool._reap, self._channels, self._procs,
             transport)
 
@@ -661,7 +661,7 @@ class PersistentWorkerPool:
 
     @property
     def closed(self) -> bool:
-        return not self._finalizer.alive
+        return not self._reaper.alive
 
     @property
     def alive_workers(self) -> List[int]:
@@ -897,8 +897,8 @@ class PersistentWorkerPool:
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Stop every worker and release the pipes (idempotent)."""
-        if self._finalizer.alive:
-            self._finalizer()
+        if self._reaper.alive:
+            self._reaper()
 
     @staticmethod
     def _reap(channels, procs, transport) -> None:

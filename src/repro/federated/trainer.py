@@ -9,7 +9,7 @@ a :class:`~repro.federated.server.Server`, and composes two engine plug-ins
   ``batched``, selected via :attr:`FederatedConfig.backend`);
 * an :class:`~repro.federated.engine.AggregationStrategy` that combines the
   uploaded states and decides what each client receives back (``fedavg`` /
-  ``topology_weighted`` / ``trimmed_mean`` / method-specific, selected via
+  ``topology_weighted`` / method-specific, selected via
   :attr:`FederatedConfig.aggregation`).
 
 Subclasses customise behaviour by declaring a strategy (FED-PUB and GCFL+
@@ -22,7 +22,7 @@ are single strategy declarations now) or overriding the hooks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -248,7 +248,14 @@ class FederatedTrainer:
     def aggregate(self, states: List[Dict[str, np.ndarray]],
                   weights: List[float],
                   participants: List[Client]) -> Dict[str, np.ndarray]:
-        """Combine uploaded client states (delegates to the strategy)."""
+        """Combine uploaded client states (delegates to the strategy).
+
+        ``participants`` are the clients whose upload arrived — a shard
+        dropped at the round deadline is not among them — so the strategy
+        sees them, not the round's selection, as its context.
+        """
+        if self._context is not None:
+            self._context = replace(self._context, participants=participants)
         global_state = self.strategy.aggregate(states, weights, self._context)
         self.server.commit(global_state)
         return global_state
@@ -323,7 +330,7 @@ class FederatedTrainer:
         every client's weights, optimizer moments and RNG streams (pulled
         back from the worker pool first), the server's global state and
         round counter, the aggregation strategy's cross-round state (e.g.
-        FedOpt moments), the participant-selection RNG, the recorded
+        GCFL+ cluster assignments), the participant-selection RNG, the recorded
         history and the communication tracker.  Format: a pickled dict with
         a ``format`` version field, written atomically (temp file +
         ``os.replace``); ``latest.ckpt`` in ``checkpoint_dir`` always names

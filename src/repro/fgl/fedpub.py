@@ -19,7 +19,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.federated import FederatedConfig, FederatedTrainer, fedavg_aggregate
-from repro.federated.client import Client
 from repro.federated.engine import AggregationStrategy
 from repro.fgl.fedgnn import make_model_factory
 from repro.graph import Graph
@@ -47,7 +46,9 @@ class FedPubAggregation(AggregationStrategy):
         norms = [np.linalg.norm(v) + 1e-12 for v in vectors]
         global_state = fedavg_aggregate(states, weights)
 
-        self._personalized = {}
+        # Only this round's reporters are personalized; everyone else
+        # receives the global state, so neither dict outlives the round.
+        self._personalized, self._local_states = {}, {}
         for i, client in enumerate(participants):
             sims = np.array([
                 float(np.dot(vectors[i], vectors[j]) / (norms[i] * norms[j]))
@@ -67,9 +68,7 @@ class FedPubAggregation(AggregationStrategy):
         personalized = self._personalized.get(client.client_id)
         if personalized is None:
             return global_state
-        local = self._local_states.get(client.client_id)
-        if local is None:
-            return personalized
+        local = self._local_states[client.client_id]
         # Sparse-mask interpolation: keep a fraction of the local weights.
         mixed = {}
         for key in personalized:
@@ -93,19 +92,3 @@ class FedPub(FederatedTrainer):
         self.strategy = FedPubAggregation(temperature=temperature,
                                           local_mix=local_mix)
 
-    # Backwards-compatible views onto the strategy state.
-    @property
-    def temperature(self) -> float:
-        return self.strategy.temperature
-
-    @property
-    def local_mix(self) -> float:
-        return self.strategy.local_mix
-
-    @property
-    def _personalized(self) -> Dict[int, Dict[str, np.ndarray]]:
-        return self.strategy._personalized
-
-    @property
-    def _local_states(self) -> Dict[int, Dict[str, np.ndarray]]:
-        return self.strategy._local_states

@@ -99,6 +99,17 @@ class GCFLAggregation(AggregationStrategy):
         cluster_id = self._cluster_of.get(client.client_id, 0)
         return self._cluster_states.get(cluster_id, global_state)
 
+    def state_dict(self):
+        # Assignments persist for clients a round did not sample, and the
+        # next round's update directions are taken against the last global
+        # state; the cluster states are rebuilt before they are read.
+        return {"cluster_of": dict(self._cluster_of),
+                "previous_broadcast": self._previous_broadcast}
+
+    def load_state_dict(self, state):
+        self._cluster_of = dict(state["cluster_of"])
+        self._previous_broadcast = state["previous_broadcast"]
+
 
 class GCFLPlus(FederatedTrainer):
     """GCFL+ = FedAvg trainer + :class:`GCFLAggregation` strategy."""
@@ -117,15 +128,3 @@ class GCFLPlus(FederatedTrainer):
             initial_state=self.clients[0].get_weights())
         self.strategy._cluster_of = {c.client_id: 0 for c in self.clients}
 
-    # Backwards-compatible views onto the strategy state.
-    @property
-    def _cluster_of(self) -> Dict[int, int]:
-        return self.strategy._cluster_of
-
-    @property
-    def _cluster_states(self) -> Dict[int, Dict[str, np.ndarray]]:
-        return self.strategy._cluster_states
-
-    @property
-    def _previous_broadcast(self) -> Dict[str, np.ndarray]:
-        return self.strategy._previous_broadcast

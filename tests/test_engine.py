@@ -18,17 +18,14 @@ from repro.federated import (
 )
 from repro.federated.engine import (
     BatchedBackend,
-    FedAdagradAggregation,
-    FedAdamAggregation,
-    FedYogiAggregation,
     ProcessPoolBackend,
     SerialBackend,
     TopologyWeightedAggregation,
-    TrimmedMeanAggregation,
     restore_client_state,
     snapshot_client_state,
 )
 from repro.fgl.fedgnn import FederatedGNN, make_model_factory
+from repro.fgl.fedpub import FedPubAggregation
 from repro.federated.trainer import FederatedTrainer
 
 
@@ -55,8 +52,7 @@ class TestRegistries:
         assert {"serial", "process_pool", "batched"} <= set(list_backends())
 
     def test_aggregation_names(self):
-        assert {"fedavg", "topology_weighted", "trimmed_mean"} \
-            <= set(list_aggregations())
+        assert list_aggregations() == ["fedavg", "topology_weighted"]
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError):
@@ -69,7 +65,7 @@ class TestRegistries:
     def test_instances_pass_through(self):
         backend = SerialBackend()
         assert make_backend(backend) is backend
-        strategy = TrimmedMeanAggregation()
+        strategy = FedPubAggregation()
         assert make_aggregation(strategy) is strategy
 
     def test_make_backend_by_name(self):
@@ -218,127 +214,6 @@ class TestBatchedSGC:
         assert isinstance(mixed[0].model, SGC)
 
 
-class TestFedAdam:
-    def test_registered(self):
-        assert "fedadam" in list_aggregations()
-        assert isinstance(make_aggregation("fedadam"), FedAdamAggregation)
-
-    def test_two_round_hand_computed_trace(self):
-        strategy = FedAdamAggregation(server_lr=0.1, beta1=0.9, beta2=0.99,
-                                      tau=1e-3)
-        # Round 1: no server model yet → adopt the FedAvg result, x₁ = 1.
-        out1 = strategy.aggregate([{"w": np.array([1.0])}], [1.0])
-        assert out1["w"][0] == pytest.approx(1.0, abs=0.0)
-        # Round 2: avg = 2 → Δ = 1, m = 0.1·1, v = 0.01·1,
-        # x₂ = 1 + 0.1 · 0.1 / (√0.01 + 1e-3).
-        out2 = strategy.aggregate([{"w": np.array([2.0])}], [1.0])
-        x2 = 1.0 + 0.1 * 0.1 / (np.sqrt(0.01) + 1e-3)
-        assert out2["w"][0] == pytest.approx(x2, rel=1e-15)
-        # Round 3: avg = 0.5 → Δ = 0.5 - x₂ and the moments accumulate.
-        out3 = strategy.aggregate([{"w": np.array([0.5])}], [1.0])
-        delta = 0.5 - x2
-        m = 0.9 * 0.1 + 0.1 * delta
-        v = 0.99 * 0.01 + 0.01 * delta * delta
-        x3 = x2 + 0.1 * m / (np.sqrt(v) + 1e-3)
-        assert out3["w"][0] == pytest.approx(x3, rel=1e-15)
-
-    def test_first_round_uses_weighted_average(self):
-        strategy = FedAdamAggregation()
-        out = strategy.aggregate([{"w": np.array([0.0])},
-                                  {"w": np.array([4.0])}], [3.0, 1.0])
-        assert out["w"][0] == pytest.approx(1.0)
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            FedAdamAggregation(server_lr=0.0)
-        with pytest.raises(ValueError):
-            FedAdamAggregation(beta1=1.0)
-        with pytest.raises(ValueError):
-            FedAdamAggregation(tau=0.0)  # would NaN on zero pseudo-gradients
-
-    def test_end_to_end_differs_from_fedavg(self, community_clients):
-        _, fedavg_history = _run(community_clients, "serial", rounds=3)
-        _, fedadam_history = _run(community_clients, "serial", rounds=3,
-                                  aggregation="fedadam")
-        assert not np.allclose(fedavg_history.loss, fedadam_history.loss)
-
-
-class TestFedYogi:
-    def test_registered(self):
-        assert "fedyogi" in list_aggregations()
-        assert isinstance(make_aggregation("fedyogi"), FedYogiAggregation)
-
-    def test_two_round_hand_computed_trace(self):
-        strategy = FedYogiAggregation(server_lr=0.1, beta1=0.9, beta2=0.99,
-                                      tau=1e-3)
-        # Round 1: adopt the FedAvg result, x₁ = 1, moments zero.
-        out1 = strategy.aggregate([{"w": np.array([1.0])}], [1.0])
-        assert out1["w"][0] == pytest.approx(1.0, abs=0.0)
-        # Round 2: Δ = 1, m = 0.1; Yogi second moment from v=0:
-        # v = 0 - 0.01 · 1 · sign(0 - 1) = +0.01 (same as Adam this round),
-        # x₂ = 1 + 0.1 · 0.1 / (√0.01 + 1e-3).
-        out2 = strategy.aggregate([{"w": np.array([2.0])}], [1.0])
-        x2 = 1.0 + 0.1 * 0.1 / (np.sqrt(0.01) + 1e-3)
-        assert out2["w"][0] == pytest.approx(x2, rel=1e-15)
-        # Round 3 is where Yogi diverges from Adam: the second moment moves
-        # *additively* against sign(v - Δ²), not by exponential decay.
-        out3 = strategy.aggregate([{"w": np.array([0.5])}], [1.0])
-        delta = 0.5 - x2
-        m = 0.9 * 0.1 + 0.1 * delta
-        v = 0.01 - 0.01 * delta * delta * np.sign(0.01 - delta * delta)
-        x3 = x2 + 0.1 * m / (np.sqrt(v) + 1e-3)
-        assert out3["w"][0] == pytest.approx(x3, rel=1e-15)
-
-    def test_differs_from_fedadam_after_round_three(self):
-        # Identical prefixes by construction, then the v recursions split.
-        yogi = FedYogiAggregation()
-        adam = FedAdamAggregation()
-        outs = []
-        for value in (1.0, 2.0, 0.5, 4.0):
-            states = [{"w": np.array([value])}]
-            outs.append((yogi.aggregate(states, [1.0])["w"][0],
-                         adam.aggregate(states, [1.0])["w"][0]))
-        assert outs[0][0] == outs[0][1] and outs[1][0] == outs[1][1]
-        assert outs[3][0] != outs[3][1]
-
-
-class TestFedAdagrad:
-    def test_registered(self):
-        assert "fedadagrad" in list_aggregations()
-        assert isinstance(make_aggregation("fedadagrad"),
-                          FedAdagradAggregation)
-
-    def test_two_round_hand_computed_trace(self):
-        strategy = FedAdagradAggregation(server_lr=0.1, beta1=0.9,
-                                         beta2=0.99, tau=1e-3)
-        # Round 1: adopt the FedAvg result, x₁ = 1, moments zero.
-        out1 = strategy.aggregate([{"w": np.array([1.0])}], [1.0])
-        assert out1["w"][0] == pytest.approx(1.0, abs=0.0)
-        # Round 2: Δ = 1 → m = 0.1, running sum v = 0 + 1 = 1,
-        # x₂ = 1 + 0.1 · 0.1 / (√1 + 1e-3).
-        out2 = strategy.aggregate([{"w": np.array([2.0])}], [1.0])
-        x2 = 1.0 + 0.1 * 0.1 / (1.0 + 1e-3)
-        assert out2["w"][0] == pytest.approx(x2, rel=1e-15)
-        # Round 3: Δ = 0.5 - x₂, m accumulates, v only ever grows.
-        out3 = strategy.aggregate([{"w": np.array([0.5])}], [1.0])
-        delta = 0.5 - x2
-        m = 0.9 * 0.1 + 0.1 * delta
-        v = 1.0 + delta * delta
-        x3 = x2 + 0.1 * m / (np.sqrt(v) + 1e-3)
-        assert out3["w"][0] == pytest.approx(x3, rel=1e-15)
-
-    def test_second_moment_is_monotone(self, rng):
-        strategy = FedAdagradAggregation()
-        strategy.aggregate([{"w": rng.normal(size=4)}], [1.0])
-        previous = None
-        for _ in range(4):
-            strategy.aggregate([{"w": rng.normal(size=4)}], [1.0])
-            current = strategy._v["w"].copy()
-            if previous is not None:
-                assert np.all(current >= previous)
-            previous = current
-
-
 class TestClientSnapshots:
     def test_snapshot_restore_roundtrip(self, community_clients):
         factory = make_model_factory("gcn", hidden=16)
@@ -368,21 +243,6 @@ class TestClientSnapshots:
 
 
 class TestAggregationStrategies:
-    def test_trimmed_mean_discards_outliers(self):
-        states = [{"w": np.full((2, 2), v)} for v in (0.0, 1.0, 2.0, 50.0)]
-        out = TrimmedMeanAggregation(trim_ratio=0.25).aggregate(
-            states, [1.0] * 4)
-        assert np.allclose(out["w"], 1.5)  # mean of the middle two
-
-    def test_trimmed_mean_zero_ratio_is_plain_mean(self):
-        states = [{"w": np.array([0.0])}, {"w": np.array([4.0])}]
-        out = TrimmedMeanAggregation(trim_ratio=0.0).aggregate(states, [1, 1])
-        assert out["w"][0] == pytest.approx(2.0)
-
-    def test_trimmed_mean_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            TrimmedMeanAggregation(trim_ratio=0.5)
-
     def test_topology_weighted_prefers_representative_clients(
             self, community_clients):
         trainer = FederatedGNN(community_clients, "gcn", hidden=16,

@@ -38,6 +38,8 @@ from repro.federated.engine import (
 )
 from repro.federated.engine.config import COMPOSITION_RULES, cli_flag
 from repro.fgl.fedgnn import FederatedGNN
+from repro.fgl.fedpub import FedPubAggregation
+from repro.fgl.gcfl import GCFLAggregation
 from repro.simulation import community_split
 
 KNOBS = dataclasses.fields(EngineConfig)
@@ -202,6 +204,8 @@ def _store_round(trainer):
 
 
 ASYNC = dict(round_mode="async")
+#: a gathering strategy; each scenario using it is refused before it runs
+GCFL = GCFLAggregation()
 
 #: (config overrides, trainer tweak or None, client count, exact message)
 SCENARIOS = [
@@ -216,11 +220,10 @@ SCENARIOS = [
      "has no wire to disturb; network fault kinds require transport='tcp'"),
     (dict(backend="serial", participation=1.5), None, 4,
      "participation must be in (0, 1]"),
-    (dict(ASYNC, delta_codec="topk", aggregation="trimmed_mean"), _store_round,
-     4,
+    (dict(ASYNC, delta_codec="topk", aggregation=GCFL), _store_round, 4,
      "a client-store round is synchronous hierarchical FedAvg over lossless "
      "partials; it cannot serve round_mode='async', "
-     "aggregation='trimmed_mean', delta_codec='topk'"),
+     f"aggregation={GCFL!r}, delta_codec='topk'"),
     (dict(backend="serial", round_mode="chaotic"), None, 4,
      "round_mode must be 'sync' or 'async', got 'chaotic'"),
     (dict(ASYNC, hierarchical=True), None, 4,
@@ -232,9 +235,9 @@ SCENARIOS = [
      "hierarchical=True does not support trainers overriding the "
      "barrier-round hooks (edge aggregators never ship per-client states "
      "up)"),
-    (dict(hierarchical=True, aggregation="trimmed_mean"), None, 4,
+    (dict(hierarchical=True, aggregation=FedPubAggregation()), None, 4,
      "hierarchical=True requires a streaming-capable aggregation "
-     "(got 'trimmed_mean', which gathers every state)"),
+     "(got 'fed-pub', which gathers every state)"),
     (dict(ASYNC, async_buffer=0), None, 4, "async_buffer must be >= 1"),
     (dict(ASYNC, staleness_cap=-1), None, 4, "staleness_cap must be >= 0"),
     (dict(ASYNC, checkpoint_every=1), None, 4,
@@ -464,6 +467,20 @@ class TestKnobDocsGuard:
         assert any("`num_workers`: flag" in finding for finding in findings)
         assert any("`delta_bits`: default" in finding for finding in findings)
         assert guard.check(readme.replace(guard.HEADER, "")) != []
+
+    def test_guard_catches_a_stale_strategy_list(self):
+        guard, readme = self._guard()
+        stale = readme.replace("| `topology_weighted` |",
+                               "| `topology_weighted` | `krum` |")
+        assert any(finding.startswith("the engine matrix")
+                   for finding in guard.check(stale))
+        stale = readme.replace("* method-specific",
+                               "* `krum` — robust;\n* method-specific")
+        assert any(finding.startswith("the strategy list")
+                   for finding in guard.check(stale))
+        gone = readme.replace(guard.STRATEGIES, "Strategies")
+        assert "README.md has no aggregation strategy list" \
+            in guard.check(gone)
 
     def test_chain_walk_counts_and_catches_a_second_declaration(self):
         guard, _ = self._guard()

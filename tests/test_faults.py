@@ -10,7 +10,8 @@ against the persistent-worker engine's recovery machinery:
   (recovery snapshots roll residents back exactly), ``fail`` must surface a
   :class:`WorkerCrash` carrying the worker id;
 * ``round_timeout`` degradation in both sync and async round modes;
-* checkpoint/resume parity on the serial and sync-pipelined paths;
+* checkpoint/resume parity on the serial and sync-pipelined paths, for
+  FedAvg and for the strategies that carry state across rounds;
 * :class:`StreamingAggregate` drop renormalisation;
 * the enriched :class:`WorkerError` diagnostics and the pool's tolerance of
   already-dead workers at shutdown;
@@ -43,6 +44,8 @@ from repro.federated.engine import (
 )
 from repro.federated.server import fedavg_aggregate
 from repro.fgl.fedgnn import FederatedGNN
+from repro.fgl.fedpub import FedPub
+from repro.fgl.gcfl import GCFLPlus
 from repro.simulation import community_split
 from tests.conftest import small_csbm
 
@@ -52,13 +55,13 @@ def four_clients(homophilous_graph):
     return community_split(homophilous_graph, 4, seed=0)
 
 
-def _run(clients, rounds=4, hidden=16, **kwargs):
+def _run(clients, rounds=4, hidden=16, method=FederatedGNN, **kwargs):
     defaults = dict(rounds=rounds, local_epochs=2, lr=0.02, seed=0,
                     backend="process_pool", num_workers=2,
                     intra_worker="serial")
     defaults.update(kwargs)
-    trainer = FederatedGNN(clients, "gcn", hidden=hidden,
-                           config=FederatedConfig(**defaults))
+    trainer = method(clients, "gcn", hidden=hidden,
+                     config=FederatedConfig(**defaults))
     history = trainer.run()
     return trainer, history
 
@@ -348,6 +351,43 @@ class TestRoundTimeout:
         assert all(history.client_round_sec)
         assert trainer.backend.last_pipeline_stats is None   # depth 0
 
+    @pytest.mark.parametrize("method", [FedPub, GCFLPlus],
+                             ids=["fed-pub", "gcfl+"])
+    def test_gathering_strategy_sees_only_the_reporters(self, method,
+                                                        four_clients):
+        """FED-PUB and GCFL+ cannot stream, so the pool gathers the states
+        that arrived; a shard dropped at the deadline must leave the
+        strategy's context as well as its state list."""
+        plan = FaultPlan([FaultEvent(1, 2, "stall", duration=2.0)])
+        trainer = method(four_clients, hidden=16, config=FederatedConfig(
+            rounds=4, local_epochs=2, lr=0.02, seed=0,
+            backend="process_pool", num_workers=2, intra_worker="serial",
+            fault_plan=plan, round_timeout=0.6))
+        strategy = trainer.strategy
+        aggregate = strategy.aggregate
+        seen = {}
+
+        def recording(states, weights, context=None):
+            ids = [client.client_id for client in context.participants]
+            assert len(ids) == len(states)
+            global_state = aggregate(states, weights, context)
+            if method is FedPub:
+                assert sorted(strategy._personalized) == ids
+            seen[context.round_index] = set(ids)
+            return global_state
+
+        strategy.aggregate = recording
+        history = trainer.run()
+        assert len(history.rounds) == 4
+        assert np.isfinite(history.test_accuracy[-1])
+        assert {1, 3} <= set(history.client_drops)   # worker 1's shard
+        missing = {round_index: set(history.participants[round_index])
+                   - seen.get(round_index, set())
+                   for round_index in history.participants}
+        assert sum(map(len, missing.values())) \
+            == sum(history.client_drops.values())
+        assert set().union(*missing.values()) == set(history.client_drops)
+
     def test_async_timeout_discards_stale_job(self, four_clients):
         plan = FaultPlan([FaultEvent(0, 2, "stall", duration=2.0)])
         trainer, history = _run(four_clients, round_mode="async",
@@ -386,14 +426,21 @@ class TestAsyncRecovery:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("backend", ["serial", "batched",
-                                         "process_pool"])
-    def test_resume_is_bitwise_identical(self, backend, four_clients,
+    @pytest.mark.parametrize("backend, method", [
+        ("serial", FederatedGNN), ("batched", FederatedGNN),
+        ("process_pool", FederatedGNN),
+        # strategies with cross-round state (GCFL+'s assignments of clients
+        # a round did not sample), on the gathering path
+        ("serial", FedPub), ("serial", GCFLPlus),
+        ("process_pool", FedPub), ("process_pool", GCFLPlus),
+    ], ids=["serial", "batched", "process_pool", "fed-pub", "gcfl+",
+            "fed-pub-pool", "gcfl+-pool"])
+    def test_resume_is_bitwise_identical(self, backend, method, four_clients,
                                          tmp_path):
         def run(rounds, **kwargs):
             return _run(four_clients, rounds=rounds, backend=backend,
                         num_workers=2 if backend == "process_pool" else 0,
-                        participation=0.75, **kwargs)
+                        participation=0.75, method=method, **kwargs)
 
         _, full = run(rounds=6)
         run(rounds=3, checkpoint_every=3, checkpoint_dir=str(tmp_path))

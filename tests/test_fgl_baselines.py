@@ -1,9 +1,13 @@
 """Tests for the FGL baselines: FedGNN wrappers, FedGL, GCFL+, FedSage+, FED-PUB."""
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.federated import FederatedConfig
+from repro.federated import AggregationContext, FederatedConfig
+from repro.federated.communication import CommunicationTracker
 from repro.fgl import (
     BASELINE_REGISTRY,
     FedGL,
@@ -15,6 +19,7 @@ from repro.fgl import (
     list_baselines,
 )
 from repro.fgl.fedsage import NeighGen, augment_with_generated_neighbours
+from repro.fgl.gcfl import GCFLAggregation
 
 
 FAST = FederatedConfig(rounds=3, local_epochs=2, lr=0.02, seed=0)
@@ -75,9 +80,9 @@ class TestGCFLPlus:
         trainer = GCFLPlus(noniid_clients, hidden=16, num_clusters=2,
                            config=FAST)
         trainer.run()
-        clusters = set(trainer._cluster_of.values())
+        clusters = set(trainer.strategy._cluster_of.values())
         assert len(clusters) <= 2
-        assert len(trainer._cluster_states) >= 1
+        assert len(trainer.strategy._cluster_states) >= 1
 
     def test_personalize_returns_cluster_state(self, noniid_clients):
         trainer = GCFLPlus(noniid_clients, hidden=16, num_clusters=2,
@@ -85,9 +90,35 @@ class TestGCFLPlus:
         trainer.run()
         client = trainer.clients[0]
         state = trainer.personalize(client, trainer.server.broadcast())
-        cluster = trainer._cluster_of[client.client_id]
-        expected = trainer._cluster_states[cluster]
+        cluster = trainer.strategy._cluster_of[client.client_id]
+        expected = trainer.strategy._cluster_states[cluster]
         assert all(np.allclose(state[k], expected[k]) for k in state)
+
+    def test_state_dict_resumes_the_clustering(self):
+        """Update directions are taken against the last global state: a
+        strategy restored from ``state_dict`` must cluster round 2 like the
+        one that kept running.  Against the initial state instead, the three
+        updates are near-parallel and client 1 lands in a cluster of its
+        own."""
+        clients = [SimpleNamespace(client_id=index) for index in range(3)]
+        context = AggregationContext(
+            round_index=1, participants=clients,
+            trainer=SimpleNamespace(tracker=CommunicationTracker()))
+        initial = {"w": np.zeros(2)}
+        running = GCFLAggregation(num_clusters=2, initial_state=initial)
+        running.aggregate([{"w": np.array([10.0, 0.0])}] * 3, [1, 1, 1],
+                          context)
+        resumed = GCFLAggregation(num_clusters=2, initial_state=initial)
+        resumed.load_state_dict(pickle.loads(pickle.dumps(
+            running.state_dict())))
+        second = [{"w": np.array(value)}
+                  for value in ([11.0, 1.0], [11.0, -1.0], [9.0, 0.0])]
+        for strategy in (running, resumed):
+            strategy.aggregate(second, [1, 1, 1], context)
+        for client in clients:
+            np.testing.assert_array_equal(
+                resumed.personalize(client, None)["w"],
+                running.personalize(client, None)["w"])
 
     def test_gradient_communication_tracked(self, noniid_clients):
         trainer = GCFLPlus(noniid_clients, hidden=16, config=FAST)
@@ -130,7 +161,8 @@ class TestFedPub:
         trainer = FedPub(noniid_clients, hidden=16, config=FAST, local_mix=0.5)
         trainer.run()
         ids = [c.client_id for c in trainer.clients]
-        states = [trainer._personalized[i] for i in ids if i in trainer._personalized]
+        personalized = trainer.strategy._personalized
+        states = [personalized[i] for i in ids if i in personalized]
         assert len(states) >= 2
         key = next(iter(states[0]))
         assert not all(np.allclose(states[0][key], s[key]) for s in states[1:])
@@ -140,7 +172,7 @@ class TestFedPub:
         trainer.run()
         client = trainer.clients[0]
         mixed = trainer.personalize(client, trainer.server.broadcast())
-        local = trainer._local_states[client.client_id]
+        local = trainer.strategy._local_states[client.client_id]
         assert all(np.allclose(mixed[k], local[k]) for k in mixed)
 
     def test_runs_and_evaluates(self, noniid_clients):

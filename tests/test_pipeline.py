@@ -29,6 +29,8 @@ from repro.federated.server import (
     fedavg_aggregate,
 )
 from repro.fgl.fedgnn import FederatedGNN
+from repro.fgl.fedpub import FedPubAggregation
+from repro.fgl.gcfl import GCFLAggregation
 
 
 def _config(backend="process_pool", rounds=3, **kwargs):
@@ -102,13 +104,6 @@ class TestStreamingAggregate:
             StreamingAggregate([])
         with pytest.raises(ValueError):
             StreamingAggregate([0.0, 0.0])
-
-    def test_finalize_hook_runs_at_seal(self, rng):
-        state = self._states(rng, count=1)[0]
-        fold = StreamingAggregate([2.0], finalize=lambda avg: {
-            key: value * 2.0 for key, value in avg.items()})
-        fold.add(0, state)
-        np.testing.assert_allclose(fold.seal()["w"], state["w"] * 2.0)
 
 
 class _EagerSum:
@@ -311,29 +306,23 @@ class TestSyncPipelined:
         assert stats["worker_utilization"] > 0.0
         assert stats["straggler_wait_sec"] >= 0.0
 
-    def test_streaming_serveropt_matches_serial(self, community_clients):
-        """fedadam streams through the finalize hook; results must match."""
-        _, serial_history = _run(community_clients, backend="serial",
-                                 aggregation="fedadam")
-        _, pipelined_history = _run(community_clients, aggregation="fedadam",
-                                    intra_worker="serial")
-        _assert_bitwise_equal(serial_history, pipelined_history)
-
     def test_non_streaming_strategy_matches_serial(self, community_clients):
-        """trimmed_mean cannot stream: the loop gathers, still pipelined."""
-        _, serial_history = _run(community_clients, backend="serial",
-                                 aggregation="trimmed_mean")
-        trainer, pipelined_history = _run(community_clients,
-                                          aggregation="trimmed_mean",
-                                          intra_worker="serial")
-        assert trainer.backend.last_pipeline_stats is not None
-        _assert_bitwise_equal(serial_history, pipelined_history)
+        """FED-PUB and GCFL+ cannot stream: the loop gathers, still
+        pipelined."""
+        for strategy in (FedPubAggregation, GCFLAggregation):
+            _, serial_history = _run(community_clients, backend="serial",
+                                     aggregation=strategy())
+            trainer, pipelined_history = _run(community_clients,
+                                              aggregation=strategy(),
+                                              intra_worker="serial")
+            assert trainer.backend.last_pipeline_stats is not None
+            _assert_bitwise_equal(serial_history, pipelined_history)
 
     @pytest.mark.parametrize("case", [
         dict(eval_every=1, participation=0.67),
         dict(eval_every=3, rounds=5),
         dict(eval_every=3, rounds=5, local_client=True),
-        dict(eval_every=1, aggregation="trimmed_mean", local_client=True),
+        dict(eval_every=1, strategy=GCFLAggregation, local_client=True),
     ], ids=["every-round-partial", "every-third", "local-side-client",
             "gathered-local-side"])
     def test_hoisted_eval_matches_lockstep(self, community_clients, case):
@@ -343,10 +332,13 @@ class TestSyncPipelined:
         serial lockstep loop's, bit for bit."""
         case = dict(case)
         local_client = case.pop("local_client", False)
+        strategy = case.pop("strategy", None)
 
         def run(**kwargs):
             import copy
             clients = copy.deepcopy(community_clients)
+            if strategy is not None:   # stateful: one instance per run
+                kwargs["aggregation"] = strategy()
             trainer = FederatedGNN(clients, "gcn", hidden=16,
                                    config=_config(**case, **kwargs))
             if local_client:   # a closure cannot be pickled to a worker
