@@ -1,9 +1,9 @@
-"""Per-kernel microbenchmarks for the array-backend dispatch layer.
+"""Per-kernel microbenchmarks for the autograd kernel table.
 
-Times every registered hot-path kernel (``spmm`` forward/backward,
+Times every hot-path kernel of the table (``spmm`` forward/backward,
 ``spmm_batched``, ``sddmm`` forward/backward, ``spmm_pattern`` forward +
-both backwards, dropout mask/apply) under the **numpy** reference backend,
-at shapes sampled from the real execution plans:
+both backwards, dropout mask/apply) — the numpy reference kernels — at
+shapes sampled from the real execution plans:
 
 * client-subgraph propagation (serial Step-1 / Step-2 knowledge smoothing):
   a ~10-average-degree CSR against 16/32-wide features;
@@ -12,18 +12,16 @@ at shapes sampled from the real execution plans:
 * Step-2 sparse message passing (``sddmm`` / ``spmm_pattern`` on a top-k
   support at class-logit width).
 
-Every *other* registered backend (none ships today) is timed beside it,
-row by row (``<name>_us`` / ``speedup_<name>``): this file is where a
-compiled kernel set proves itself before it is registered by default.  The
-``numba`` version (or ``absent``) stays in the artifact's host stamp — a
-host fact, and the first thing such a number will be read against.
+This file is where a second, compiled kernel set would prove itself,
+timed beside the numpy row.  The ``numba`` version (or ``absent``) stays in
+the artifact's host stamp — a host fact, and the first thing such a number
+will be read against.
 
 The reference ``sddmm_backward`` is the **scatter-free** formulation (one
 CSR assembly + two sparse products on the CSR-ordered support).  What it
 replaced — the ``np.add.at`` scatter — is frozen in this file as
 ``scatter_sddmm_backward`` and timed beside it (``scatter_us`` /
-``speedup_vs_scatter``), so the row keeps measuring the formulation and
-not which backend happens to carry it.
+``speedup_vs_scatter``), so the row keeps measuring the formulation.
 
 The ``gates`` section evaluates the ≥2× acceptance target:
 ``sddmm_backward`` (reference vs the frozen scatter) holds in every regime.
@@ -48,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.backend import get_backend, list_array_backends
+from repro.autograd.backend import resolve_backend
 
 try:  # imported as benchmarks.bench_kernels (pytest) or run as a script
     from benchmarks.bench_utils import host_stamp, record_json
@@ -56,7 +54,7 @@ except ImportError:  # pragma: no cover
     from bench_utils import host_stamp, record_json
 
 
-NUMPY = get_backend("numpy")
+NUMPY = resolve_backend(None)
 
 
 def scatter_sddmm_backward(rows, cols, a, b, grad, need_a, need_b):
@@ -98,8 +96,8 @@ def _support(pattern: sp.csr_matrix):
 def _compare(name: str, shape_label: str,
              call: Callable[[object], object], repeats: int,
              scatter: Optional[Callable[[], object]] = None) -> Dict:
-    """One row: ``call(backend)`` under numpy, then under every other
-    registered backend, then the frozen ``scatter`` if the row has one."""
+    """One row: ``call(table)``, then the frozen ``scatter`` if the row has
+    one."""
     ref_sec = _best_seconds(lambda: call(NUMPY), repeats)
     entry = {
         "kernel": name,
@@ -107,15 +105,6 @@ def _compare(name: str, shape_label: str,
         "numpy_us": round(ref_sec * 1e6, 1),
     }
     line = f"{name:28s} {shape_label:34s} numpy {entry['numpy_us']:10.1f}us"
-    for other in list_array_backends():
-        if other == NUMPY.name:
-            continue
-        backend = get_backend(other)
-        seconds = _best_seconds(lambda: call(backend), repeats)
-        entry[f"{other}_us"] = round(seconds * 1e6, 1)
-        entry[f"speedup_{other}"] = round(ref_sec / seconds, 2)
-        line += (f"  {other} {entry[f'{other}_us']:10.1f}us  "
-                 f"{entry[f'speedup_{other}']:6.2f}x")
     if scatter is not None:
         scatter_sec = _best_seconds(scatter, repeats)
         entry["scatter_us"] = round(scatter_sec * 1e6, 1)
@@ -230,13 +219,11 @@ def main(argv: Optional[List[str]] = None) -> Dict:
     scale = 0.3 if args.smoke else 1.0
     repeats = args.repeats or (3 if args.smoke else 20)
     host = host_stamp()
-    print(f"array-backend kernels bench  backends={list_array_backends()}  "
-          f"numba={host['numba']}")
+    print(f"kernel table bench  numba={host['numba']}")
     entries = run_kernel_suite(scale=scale, repeats=repeats)
     gates = evaluate_gates(entries)
     report = {
         "host": host,
-        "backends": list_array_backends(),
         "kernels": entries,
         "gates": gates,
     }

@@ -2,17 +2,17 @@
 
 Measures the online serving subsystem the way serving systems are measured:
 open-loop Poisson arrivals at configured rates, reporting achieved
-queries/sec and p50/p99 latency across an **arrival-rate × array-backend
-grid** for table lookups (answered at admission, so no batching knob
-selects anything there), a **batch-size × arrival-rate × array-backend
-grid** for inductive queries (fused batched subgraph inference, with the
-LRU's hit rate), a **crossover section** (serial vs fused µs per inductive
-query at 2 / 4 / 8 / 32 per flush — where ``serving.engine.FUSE_FROM`` comes
-from), a **miss-path section** (µs per block for extract, normalise and
-serial forward, and a whole served query on an LRU hit vs a miss), and a
-**parity bar** asserting that served answers are
-bitwise-equal to offline ``Client.predict`` on the numpy backend (and fused
-inductive answers bitwise-equal to per-query serial forwards).
+queries/sec and p50/p99 latency across an **arrival-rate grid** for table
+lookups (answered at admission, so no batching knob selects anything
+there), a **batch-size × arrival-rate grid** for inductive queries (fused
+batched subgraph inference, with the LRU's hit rate), a **crossover
+section** (serial vs fused µs per inductive query at 2 / 4 / 8 / 32 per
+flush — where ``serving.engine.FUSE_FROM`` comes from), a **miss-path
+section** (µs per block for extract, normalise and serial forward, and a
+whole served query on an LRU hit vs a miss), and a **parity bar**
+asserting that served answers are bitwise-equal to offline
+``Client.predict`` (and fused inductive answers bitwise-equal to
+per-query serial forwards).
 
 Usage::
 
@@ -20,8 +20,7 @@ Usage::
     PYTHONPATH=src:. python benchmarks/bench_serving.py --smoke    # CI smoke
 
 The full run writes ``benchmarks/results/BENCH_serving.json``; ``--smoke``
-writes ``BENCH_serving_smoke.json`` (restricted by ``--array-backend``
-when given).
+writes ``BENCH_serving_smoke.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from benchmarks.bench_utils import host_stamp, record_json
-from repro.autograd import Tensor, list_array_backends, no_grad, use_backend
+from repro.autograd import Tensor, no_grad
 from repro.datasets import load_dataset
 from repro.federated import FederatedConfig
 from repro.fgl import build_baseline
@@ -70,40 +69,35 @@ def build_serving_snapshot(num_nodes: int = 600, num_clients: int = 5,
     return ServingSnapshot.from_trainer(trainer), trainer
 
 
-def run_rate_grid(snapshot, *, backends: Sequence[str],
-                  rates: Sequence[float], queries_per_cell: int,
+def run_rate_grid(snapshot, *, rates: Sequence[float], queries_per_cell: int,
                   max_batches: Sequence[Optional[int]] = (None,),
                   inductive_fraction: float = 0.0,
                   max_delay_ms: float = 2.0, seed: int = 0) -> List[Dict]:
-    """One open-loop run per (backend, max_batch, rate) cell.
+    """One open-loop run per (max_batch, rate) cell.
 
     ``max_batch`` is an axis only where something is queued: the table
     rows leave it at ``(None,)`` — engine default, no ``max_batch`` key.
     """
     points = []
-    for backend in backends:
-        for max_batch in max_batches:
-            knobs = {} if max_batch is None else {"max_batch": max_batch}
-            for rate in rates:
-                queries = build_query_mix(
-                    snapshot, queries_per_cell,
-                    inductive_fraction=inductive_fraction, seed=seed)
-                with QueryEngine(snapshot, max_delay_ms=max_delay_ms,
-                                 array_backend=backend, **knobs) as engine:
-                    report = run_open_loop(engine, queries, rate, seed=seed)
-                    cache = engine.cache
-                point = {"backend": backend, **knobs,
-                         "inductive_fraction": inductive_fraction,
-                         **report.as_dict()}
-                point["cache"] = {"hits": cache.hits,
-                                  "misses": cache.misses,
-                                  "evictions": cache.evictions}
-                points.append(point)
-                print(f"  backend={backend} batch={max_batch or '-'} "
-                      f"rate={rate:.0f}: "
-                      f"{report.achieved_qps:.0f} qps, "
-                      f"p50 {report.p50_ms:.2f} ms, "
-                      f"p99 {report.p99_ms:.2f} ms")
+    for max_batch in max_batches:
+        knobs = {} if max_batch is None else {"max_batch": max_batch}
+        for rate in rates:
+            queries = build_query_mix(
+                snapshot, queries_per_cell,
+                inductive_fraction=inductive_fraction, seed=seed)
+            with QueryEngine(snapshot, max_delay_ms=max_delay_ms,
+                             **knobs) as engine:
+                report = run_open_loop(engine, queries, rate, seed=seed)
+                cache = engine.cache
+            point = {**knobs, "inductive_fraction": inductive_fraction,
+                     **report.as_dict()}
+            point["cache"] = {"hits": cache.hits, "misses": cache.misses,
+                              "evictions": cache.evictions}
+            points.append(point)
+            print(f"  batch={max_batch or '-'} rate={rate:.0f}: "
+                  f"{report.achieved_qps:.0f} qps, "
+                  f"p50 {report.p50_ms:.2f} ms, "
+                  f"p99 {report.p99_ms:.2f} ms")
     return points
 
 
@@ -121,9 +115,7 @@ def run_crossover(snapshot, *, sizes: Sequence[int] = CROSSOVER_SIZES,
     queries = build_query_mix(snapshot, max(sizes), inductive_fraction=1.0,
                               seed=seed + 1)
     rows = []
-    with QueryEngine(snapshot, array_backend="numpy",
-                     cache_size=max(sizes)) as engine, \
-            use_backend(engine.array_backend):
+    with QueryEngine(snapshot, cache_size=max(sizes)) as engine:
         items = [_Pending(query) for query in queries]
         for size in sizes:
             batch = items[:size]
@@ -170,8 +162,7 @@ def run_miss_path(snapshot, *, blocks: int = 16, repeats: int = 60,
     names = ("extract_us", "normalise_us", "forward_us", "miss_us",
              "hit_us")
     samples = {name: [] for name in names}
-    with QueryEngine(snapshot, array_backend="numpy") as engine, \
-            use_backend(engine.array_backend), no_grad():
+    with QueryEngine(snapshot) as engine, no_grad():
         for repeat in range(repeats + 1):
             engine.cache = SubgraphLRU(len(queries))
             totals = dict.fromkeys(names, 0.0)
@@ -212,7 +203,7 @@ def run_miss_path(snapshot, *, blocks: int = 16, repeats: int = 60,
 
 def run_parity_bar(snapshot, trainer, *, probes: int = 64,
                    seed: int = 0) -> Dict:
-    """Bitwise parity of served answers vs offline references (numpy).
+    """Bitwise parity of served answers vs offline references.
 
     * transductive: engine answers == a fresh serial ``Client.predict``
       recomputed offline (cache invalidated first);
@@ -228,8 +219,7 @@ def run_parity_bar(snapshot, trainer, *, probes: int = 64,
     transductive_equal = True
     queries = build_query_mix(snapshot, probes, inductive_fraction=0.0,
                               seed=seed)
-    with QueryEngine(snapshot, max_batch=16, max_delay_ms=1.0,
-                     array_backend="numpy") as engine:
+    with QueryEngine(snapshot, max_batch=16, max_delay_ms=1.0) as engine:
         for query in queries:
             served = engine.query(query, timeout=60)
             expected = offline[query.client_id][query.node_id]
@@ -242,11 +232,10 @@ def run_parity_bar(snapshot, trainer, *, probes: int = 64,
             snapshot, probes, inductive_fraction=1.0, seed=seed + 1)
         if isinstance(query, InductiveQuery)]
     with QueryEngine(snapshot, max_batch=len(inductive_queries),
-                     max_delay_ms=500.0, array_backend="numpy") as engine:
+                     max_delay_ms=500.0) as engine:
         futures = [engine.submit(query) for query in inductive_queries]
         fused = [future.result(timeout=60) for future in futures]
-    with QueryEngine(snapshot, max_batch=1, max_delay_ms=0.0,
-                     array_backend="numpy") as engine:
+    with QueryEngine(snapshot, max_batch=1, max_delay_ms=0.0) as engine:
         serial = [engine.query(query, timeout=60)
                   for query in inductive_queries]
     inductive_equal = all(
@@ -268,10 +257,8 @@ def run_parity_bar(snapshot, trainer, *, probes: int = 64,
 
 
 def run_serving_suite(*, smoke: bool = False,
-                      array_backend: Optional[str] = None,
                       output_name: Optional[str] = None, seed: int = 0
                       ) -> Dict:
-    backends = [array_backend] if array_backend else list_array_backends()
     if smoke:
         num_nodes, num_clients, rounds = 300, 3, 2
         max_batches = [1, 16]
@@ -292,11 +279,11 @@ def run_serving_suite(*, smoke: bool = False,
 
     print("transductive grid:")
     transductive = run_rate_grid(
-        snapshot, backends=backends, rates=transductive_rates,
+        snapshot, rates=transductive_rates,
         queries_per_cell=queries_per_cell, inductive_fraction=0.0, seed=seed)
     print("inductive grid:")
     inductive = run_rate_grid(
-        snapshot, backends=backends, max_batches=max_batches,
+        snapshot, max_batches=max_batches,
         rates=inductive_rates,
         queries_per_cell=max(queries_per_cell // 4, 50),
         inductive_fraction=1.0, seed=seed)
@@ -316,7 +303,7 @@ def run_serving_suite(*, smoke: bool = False,
         "setup": {"dataset": "cora", "num_nodes": num_nodes,
                   "num_clients": num_clients, "rounds": rounds,
                   "model_family": snapshot.model_family,
-                  "backends": backends, "max_batches": list(max_batches),
+                  "max_batches": list(max_batches),
                   "transductive_rates": list(transductive_rates),
                   "inductive_rates": list(inductive_rates),
                   "queries_per_cell": queries_per_cell, "seed": seed},
@@ -326,8 +313,7 @@ def run_serving_suite(*, smoke: bool = False,
         "miss_path": miss_path,
         "parity": parity,
         "headline": {"achieved_qps": best["achieved_qps"],
-                     "p50_ms": best["p50_ms"], "p99_ms": best["p99_ms"],
-                     "backend": best["backend"]},
+                     "p50_ms": best["p50_ms"], "p99_ms": best["p99_ms"]},
     }
     name = output_name or ("BENCH_serving_smoke" if smoke
                            else "BENCH_serving")
@@ -340,14 +326,9 @@ def main(argv=None) -> int:
         description="serving engine qps / latency harness")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny grid for CI (BENCH_serving_smoke.json)")
-    parser.add_argument("--array-backend", default=None,
-                        choices=list_array_backends(),
-                        help="restrict the backend axis to one backend")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    report = run_serving_suite(smoke=args.smoke,
-                               array_backend=args.array_backend,
-                               seed=args.seed)
+    report = run_serving_suite(smoke=args.smoke, seed=args.seed)
     assert report["parity"]["transductive_bitwise_equal"]
     assert report["parity"]["inductive_fused_equals_serial"]
     return 0

@@ -1,4 +1,4 @@
-"""Pytest entry point for the array-backend kernels bench (marker: bench).
+"""Pytest entry point for the kernel-table bench (marker: bench).
 
 Skipped by tier-1 runs; enable with ``pytest --run-bench`` or
 ``REPRO_RUN_BENCH=1``.  The CI tests job additionally runs

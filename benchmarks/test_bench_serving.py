@@ -13,8 +13,7 @@ from benchmarks.bench_serving import run_serving_suite
 
 @pytest.mark.bench
 def test_serving_harness_smoke():
-    report = run_serving_suite(smoke=True, array_backend="numpy",
-                               output_name="BENCH_serving_smoke")
+    report = run_serving_suite(smoke=True, output_name="BENCH_serving_smoke")
     # The hard bars: served answers are bitwise-exact, both query regimes.
     assert report["parity"]["transductive_bitwise_equal"]
     assert report["parity"]["inductive_fused_equals_serial"]

@@ -1,68 +1,32 @@
-"""Pluggable array-backend dispatch for the autograd engine.
+"""The kernel table of the autograd engine.
 
-Every array operation in :mod:`repro.autograd.tensor` routes through a
-namespace object ``xp`` (the Python array-API standard: numpy fulfils it
-directly), and every sparse/fused hot-path primitive in
-:mod:`repro.autograd.functional` routes through a per-backend *kernel
-registry*.  One backend ships:
+Every sparse/fused hot-path primitive in :mod:`repro.autograd.functional`
+dispatches through one :class:`ArrayBackend` object, a table of named
+kernels (:data:`KERNEL_NAMES`): scipy sparse products, einsum row dots and a
+scatter-free sddmm backward that equals the defining ``np.add.at`` scatter
+bit for bit (see :mod:`repro.autograd.backend.numpy_backend` for the
+accumulation-order contract).  :func:`resolve_backend` returns that table.
+Its entries are swappable at run time through
+:meth:`ArrayBackend.register_kernel` — the end-to-end tracer wraps each
+kernel in a timing span that way, and ``tests/test_backend.py`` swaps the
+scatter oracle in — so a kernel is always looked up at call time, never
+bound at import.
 
-* ``numpy`` — the default and the bitwise parity reference: scipy sparse
-  products, einsum row dots and a scatter-free sddmm backward that equals
-  the defining ``np.add.at`` scatter bit for bit (see
-  :mod:`repro.autograd.backend.numpy_backend` for the accumulation-order
-  contract).
-
-Every backend shares one identity-keyed structure cache
-(:func:`cached_structure`) for what a kernel derives from a fixed operator:
-its CSR transpose, the row of each stored element, the row pointers of an
-sddmm support.
-
-Registering a GPU backend (the CuPy seam)
------------------------------------------
-A CuPy backend is a registration away and needs no dispatch changes::
-
-    import cupy
-    import cupyx.scipy.sparse as cusparse
-    from repro.autograd import backend as B
-
-    class CupyBackend(B.ArrayBackend):
-        name = "cupy"
-        xp = cupy                                   # array-API namespace
-
-        def asarray(self, value, dtype=None):
-            return cupy.asarray(value, dtype=dtype or cupy.float64)
-
-        def to_host(self, array):
-            return cupy.asnumpy(array)
-
-        def prepare_sparse(self, matrix):           # host CSR -> device CSR
-            return cusparse.csr_matrix(matrix.tocsr())
-
-    backend = CupyBackend()
-    backend.register_kernel("spmm", lambda adj, x: adj @ x)
-    ...                                             # remaining KERNEL_NAMES
-    B.register_backend(backend)
-
-``prepare_sparse`` is the device boundary: propagation operators stay host
-CSR in the model caches and are converted (and cached by the caller) on
-first use.  Dense tensors pick the device up at construction because
-:class:`~repro.autograd.tensor.Tensor` coerces through
-``backend.asarray``.  Host-side glue (metrics, aggregation) reads arrays
-back through ``to_host``.
+The kernels share one identity-keyed structure cache
+(:func:`cached_structure`) for what they derive from a fixed operator: its
+CSR transpose, the row of each stored element, the row pointers of an sddmm
+support.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
 import weakref
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-#: every kernel a concrete backend must provide.  The five hot-path
+#: every kernel the table holds.  The five hot-path
 #: primitives of the engine (spmm, spmm_batched, spmm_pattern, sddmm and the
 #: dropout-mask apply) plus their backward companions.
 KERNEL_NAMES = (
@@ -80,48 +44,14 @@ KERNEL_NAMES = (
 
 
 class ArrayBackend:
-    """One array device/runtime: an ``xp`` namespace plus a kernel registry.
-
-    Subclasses set :attr:`name`, :attr:`xp` and register a callable for every
-    entry of :data:`KERNEL_NAMES`.  Instances are process-wide singletons
-    resolved by name (pickling — e.g. shipping a client to a persistent pool
-    worker — reduces to the name and re-resolves on the other side).
-    """
+    """A table of kernels, one callable for every entry of
+    :data:`KERNEL_NAMES`, looked up by name on every call."""
 
     name: str = "abstract"
-    #: the array-API namespace dense elementwise math routes through
-    xp = np
 
     def __init__(self):
         self._kernels: Dict[str, Callable] = {}
 
-    # ------------------------------------------------------------------
-    # Array plumbing (the CuPy seam)
-    # ------------------------------------------------------------------
-    def asarray(self, value, dtype=None) -> np.ndarray:
-        """Coerce ``value`` onto this backend's device as float64."""
-        dtype = dtype or np.float64
-        if isinstance(value, np.ndarray):
-            if value.dtype != dtype:
-                return value.astype(dtype)
-            return value
-        return np.asarray(value, dtype=dtype)
-
-    def to_host(self, array) -> np.ndarray:
-        """Device array → host numpy array (no copy when already host)."""
-        return np.asarray(array)
-
-    def prepare_sparse(self, matrix):
-        """Host scipy sparse matrix → the CSR form this backend consumes."""
-        if not sp.issparse(matrix):
-            raise TypeError(
-                f"{self.name} backend expects a scipy sparse operand, "
-                f"got {type(matrix).__name__}")
-        return matrix.tocsr()
-
-    # ------------------------------------------------------------------
-    # Kernel registry
-    # ------------------------------------------------------------------
     def register_kernel(self, name: str, fn: Callable) -> None:
         if name not in KERNEL_NAMES:
             raise KeyError(f"unknown kernel '{name}' "
@@ -175,102 +105,8 @@ class ArrayBackend:
     def apply_mask(self, x, mask):
         return self._kernels["apply_mask"](x, mask)
 
-    # ------------------------------------------------------------------
-    def __reduce__(self):
-        # Backends are singletons: pickling (worker bootstrap, checkpoints)
-        # re-resolves by name instead of shipping kernel closures.
-        return (get_backend, (self.name,))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArrayBackend({self.name!r})"
-
-
-# ----------------------------------------------------------------------
-# Registry and resolution
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, ArrayBackend] = {}
-
-BackendSpec = Union[None, str, ArrayBackend]
-
-
-def register_backend(backend: ArrayBackend) -> ArrayBackend:
-    """Register (or replace) a backend under its :attr:`~ArrayBackend.name`."""
-    missing = backend.missing_kernels()
-    if missing:
-        raise ValueError(
-            f"backend '{backend.name}' is missing kernels: {missing}")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> ArrayBackend:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown array backend '{name}' "
-            f"(registered: {sorted(_REGISTRY)})") from None
-
-
-def list_array_backends() -> List[str]:
-    """Names of every registered array backend (CLI choices)."""
-    return sorted(_REGISTRY)
-
-
-# Thread-local active-backend stack over a process-wide default, so worker
-# threads (the pipelined pool's collector) never see another thread's
-# temporarily-pushed backend.
-_DEFAULT_NAME = os.environ.get("REPRO_ARRAY_BACKEND", "numpy")
-_STATE = threading.local()
-
-
-def _stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = _STATE.stack = []
-    return stack
-
-
-def default_backend() -> ArrayBackend:
-    """The process-wide default backend (``REPRO_ARRAY_BACKEND`` or numpy)."""
-    return get_backend(_DEFAULT_NAME)
-
-
-def set_default_backend(spec: BackendSpec) -> str:
-    """Set the process-wide default; returns the previous default's name."""
-    global _DEFAULT_NAME
-    previous = _DEFAULT_NAME
-    _DEFAULT_NAME = resolve_backend(spec).name
-    return previous
-
-
-def current_backend() -> ArrayBackend:
-    """The innermost :func:`use_backend` scope, else the process default."""
-    stack = getattr(_STATE, "stack", None)
-    if stack:
-        return stack[-1]
-    return default_backend()
-
-
-def resolve_backend(spec: BackendSpec) -> ArrayBackend:
-    """``None`` → current scope; a name → registry; an instance → itself."""
-    if spec is None:
-        return current_backend()
-    if isinstance(spec, ArrayBackend):
-        return spec
-    return get_backend(spec)
-
-
-@contextlib.contextmanager
-def use_backend(spec: BackendSpec) -> Iterator[ArrayBackend]:
-    """Scope every tensor/kernel created inside to the given backend."""
-    backend = resolve_backend(spec)
-    stack = _stack()
-    stack.append(backend)
-    try:
-        yield backend
-    finally:
-        stack.pop()
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +116,7 @@ def use_backend(spec: BackendSpec) -> Iterator[ArrayBackend]:
 # constants (propagation matrices, block diagonals, top-k patterns), so what
 # a kernel derives from their *structure* — the CSR transpose, the row index
 # of every stored element, the row pointers of a CSR-ordered support — is
-# computed once per object and shared by every backend and caller.  Entries
+# computed once per object and shared by every kernel and caller.  Entries
 # are keyed by the owner's identity and hold it only weakly: an entry lives
 # exactly as long as its owner (the weakref callback drops it), so the cache
 # is bounded by the live operators rather than by a clear-on-overflow cap,
@@ -357,8 +193,8 @@ def support_indptr(rows: np.ndarray, cols: np.ndarray, shape: tuple
     """CSR row pointers of the ``sddmm`` support ``(rows, cols)`` of ``shape``.
 
     ``None`` when it is not a CSR structure of that shape — ``rows`` not
-    ascending, an index from the end or out of range — which sends every
-    backend to the defining scatter (and its ``IndexError``).
+    ascending, an index from the end or out of range — which sends the
+    kernel to the defining scatter (and its ``IndexError``).
     """
     if not cached_structure(cols, _within, shape[1]):
         return None
@@ -366,31 +202,28 @@ def support_indptr(rows: np.ndarray, cols: np.ndarray, shape: tuple
 
 
 # ----------------------------------------------------------------------
-# Built-in backend
+# The table
 # ----------------------------------------------------------------------
 from repro.autograd.backend.numpy_backend import NumpyBackend  # noqa: E402
 
-register_backend(NumpyBackend())
+_TABLE = NumpyBackend()
 
-try:  # env misuse guard: fail at import, in the registry's own words
-    default_backend()
-except KeyError as error:  # pragma: no cover - seen by a subprocess test
-    raise KeyError(f"{error.args[0]} — set by REPRO_ARRAY_BACKEND") from None
+
+def resolve_backend(spec: None = None) -> ArrayBackend:
+    """The kernel table every hot-path primitive dispatches through."""
+    if spec is not None:
+        raise TypeError(f"there is one kernel table; got {spec!r}")
+    return _TABLE
+
 
 __all__ = [
     "ArrayBackend",
     "KERNEL_NAMES",
+    "NumpyBackend",
     "cached_structure",
     "cached_transpose",
-    "current_backend",
-    "default_backend",
-    "get_backend",
-    "list_array_backends",
     "pattern_rows",
-    "register_backend",
     "resolve_backend",
-    "set_default_backend",
     "structure_cache_size",
     "support_indptr",
-    "use_backend",
 ]

@@ -1,10 +1,10 @@
-"""The numpy reference backend.
+"""The numpy kernels of the table.
 
-These kernels are the *bitwise parity reference* every other backend is
-tested against: plain numpy / scipy expressions with a fixed floating-point
-accumulation order.  This module is the only place the hot-path primitives
-may touch ``np.`` directly (``tools/check_backend_dispatch.py`` enforces the
-seam on ``functional.py``).
+These kernels are the *bitwise parity reference* of the engine: plain
+numpy / scipy expressions with a fixed floating-point accumulation order.
+This module is the only place the hot-path primitives may touch ``np.``
+directly (``tools/check_backend_dispatch.py`` keeps ``functional.py``'s hot
+paths behind the table).
 
 Accumulation-order contract (what "bitwise" rests on):
 
@@ -24,11 +24,11 @@ Accumulation-order contract (what "bitwise" rests on):
   would add, in the same order, so the result is bit-for-bit the scatter's
   (``tests/test_backend.py`` keeps the literal scatter as the oracle).  Any
   other support (rows not ascending, an index from the end or out of range:
-  ``support_indptr`` decides, for every backend) keeps the scatter itself.
+  ``support_indptr`` decides) keeps the scatter itself.
 * ``sddmm`` / ``spmm_pattern`` values-backward — ``np.einsum`` row dots over
   ``np.take`` gathers (the same ``(nnz, c)`` operands fancy indexing built).
-* ``dropout_mask`` — consumes ``rng.random(shape)`` exactly once, so every
-  backend advances a module's generator identically.
+* ``dropout_mask`` — consumes ``rng.random(shape)`` exactly once, so a
+  module's generator advances as the defining expression advances it.
 """
 
 from __future__ import annotations
@@ -146,10 +146,9 @@ def apply_mask(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class NumpyBackend(ArrayBackend):
-    """Default backend: numpy namespace, reference kernels."""
+    """The table filled with the reference kernels."""
 
     name = "numpy"
-    xp = np
 
     def __init__(self):
         super().__init__()

@@ -6,10 +6,10 @@ graph as constants through :func:`spmm`.
 
 The sparse/fused hot-path primitives (``spmm``, ``spmm_batched``, ``sddmm``,
 ``spmm_pattern``, ``dropout``) contain **no array math of their own**: they
-dispatch to the kernel registry of the operand tensor's
-:class:`~repro.autograd.backend.ArrayBackend` (``tools/check_backend_dispatch.py``
-rejects bare ``np.`` calls inside them).  Activations and losses below route
-through :class:`~repro.autograd.tensor.Tensor`'s backend namespace.
+dispatch to the kernel table ``backend``
+(:class:`~repro.autograd.backend.ArrayBackend`;
+``tools/check_backend_dispatch.py`` rejects bare ``np.`` calls inside them),
+so a kernel swapped on the table serves every caller.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.autograd.backend import resolve_backend
 from repro.autograd.tensor import (
     Tensor,
     _unbroadcast,
@@ -27,6 +28,9 @@ from repro.autograd.tensor import (
 )
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
+
+#: the kernel table the hot paths dispatch through
+backend = resolve_backend(None)
 
 
 def as_tensor(value: ArrayOrTensor, requires_grad: bool = False) -> Tensor:
@@ -51,8 +55,7 @@ def spmm(adjacency: sp.spmatrix, dense: Tensor,
     """
     if not sp.issparse(adjacency):
         raise TypeError("spmm expects a scipy sparse matrix as first operand")
-    backend = dense.backend
-    adjacency = backend.prepare_sparse(adjacency)
+    adjacency = adjacency.tocsr()
     out_data = backend.spmm(adjacency, dense.data)
 
     def backward(grad):
@@ -88,8 +91,7 @@ def spmm_batched(adjacency: sp.spmatrix, dense: Tensor,
         raise ValueError(
             f"block-diagonal operator has {adjacency.shape[0]} rows, "
             f"expected {batch * nodes}")
-    backend = dense.backend
-    adjacency = backend.prepare_sparse(adjacency)
+    adjacency = adjacency.tocsr()
     out_data = backend.spmm_batched(adjacency, dense.data,
                                     out=scratch(dense.shape))
 
@@ -112,9 +114,6 @@ def sddmm(rows: np.ndarray, cols: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     the sparse-first message passing: restricted to a fixed support, the
     ``H Hᵀ`` update never materialises an ``(n, n)`` matrix.
     """
-    backend = a.backend
-    rows = backend.xp.asarray(rows)
-    cols = backend.xp.asarray(cols)
     out_data = backend.sddmm(rows, cols, a.data, b.data)
 
     def backward(grad):
@@ -140,8 +139,7 @@ def spmm_pattern(pattern: sp.csr_matrix, values: Tensor,
     """
     if not sp.issparse(pattern):
         raise TypeError("spmm_pattern expects a scipy sparse pattern")
-    backend = dense.backend
-    pattern = backend.prepare_sparse(pattern)
+    pattern = pattern.tocsr()
     if values.data.shape != (pattern.nnz,):
         raise ValueError(
             f"values must have one entry per stored element "
@@ -242,7 +240,6 @@ def dropout(x: Tensor, p: float, training: bool = True,
             "active dropout requires an explicit random generator; pass "
             "rng= (e.g. the owning module's seeded generator) instead of "
             "relying on the removed unseeded default_rng() fallback")
-    backend = x.backend
     mask = backend.dropout_mask(rng, x.data.shape, p)
     out_data = backend.apply_mask(x.data, mask)
 

@@ -9,8 +9,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.autograd.backend import ArrayBackend, resolve_backend
-
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 _GRAD_ENABLED = True
@@ -129,8 +127,8 @@ def scratch(shape: tuple, dtype=np.float64) -> Optional[np.ndarray]:
 
 
 def _into_scratch(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``ufunc(a, b)`` — the operator's own loop — into a workspace buffer
-    (numpy's ufunc, not ``xp``'s: the buffers are host arrays)."""
+    """``ufunc(a, b)`` — the operator's own loop — into a workspace
+    buffer."""
     return ufunc(a, b, out=scratch(np.broadcast_shapes(a.shape, b.shape)))
 
 
@@ -140,6 +138,13 @@ def _matmul_into_scratch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     return np.matmul(a, b, out=scratch(batch + (a.shape[-2], b.shape[-1])))
+
+
+def _float64(value: ArrayLike) -> np.ndarray:
+    """``value`` as a float64 array (an array of that dtype as itself)."""
+    if isinstance(value, np.ndarray):
+        return value if value.dtype == np.float64 else value.astype(np.float64)
+    return np.asarray(value, dtype=np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -166,21 +171,14 @@ class Tensor:
     requires_grad:
         If True, gradients are accumulated into :attr:`grad` during
         :meth:`backward`.
-    backend:
-        Array backend (name, instance, or ``None`` for the active
-        :func:`~repro.autograd.backend.use_backend` scope / process
-        default).  The payload is coerced through ``backend.asarray`` and
-        every derived tensor inherits the backend of its first parent.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "backend")
+                 "name")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
-                 name: Optional[str] = None,
-                 backend: Union[None, str, ArrayBackend] = None):
-        self.backend = resolve_backend(backend)
-        self.data = self.backend.asarray(data)
+                 name: Optional[str] = None):
+        self.data = _float64(data)
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -206,25 +204,19 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    @property
-    def device(self) -> str:
-        """Name of the array backend holding this tensor's payload."""
-        return self.backend.name
-
     def numpy(self) -> np.ndarray:
-        """Return the underlying array as host numpy (no copy when host)."""
-        return self.backend.to_host(self.data)
+        """Return the underlying array (no copy)."""
+        return np.asarray(self.data)
 
     def item(self) -> float:
         return float(self.data)
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False, backend=self.backend)
+        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad,
-                      backend=self.backend)
+        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -241,10 +233,7 @@ class Tensor:
               backward: Callable[[np.ndarray], None]) -> "Tensor":
         parents = tuple(parents)
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        # Derived tensors live on the backend of their first parent; mixed
-        # parents are the caller's coercion responsibility.
-        out = Tensor(data, requires_grad=False,
-                     backend=parents[0].backend if parents else None)
+        out = Tensor(data, requires_grad=False)
         out.requires_grad = requires
         if requires:
             out._parents = parents
@@ -258,7 +247,7 @@ class Tensor:
             # Backward closures hand over freshly-allocated arrays and no
             # caller mutates gradients in place (optimizers rebind), so the
             # array can be adopted without a defensive copy.
-            self.grad = self.backend.asarray(grad)
+            self.grad = _float64(grad)
         elif _ACTIVE:
             self.grad = _into_scratch(np.add, self.grad, grad)
         else:
@@ -273,17 +262,16 @@ class Tensor:
             Upstream gradient.  Defaults to 1.0, which requires the tensor to
             be a scalar.
         """
-        xp = self.backend.xp
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
                     "backward() without a gradient argument requires a scalar "
                     f"tensor, got shape {self.data.shape}"
                 )
-            grad = xp.ones_like(self.data)
+            grad = np.ones_like(self.data)
         # Copy the seed: _accumulate adopts arrays without copying, and the
         # caller may reuse the one it passed in.
-        grad = self.backend.asarray(grad).copy()
+        grad = _float64(grad).copy()
 
         # Topologically order the graph reachable from ``self``.
         topo: list[Tensor] = []
@@ -314,7 +302,7 @@ class Tensor:
     def _coerce(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         if isinstance(other, Tensor):
             return other
-        return Tensor(other, backend=self.backend)
+        return Tensor(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -417,7 +405,6 @@ class Tensor:
         ``(B, n, f) @ (f, h)`` both differentiate correctly.
         """
         other = self._coerce(other)
-        xp = self.backend.xp
         if _ACTIVE:
             out_data = _matmul_into_scratch(self.data, other.data)
         else:
@@ -425,12 +412,12 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                other_t = xp.swapaxes(other.data, -1, -2)
+                other_t = np.swapaxes(other.data, -1, -2)
                 self._accumulate(_unbroadcast(
                     _matmul_into_scratch(grad, other_t) if _ACTIVE
                     else grad @ other_t, self.data.shape))
             if other.requires_grad:
-                self_t = xp.swapaxes(self.data, -1, -2)
+                self_t = np.swapaxes(self.data, -1, -2)
                 other._accumulate(_unbroadcast(
                     _matmul_into_scratch(self_t, grad) if _ACTIVE
                     else self_t @ grad, other.data.shape))
@@ -447,14 +434,13 @@ class Tensor:
     # Reductions / shaping
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        xp = self.backend.xp
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad):
-            g = xp.asarray(grad)
+            g = np.asarray(grad)
             if axis is not None and not keepdims:
-                g = xp.expand_dims(g, axis)
-            self._accumulate(xp.broadcast_to(g, self.data.shape).copy())
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -477,15 +463,11 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
-        xp = self.backend.xp
         out_data = self.data[index]
 
         def backward(grad):
-            # xp.add.at is a host-namespace scatter; a device backend whose
-            # namespace lacks it (CuPy: cupyx.scatter_add) should override
-            # via a fancy-index gather graph instead of this slow path.
-            full = xp.zeros_like(self.data)
-            xp.add.at(full, index, grad)
+            full = np.zeros_like(self.data)
+            np.add.at(full, index, grad)
             self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)
@@ -494,7 +476,7 @@ class Tensor:
     # Elementwise functions (also exposed in functional.py)
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out_data = self.backend.xp.exp(self.data)
+        out_data = np.exp(self.data)
 
         def backward(grad):
             self._accumulate(grad * out_data)
@@ -502,7 +484,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
-        out_data = self.backend.xp.log(self.data)
+        out_data = np.log(self.data)
 
         def backward(grad):
             self._accumulate(grad / self.data)
@@ -524,7 +506,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + self.backend.xp.exp(-self.data))
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad):
             self._accumulate(grad * out_data * (1.0 - out_data))
@@ -532,7 +514,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
-        out_data = self.backend.xp.tanh(self.data)
+        out_data = np.tanh(self.data)
 
         def backward(grad):
             self._accumulate(grad * (1.0 - out_data ** 2))
@@ -541,7 +523,7 @@ class Tensor:
 
     def clip(self, low: float, high: float) -> "Tensor":
         mask = (self.data >= low) & (self.data <= high)
-        out_data = self.backend.xp.clip(self.data, low, high)
+        out_data = np.clip(self.data, low, high)
 
         def backward(grad):
             self._accumulate(grad * mask)
@@ -552,19 +534,13 @@ class Tensor:
     # Constructors
     # ------------------------------------------------------------------
     @staticmethod
-    def zeros(shape, requires_grad: bool = False, backend=None) -> "Tensor":
-        resolved = resolve_backend(backend)
-        return Tensor(resolved.xp.zeros(shape), requires_grad=requires_grad,
-                      backend=resolved)
+    def zeros(shape, requires_grad: bool = False) -> "Tensor":
+        return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
     @staticmethod
-    def ones(shape, requires_grad: bool = False, backend=None) -> "Tensor":
-        resolved = resolve_backend(backend)
-        return Tensor(resolved.xp.ones(shape), requires_grad=requires_grad,
-                      backend=resolved)
+    def ones(shape, requires_grad: bool = False) -> "Tensor":
+        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     @staticmethod
-    def eye(n: int, requires_grad: bool = False, backend=None) -> "Tensor":
-        resolved = resolve_backend(backend)
-        return Tensor(resolved.xp.eye(n), requires_grad=requires_grad,
-                      backend=resolved)
+    def eye(n: int, requires_grad: bool = False) -> "Tensor":
+        return Tensor(np.eye(n), requires_grad=requires_grad)

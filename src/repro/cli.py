@@ -156,22 +156,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.export:
         snapshot.save(args.export)
         print(f"snapshot written to {args.export}")
-    engine_kwargs = dict(max_batch=args.max_batch,
-                         max_delay_ms=args.max_delay_ms,
-                         cache_size=args.cache_size,
-                         max_queue=args.max_queue)
-    if getattr(args, "array_backend", None) is not None:
-        engine_kwargs["array_backend"] = args.array_backend
-    with QueryEngine(snapshot, **engine_kwargs) as engine:
+    with QueryEngine(snapshot, max_batch=args.max_batch,
+                     max_delay_ms=args.max_delay_ms,
+                     cache_size=args.cache_size,
+                     max_queue=args.max_queue) as engine:
         queries = build_query_mix(
             snapshot, args.queries,
             inductive_fraction=args.inductive_frac, seed=args.seed)
         report = run_open_loop(engine, queries, args.rate, seed=args.seed)
-        backend = engine.array_backend
     print(format_table(
-        ["family", "backend", "max batch", "offered qps", "achieved qps",
+        ["family", "max batch", "offered qps", "achieved qps",
          "p50 ms", "p99 ms", "inline", "mean batch", "rejected"],
-        [[snapshot.model_family, backend, args.max_batch,
+        [[snapshot.model_family, args.max_batch,
           f"{report.offered_qps:.0f}", f"{report.achieved_qps:.0f}",
           f"{report.p50_ms:.2f}", f"{report.p99_ms:.2f}",
           report.triggers.get("inline", 0),

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd import Tensor, functional as F, no_grad, use_backend
+from repro.autograd import Tensor, functional as F, no_grad
 from repro.core.hcs import homophily_confidence_score
 from repro.core.knowledge import (
     FederatedKnowledgeExtractor,
@@ -183,14 +183,13 @@ class PersonalizedClient:
         else:
             self.hcs = 0.5
 
-        with use_backend(config.array_backend):
-            self.model = AdaFGLClientModel(
-                in_features=graph.num_features, hidden=config.hidden,
-                num_classes=graph.num_classes, k_prop=config.k_prop,
-                message_layers=config.message_layers, beta=config.beta,
-                dropout=config.dropout, seed=config.seed + client_id,
-                use_topology_independent=config.use_topology_independent,
-                use_learnable_message=config.use_learnable_message)
+        self.model = AdaFGLClientModel(
+            in_features=graph.num_features, hidden=config.hidden,
+            num_classes=graph.num_classes, k_prop=config.k_prop,
+            message_layers=config.message_layers, beta=config.beta,
+            dropout=config.dropout, seed=config.seed + client_id,
+            use_topology_independent=config.use_topology_independent,
+            use_learnable_message=config.use_learnable_message)
         self.optimizer = Adam(self.model.parameters(),
                               lr=config.personalized_lr,
                               weight_decay=config.weight_decay)
@@ -223,32 +222,31 @@ class PersonalizedClient:
         """
         self.model.train()
         self.optimizer.zero_grad()
-        with use_backend(self.config.array_backend):
-            outputs = self.model(self.graph.features, self.propagation,
-                                 self.extractor_probs, self.hcs,
-                                 cache=self.prop_cache)
-            log_probs = self._combined_log_probs(outputs)
-            loss = F.nll_loss(log_probs, self.graph.labels,
-                              mask=self.graph.train_mask)
-            labels, mask = self.graph.labels, self.graph.train_mask
-            loss = loss + F.nll_loss((outputs["homophilous"] + 1e-9).log(),
-                                     labels, mask=mask) * self.hcs
-            loss = loss + F.nll_loss((outputs["heterophilous"] + 1e-9).log(),
-                                     labels, mask=mask) * (1.0 - self.hcs)
-            if self.config.use_knowledge_preserving:
-                knowledge_soft = F.softmax(outputs["knowledge"], axis=-1)
-                knowledge_loss = F.frobenius_loss(knowledge_soft,
-                                                  self.extractor_probs)
-                loss = loss + knowledge_loss * self.config.knowledge_weight
-            loss.backward()
-            clip_grad_norm(self.model.parameters(), 5.0)
-            self.optimizer.step()
+        outputs = self.model(self.graph.features, self.propagation,
+                             self.extractor_probs, self.hcs,
+                             cache=self.prop_cache)
+        log_probs = self._combined_log_probs(outputs)
+        loss = F.nll_loss(log_probs, self.graph.labels,
+                          mask=self.graph.train_mask)
+        labels, mask = self.graph.labels, self.graph.train_mask
+        loss = loss + F.nll_loss((outputs["homophilous"] + 1e-9).log(),
+                                 labels, mask=mask) * self.hcs
+        loss = loss + F.nll_loss((outputs["heterophilous"] + 1e-9).log(),
+                                 labels, mask=mask) * (1.0 - self.hcs)
+        if self.config.use_knowledge_preserving:
+            knowledge_soft = F.softmax(outputs["knowledge"], axis=-1)
+            knowledge_loss = F.frobenius_loss(knowledge_soft,
+                                              self.extractor_probs)
+            loss = loss + knowledge_loss * self.config.knowledge_weight
+        loss.backward()
+        clip_grad_norm(self.model.parameters(), 5.0)
+        self.optimizer.step()
         return loss.item()
 
     def predict(self) -> np.ndarray:
         """Final combined probability predictions (Eq. 17)."""
         self.model.eval()
-        with no_grad(), use_backend(self.config.array_backend):
+        with no_grad():
             outputs = self.model(self.graph.features, self.propagation,
                                  self.extractor_probs, self.hcs,
                                  cache=self.prop_cache)

@@ -60,7 +60,7 @@ class ExperimentSettings(AdaFGLConfig):
     client count, three defaults the paper-table runs use instead of the
     library's, and the defaults ``REPRO_ROUNDS`` / ``REPRO_EPOCHS`` /
     ``REPRO_CLIENTS`` / ``REPRO_PERSONALIZED_EPOCHS`` / ``REPRO_WORKERS`` /
-    ``REPRO_TRANSPORT`` / ``REPRO_ARRAY_BACKEND`` replace.
+    ``REPRO_TRANSPORT`` replace.
     """
 
     num_clients: int = env_default(5, "REPRO_CLIENTS")

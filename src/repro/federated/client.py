@@ -6,7 +6,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.autograd import Tensor, functional as F, no_grad, resolve_backend, use_backend
+from repro.autograd import Tensor, functional as F, no_grad
 from repro.graph import Graph
 from repro.metrics import masked_accuracy
 from repro.nn import Module
@@ -31,17 +31,12 @@ class Client:
         Optional callable ``(client, logits) -> Tensor`` adding a method
         specific regulariser (used by FedGL pseudo-labels, FedSage+ NeighGen
         losses, AdaFGL knowledge preservation, ...).
-    array_backend:
-        Array backend every local forward/backward runs under (name,
-        instance, or ``None`` for the process default).  Stored as a name so
-        clients pickle cleanly to pool workers.
     """
 
     def __init__(self, client_id: int, graph: Graph, model: Module,
                  lr: float = 0.01, weight_decay: float = 5e-4,
                  local_epochs: int = 5,
-                 extra_loss: Optional[Callable] = None,
-                 array_backend=None):
+                 extra_loss: Optional[Callable] = None):
         self.client_id = client_id
         self.graph = graph
         self.model = model
@@ -49,10 +44,9 @@ class Client:
         self.weight_decay = weight_decay
         self.local_epochs = local_epochs
         self.extra_loss = extra_loss
-        self.array_backend = resolve_backend(array_backend).name
         self.optimizer = Adam(model.parameters(), lr=lr,
                               weight_decay=weight_decay)
-        self._features = Tensor(graph.features, backend=self.array_backend)
+        self._features = Tensor(graph.features)
         # Probability cache: predict() is deterministic given the weights, so
         # one eval tick (global train/test accuracy + per-client breakdown)
         # costs a single forward pass.  ``_weights_version`` is bumped by
@@ -110,19 +104,18 @@ class Client:
         losses = []
         labels = self.graph.labels
         mask = self.graph.train_mask
-        with use_backend(self.array_backend):
-            for _ in range(epochs):
-                self.optimizer.zero_grad()
-                logits = self.forward()
-                loss = F.cross_entropy(logits, labels, mask=mask)
-                if self.extra_loss is not None:
-                    extra = self.extra_loss(self, logits)
-                    if extra is not None:
-                        loss = loss + extra
-                loss.backward()
-                clip_grad_norm(self.model.parameters(), 5.0)
-                self.optimizer.step()
-                losses.append(loss.item())
+        for _ in range(epochs):
+            self.optimizer.zero_grad()
+            logits = self.forward()
+            loss = F.cross_entropy(logits, labels, mask=mask)
+            if self.extra_loss is not None:
+                extra = self.extra_loss(self, logits)
+                if extra is not None:
+                    loss = loss + extra
+            loss.backward()
+            clip_grad_norm(self.model.parameters(), 5.0)
+            self.optimizer.step()
+            losses.append(loss.item())
         if epochs:
             self._weights_version += 1
         return float(np.mean(losses)) if losses else 0.0
@@ -138,7 +131,7 @@ class Client:
                 and self._prob_cache[0] == self._weights_version:
             return self._prob_cache[1]
         self.model.eval()
-        with no_grad(), use_backend(self.array_backend):
+        with no_grad():
             logits = self.forward()
             probs = F.softmax(logits, axis=-1).numpy()
         self.model.train()

@@ -68,7 +68,6 @@ from repro.autograd import (
     functional as F,
     no_grad,
     resolve_backend,
-    use_backend,
 )
 from repro.autograd.backend import cached_transpose, pattern_rows
 from repro.federated.engine.backends import (
@@ -376,10 +375,7 @@ class _BatchedPlan(_Plan):
 
     def __init__(self, clients: Sequence):
         super().__init__(clients)
-        # Plans inherit the array backend of the clients they fuse, so the
-        # batched path selects backends exactly like the serial one.
-        self.array_backend = getattr(clients[0], "array_backend", None)
-        self.features = Tensor(self.features, backend=self.array_backend)
+        self.features = Tensor(self.features)
         train_idx = [np.nonzero(client.graph.train_mask)[0]
                      for client in clients]
         # Flat supervision indices so the whole group's loss is one fused
@@ -398,8 +394,7 @@ class _BatchedPlan(_Plan):
             [client.graph.labels[idx]
              for client, idx in zip(clients, train_idx)])
         self.flat_weights = Tensor(
-            np.concatenate([np.full(count, 1.0 / count) for count in counts]),
-            backend=self.array_backend)
+            np.concatenate([np.full(count, 1.0 / count) for count in counts]))
         self.segments = np.concatenate([[0], np.cumsum(counts)])
         # Stable references into every client's parameters; re-read each
         # round, but resolved only once.
@@ -454,7 +449,7 @@ class _BatchedPlan(_Plan):
         if site not in self._masks:
             shape = (len(self.clients), self.n_max, width)
             self._masks[site] = (
-                Tensor(np.zeros(shape), backend=self.array_backend),
+                Tensor(np.zeros(shape)),
                 np.zeros(shape, dtype=bool))
         mask, keep = self._masks[site]
         for index, client in enumerate(self.clients):
@@ -492,8 +487,7 @@ class _BatchedPlan(_Plan):
                       np.stack([c.optimizer._v[j] for c in self.clients])]
             if role == BIAS:  # (B, h) → (B, 1, h) for row broadcasting
                 stacks = [stack[:, None, :] for stack in stacks]
-            params.append(Tensor(stacks[0], requires_grad=True,
-                                 backend=self.array_backend))
+            params.append(Tensor(stacks[0], requires_grad=True))
             moments_m.append(stacks[1])
             moments_v.append(stacks[2])
         steps = np.array([c.optimizer._step_count for c in self.clients],
@@ -549,11 +543,9 @@ class _BatchedPlan(_Plan):
         self.ensure_hot()
         losses: List[List[float]] = [[] for _ in self.clients]
         try:
-            with use_backend(self.array_backend):
-                for _ in range(self.clients[0].local_epochs):
-                    with workspace:
-                        self._epoch(workspace, *self.hot, losses,
-                                    max_grad_norm)
+            for _ in range(self.clients[0].local_epochs):
+                with workspace:
+                    self._epoch(workspace, *self.hot, losses, max_grad_norm)
         finally:
             if not keep_hot:
                 self.flush()
@@ -651,9 +643,8 @@ class _FusedEvalPlan(_Plan):
 
     def __init__(self, clients):
         super().__init__(clients)
-        self._backend = resolve_backend(
-            getattr(clients[0], "array_backend", None))
-        self._propagation_csr = self._backend.prepare_sparse(self.propagation)
+        self._backend = resolve_backend(None)
+        self._propagation_csr = self.propagation.tocsr()
         self.constants = self.family.constants(self)
 
     # -- the operations, on (B, n_max, ...) arrays ---------------------

@@ -58,7 +58,8 @@ from repro.federated.server import DeterministicSum
 from repro.graph import Graph
 from repro.metrics import TrainingHistory, count_weighted_mean
 
-_FORMAT_VERSION = 1
+#: layout of ``meta.json``: bumped when it or :class:`ModelSpec` changes
+_FORMAT_VERSION = 2
 _MASK64 = (1 << 64) - 1
 #: uint64 words per packed PCG64 generator state
 _RNG_WORDS = 6
@@ -79,15 +80,13 @@ class ModelSpec:
     dropout: float = 0.5
     seed: int = 0
     k: Optional[int] = None
-    array_backend: Optional[str] = None
 
     def factory(self):
         from repro.fgl import make_model_factory
 
         return make_model_factory(self.model_name, hidden=self.hidden,
                                   dropout=self.dropout, seed=self.seed,
-                                  k=self.k,
-                                  array_backend=self.array_backend)
+                                  k=self.k)
 
 
 def _pack_rng_state(state: Dict) -> np.ndarray:
@@ -292,8 +291,7 @@ class ClientStore:
         graph = self.graph(cid)
         model = self.spec.factory()(graph)
         client = Client(cid, graph, model, lr=lr, weight_decay=weight_decay,
-                        local_epochs=local_epochs,
-                        array_backend=self.spec.array_backend)
+                        local_epochs=local_epochs)
         slot = self._mutable[cid]
         if slot[0] != 0.0:
             self._restore_mutable(client, slot)

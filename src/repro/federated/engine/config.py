@@ -19,7 +19,6 @@ from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple,
                     Union)
 
-from repro.autograd import list_array_backends
 from repro.federated.engine.aggregation import (
     AggregationStrategy,
     list_aggregations,
@@ -64,22 +63,13 @@ class EngineConfig:
     help); the README's "The federation engine" section has the knob table
     and the long-form description of round modes, codecs, transports and
     fault tolerance.  ``backend`` and ``aggregation`` accept a registry name
-    or a ready-made instance.  ``array_backend`` is orthogonal to
-    ``backend``: it applies uniformly across the serial, batched,
-    persistent-pool and hierarchical paths and travels in the worker
-    payloads; ``None`` inherits the process default.  ``worker_speeds``,
-    ``transport_options`` and ``fault_plan`` are structured and therefore
-    library-only (no flag).
+    or a ready-made instance.  ``worker_speeds``, ``transport_options`` and
+    ``fault_plan`` are structured and therefore library-only (no flag).
     """
 
     backend: Union[str, "ExecutionBackend", None] = _knob(
         None, "execution backend for federated local training",
         choices=_backend_names)
-    array_backend: Optional[str] = _knob(
-        None, "array backend for every client's local math (numpy = bitwise "
-        "reference, plus any registered by the caller; default: "
-        "REPRO_ARRAY_BACKEND or numpy)", choices=list_array_backends,
-        env="REPRO_ARRAY_BACKEND")
     aggregation: Union[str, AggregationStrategy] = _knob(
         "fedavg", "server aggregation strategy (methods with a built-in "
         "strategy, e.g. fed-pub, keep theirs)", choices=list_aggregations)
@@ -235,6 +225,11 @@ def _network_kinds(config) -> list:
                   & set(NETWORK_KINDS))
 
 
+def _shown(value):
+    """A knob's value as a refusal names it: a strategy by its name."""
+    return value.name if isinstance(value, AggregationStrategy) else value
+
+
 #: the knobs a client-store round (``StoreFederatedTrainer``) would have to
 #: ignore: it runs one fixed discipline, so they must stay at their defaults
 _STORE_FIXES = ("round_mode", "aggregation", "delta_codec", "worker_speeds",
@@ -271,7 +266,7 @@ COMPOSITION_RULES: Tuple[Tuple[str, Callable, str], ...] = (
     ("config", lambda c: not 0.0 < getattr(c.config, "participation", 1.0)
      <= 1.0, "participation must be in (0, 1]"),
     ("store", lambda c: ", ".join(
-        f"{name}={getattr(c.config, name)!r}" for name in _STORE_FIXES
+        f"{name}={_shown(getattr(c.config, name))!r}" for name in _STORE_FIXES
         if getattr(c.config, name) != _KNOBS[name].default),
      "a client-store round is synchronous hierarchical FedAvg over lossless "
      "partials; it cannot serve {hit}"),

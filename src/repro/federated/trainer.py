@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import use_backend
 from repro.federated.client import Client
 from repro.federated.communication import CommunicationTracker
 from repro.federated.engine import (
@@ -109,31 +108,35 @@ def read_artifact(path: str, kind: str, version: int,
     Both kinds are pickled dicts stamped ``format``; savers also stamp
     ``kind`` (files written before they did carry none and are told apart
     by the ``required`` top-level keys).  Anything else — a truncated file,
-    some other pickle, the other kind — is a ``ValueError`` naming the file,
-    what it was expected to be and what it looks like, raised here rather
-    than as a ``KeyError`` three layers into the restore.
+    some other pickle, a pickle naming a class or attribute this code no
+    longer has, the other kind — is a ``ValueError`` naming the file, what
+    it was expected to be and what it looks like, raised here rather than
+    as a ``KeyError`` three layers into the restore.
     """
     import pickle
 
-    try:
-        with open(path, "rb") as handle:
+    with open(path, "rb") as handle:
+        try:
             payload = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError) as error:
-        raise ValueError(f"{path} is not a {kind}: truncated or not a "
-                         f"pickle ({error})") from None
+        except Exception as error:
+            raise ValueError(
+                f"{path} is not a {kind}: truncated or not a pickle this "
+                f"code can rebuild ({type(error).__name__}: {error})"
+            ) from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path} is not a {kind}: it holds a "
                          f"{type(payload).__name__}, not a dict")
     found = payload.get("kind", kind)
     if found != kind:
         raise ValueError(f"{path} is not a {kind}: it is a {found}")
-    if payload.get("format") != version:
-        raise ValueError(f"unsupported {kind} format "
-                         f"{payload.get('format')!r} in {path}")
+    # Keys before the format: they are what tells an unstamped file's kind.
     missing = [key for key in required if key not in payload]
     if missing:
         raise ValueError(f"{path} is not a {kind}: no {missing} among its "
                          f"keys {sorted(payload)}")
+    if payload.get("format") != version:
+        raise ValueError(f"unsupported {kind} format "
+                         f"{payload.get('format')!r} in {path}")
     return payload
 
 
@@ -180,18 +183,11 @@ class FederatedTrainer:
         self._rng = np.random.default_rng(self.config.seed)
         self._participation_rng = participation_rng(self.config.seed)
         self.clients: List[Client] = []
-        # Client construction runs under the configured array backend so
-        # factory-built parameters and feature tensors land on it, whatever
-        # the factory (generic factories need no backend awareness).
-        with use_backend(self.config.array_backend):
-            for index, graph in enumerate(subgraphs):
-                model = model_factory(graph)
-                client = Client(
-                    client_id=index, graph=graph, model=model,
-                    lr=self.config.lr, weight_decay=self.config.weight_decay,
-                    local_epochs=self.config.local_epochs,
-                    array_backend=self.config.array_backend)
-                self.clients.append(client)
+        for index, graph in enumerate(subgraphs):
+            self.clients.append(Client(
+                client_id=index, graph=graph, model=model_factory(graph),
+                lr=self.config.lr, weight_decay=self.config.weight_decay,
+                local_epochs=self.config.local_epochs))
         if not self.clients:
             raise ValueError("federated training requires at least one client")
         # All clients start from identical weights (the usual FL convention).

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.autograd import use_backend
 from repro.federated import FederatedConfig, FederatedTrainer
 from repro.graph import Graph
 from repro.models import (
@@ -44,21 +43,17 @@ DEFAULT_PROPAGATION_DEPTH = {"sgc": 2, "gamlp": 3, "gprgnn": 4}
 
 def make_model_factory(model_name: str, hidden: int = 64, dropout: float = 0.5,
                        seed: int = 0,
-                       k: Optional[int] = None,
-                       array_backend=None) -> Callable[[Graph], Module]:
+                       k: Optional[int] = None) -> Callable[[Graph], Module]:
     """Return a callable building the requested model for a client subgraph.
 
     ``k`` overrides the propagation depth of the decoupled/propagation
     family (SGC / GAMLP / GPR-GNN — every client must share it for the
     batched engine to fuse the federation); other models ignore it.
-    ``array_backend`` scopes parameter creation to the given array backend
-    (``None`` inherits the caller's active scope — e.g. the trainer's
-    ``config.array_backend`` wrap).
     """
     name = model_name.lower()
     depth = k if k is not None else DEFAULT_PROPAGATION_DEPTH.get(name)
 
-    def build(graph: Graph) -> Module:
+    def factory(graph: Graph) -> Module:
         in_features = graph.num_features
         out_features = graph.num_classes
         if name == "mlp":
@@ -86,10 +81,6 @@ def make_model_factory(model_name: str, hidden: int = 64, dropout: float = 0.5,
                           seed=seed)
         raise KeyError(f"unknown model '{model_name}'")
 
-    def factory(graph: Graph) -> Module:
-        with use_backend(array_backend):
-            return build(graph)
-
     return factory
 
 
@@ -104,6 +95,5 @@ class FederatedGNN(FederatedTrainer):
         self.name = f"Fed{model_name.upper()}"
         factory = make_model_factory(
             model_name, hidden=hidden, dropout=dropout,
-            seed=(config.seed if config else 0), k=k,
-            array_backend=(config.array_backend if config else None))
+            seed=(config.seed if config else 0), k=k)
         super().__init__(subgraphs, factory, config)

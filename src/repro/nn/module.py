@@ -18,8 +18,8 @@ from repro.autograd import Tensor
 class Parameter(Tensor):
     """A tensor that is registered as a trainable parameter."""
 
-    def __init__(self, data, name: Optional[str] = None, backend=None):
-        super().__init__(data, requires_grad=True, name=name, backend=backend)
+    def __init__(self, data, name: Optional[str] = None):
+        super().__init__(data, requires_grad=True, name=name)
 
 
 class Module:
@@ -88,8 +88,8 @@ class Module:
     # State dict (numpy based, for FedAvg)
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat name → host numpy array copy of every parameter."""
-        return {name: param.backend.to_host(param.data).copy()
+        """Return a flat name → numpy array copy of every parameter."""
+        return {name: param.data.copy()
                 for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
@@ -102,8 +102,7 @@ class Module:
                 f"state_dict mismatch: missing={sorted(missing)}, "
                 f"unexpected={sorted(unexpected)}")
         for name, param in own.items():
-            value = param.backend.asarray(np.asarray(state[name],
-                                                     dtype=np.float64))
+            value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for '{name}': expected {param.data.shape}, "

@@ -7,7 +7,7 @@ Layered as the serving PR describes:
   run, or a checkpoint file) with transductive answers precomputed;
 * :mod:`repro.serving.engine` — :class:`QueryEngine`, an admission queue
   with adaptive micro-batching over the snapshot (transductive table reads,
-  fused batched inductive forwards, subgraph LRU, array-backend knob);
+  fused batched inductive forwards, subgraph LRU);
 * :mod:`repro.serving.loadgen` — open-loop Poisson load generation and
   latency reporting shared by ``repro.cli serve`` and
   ``benchmarks/bench_serving.py``.

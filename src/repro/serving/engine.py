@@ -25,8 +25,6 @@ Routing happens at admission:
 Extracted blocks are structure-only and cached in a deterministic LRU keyed
 by ``(client_id, anchors)``; a block's normalised operator is built once and
 lives as long as the block (:func:`~repro.models.base.propagation_operator`).
-The ``array_backend`` knob (``numpy``, or a backend the caller registered)
-selects the kernel set every forward runs under.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd import Tensor, functional as F, no_grad, resolve_backend, use_backend
+from repro.autograd import Tensor, functional as F, no_grad
 from repro.serving.snapshot import ClientEntry, ServingSnapshot
 from repro.serving.subgraph import SubgraphBlock, extract_block, receptive_depth
 
@@ -181,7 +179,6 @@ class QueryEngine:
 
     def __init__(self, snapshot: ServingSnapshot, *, max_batch: int = 32,
                  max_delay_ms: float = 2.0,
-                 array_backend: Optional[str] = None,
                  cache_size: int = 128, max_queue: int = 0):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -193,9 +190,6 @@ class QueryEngine:
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay_ms) / 1000.0
         self.max_queue = int(max_queue)
-        self._backend = resolve_backend(
-            array_backend if array_backend is not None
-            else snapshot.array_backend)
         self.cache = SubgraphLRU(cache_size)
         self.batch_log: List[Dict] = []
         self.served = 0
@@ -216,10 +210,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def array_backend(self) -> str:
-        return self._backend.name
-
     def submit(self, query: Query) -> Future:
         """Admit one query; resolves to a :class:`QueryResult`."""
         if self._closed:
@@ -313,21 +303,19 @@ class QueryEngine:
     # Batch execution
     # ------------------------------------------------------------------
     def _answer(self, batch: List[_Pending], trigger: str) -> None:
-        with use_backend(self._backend):
-            if len(batch) >= FUSE_FROM:
-                fused = self._fused_inductive(batch)
-                if fused is not None:
-                    for item, probs in zip(batch, fused):
-                        self._finish(item, probs, "fused", len(batch),
-                                     trigger)
-                    return
-            for item in batch:
-                try:
-                    probs = self._serial_inductive(item.query)
-                except Exception as error:
-                    item.future.set_exception(error)
-                else:
-                    self._finish(item, probs, "serial", len(batch), trigger)
+        if len(batch) >= FUSE_FROM:
+            fused = self._fused_inductive(batch)
+            if fused is not None:
+                for item, probs in zip(batch, fused):
+                    self._finish(item, probs, "fused", len(batch), trigger)
+                return
+        for item in batch:
+            try:
+                probs = self._serial_inductive(item.query)
+            except Exception as error:
+                item.future.set_exception(error)
+            else:
+                self._finish(item, probs, "serial", len(batch), trigger)
 
     def _finish_transductive(self, item: _Pending) -> None:
         try:
@@ -395,7 +383,7 @@ class QueryEngine:
                     num_nodes=block.new_index + 1,
                     num_features=augmented.shape[1],
                     features=augmented, adjacency=block.adjacency),
-                model=entry.model, array_backend=self._backend.name)
+                model=entry.model)
             for entry, block, augmented in prepared])
         if plan is None:
             return None
@@ -408,7 +396,6 @@ class QueryEngine:
         entry, block, augmented = self._augmented(query)
         entry.model.eval()
         with no_grad():
-            logits = entry.model(Tensor(augmented, backend=self._backend),
-                                 block.adjacency)
+            logits = entry.model(Tensor(augmented), block.adjacency)
             probs = F.softmax(logits, axis=-1).numpy()
         return np.array(probs[block.new_index], copy=True)

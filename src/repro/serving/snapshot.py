@@ -40,7 +40,9 @@ import numpy as np
 from repro.core.propagation import PropagationCache
 from repro.models.base import propagation_operator
 
-SNAPSHOT_FORMAT = 1
+#: layout of a saved snapshot: bumped when its keys or the layout of a
+#: pickled class (a model, a tensor) change
+SNAPSHOT_FORMAT = 2
 
 
 def _reset_model_caches(model) -> None:
@@ -97,8 +99,7 @@ class ServingSnapshot:
     def __init__(self, entries: Sequence[ClientEntry], *,
                  global_state: Optional[Dict[str, np.ndarray]] = None,
                  source: str = "trainer", round_index: int = 0,
-                 model_family: Optional[str] = None,
-                 array_backend: Optional[str] = None):
+                 model_family: Optional[str] = None):
         self.format = SNAPSHOT_FORMAT
         self.entries: Dict[int, ClientEntry] = {
             entry.client_id: entry for entry in entries}
@@ -106,7 +107,6 @@ class ServingSnapshot:
         self.source = source
         self.round_index = int(round_index)
         self.model_family = model_family
-        self.array_backend = array_backend
 
     # ------------------------------------------------------------------
     # Introspection
@@ -188,8 +188,7 @@ class ServingSnapshot:
         return cls(entries,
                    global_state=copy.deepcopy(global_state),
                    source=source, round_index=round_index,
-                   model_family=type(clients[0].model).__name__,
-                   array_backend=clients[0].array_backend)
+                   model_family=type(clients[0].model).__name__)
 
     @classmethod
     def from_trainer(cls, trainer) -> "ServingSnapshot":
@@ -224,16 +223,13 @@ class ServingSnapshot:
                            trainer.server.global_state),
                        source="adafgl",
                        round_index=getattr(trainer.server, "round", 0),
-                       model_family="AdaFGL",
-                       array_backend=getattr(method.config,
-                                             "array_backend", None))
+                       model_family="AdaFGL")
         return cls.from_trainer(method.extractor.trainer)
 
     @classmethod
     def from_checkpoint(cls, path: str, subgraphs: Sequence,
                         model_factory: Callable, *,
                         checkpoint_dir: str = "checkpoints",
-                        array_backend: Optional[str] = None,
                         lr: float = 0.01,
                         weight_decay: float = 5e-4) -> "ServingSnapshot":
         """Freeze a PR-6 checkpoint file without replaying training.
@@ -244,16 +240,13 @@ class ServingSnapshot:
         ``graph -> Module`` callable matching the checkpointed
         architecture (e.g. :func:`repro.fgl.make_model_factory`).
         """
-        from repro.autograd import use_backend
         from repro.federated.client import Client
         from repro.federated.trainer import read_checkpoint
 
         resolved, payload = read_checkpoint(path, checkpoint_dir)
-        with use_backend(array_backend):
-            clients = [Client(index, graph, model_factory(graph), lr=lr,
-                              weight_decay=weight_decay,
-                              array_backend=array_backend)
-                       for index, graph in enumerate(subgraphs)]
+        clients = [Client(index, graph, model_factory(graph), lr=lr,
+                          weight_decay=weight_decay)
+                   for index, graph in enumerate(subgraphs)]
         snapshots = payload["clients"]
         known = {client.client_id for client in clients}
         if set(snapshots) != known:
@@ -283,7 +276,6 @@ class ServingSnapshot:
             "source": self.source,
             "round": self.round_index,
             "model_family": self.model_family,
-            "array_backend": self.array_backend,
         }
         directory = os.path.dirname(path)
         if directory:
@@ -300,8 +292,7 @@ class ServingSnapshot:
 
         payload = read_artifact(
             path, "snapshot", SNAPSHOT_FORMAT,
-            ("entries", "global_state", "source", "round", "model_family",
-             "array_backend"))
+            ("entries", "global_state", "source", "round", "model_family"))
         for entry in payload["entries"]:
             if entry.model is not None:
                 _reset_model_caches(entry.model)
@@ -309,5 +300,4 @@ class ServingSnapshot:
                    global_state=payload["global_state"],
                    source=payload["source"],
                    round_index=payload["round"],
-                   model_family=payload["model_family"],
-                   array_backend=payload["array_backend"])
+                   model_family=payload["model_family"])

@@ -1,19 +1,17 @@
-"""Array-backend dispatch layer: the reference kernels and the seam.
+"""The kernel table: the reference kernels and the run-time swap.
 
 The contract under test (see ``repro/autograd/backend``):
 
-* the **numpy** backend is the bitwise parity reference — each kernel must
+* the numpy kernels are the bitwise parity reference — each kernel must
   reproduce its defining expression (``adjacency @ dense``, the einsum row
-  dot over fancy-index gathers, ...) exactly.  Its sddmm backward no longer
+  dot over fancy-index gathers, ...) exactly.  The sddmm backward no longer
   *is* the ``np.add.at`` scatter, so the scatter lives here as the oracle
   (``_scatter_sddmm_backward``), per kernel and through ten Step-2 epochs;
-* the **seam**: a backend registered by the caller — here ``twin``, a
-  ``NumpyBackend`` subclass registered by a module fixture, README's "one
-  subclass + one call" recipe executed — is a named singleton, selectable
-  per tensor, per scope, by ``array_backend=`` on every federation engine
-  path (serial, batched, persistent pool, hierarchical) and AdaFGL Step-2,
-  by ``--array-backend`` and by ``REPRO_ARRAY_BACKEND``; a name nobody
-  registered (``jit``, which once shipped) fails in the registry's words;
+* the **swap**: there is one table, ``resolve_backend(None)``, and a kernel
+  registered on it — here counting wrappers, the way the end-to-end tracer
+  wraps its spans — is what every federation engine path (serial, batched,
+  persistent pool, hierarchical) and AdaFGL Step-2 then runs, bitwise
+  equal to a run of the unwrapped table;
 * one structure cache serves every derived constant of a fixed support, and
   an entry lives exactly as long as the object it was derived from;
 * active dropout refuses to run without an explicit rng (no hidden
@@ -23,10 +21,8 @@ The contract under test (see ``repro/autograd/backend``):
 from __future__ import annotations
 
 import collections
+import contextlib
 import gc
-import os
-import pickle
-import subprocess
 import sys
 import threading
 import time
@@ -36,18 +32,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.autograd import (
-    Tensor,
-    current_backend,
-    default_backend,
-    functional as F,
-    get_backend,
-    list_array_backends,
-    register_backend,
-    resolve_backend,
-    use_backend,
-)
-from repro.autograd import backend as backend_module
+from repro.autograd import Tensor, functional as F, resolve_backend
 from repro.autograd.backend import (
     KERNEL_NAMES,
     ArrayBackend,
@@ -67,40 +52,44 @@ from tests.conftest import small_csbm
 from repro.simulation import community_split, structure_noniid_split
 
 
-NUMPY = get_backend("numpy")
-#: what the module-scoped ``twin`` fixture registers; the parametrised cells
-#: name it because ids are fixed at collection, before any fixture runs
-#: (``test_builtin_backends_registered`` holds the pair to the registry).
+NUMPY = resolve_backend(None)
+#: the table as it is ("numpy") and with counting wrappers registered on
+#: every kernel ("twin"): a cell parametrised over both holds for a swapped
+#: kernel too
 BACKEND_NAMES = ["numpy", "twin"]
 
 
-class TwinBackend(NumpyBackend):
-    """The reference kernels under a second name, counting their calls."""
+@contextlib.contextmanager
+def counting_kernels():
+    """Counting wrappers registered on the table, the way the end-to-end
+    tracer wraps its spans; the kernels are restored on exit.  Yields the
+    per-kernel call counts."""
+    calls = collections.Counter()
+    originals = {name: NUMPY.kernel(name) for name in KERNEL_NAMES}
 
-    name = "twin"
-
-    def __init__(self):
-        super().__init__()
-        self.calls = collections.Counter()
-        for kernel_name in KERNEL_NAMES:
-            self.register_kernel(
-                kernel_name, self._counted(kernel_name,
-                                           self.kernel(kernel_name)))
-
-    def _counted(self, kernel_name, kernel):
-        def counted(*args, **kwargs):
-            self.calls[kernel_name] += 1
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
             return kernel(*args, **kwargs)
-        return counted
+        return wrapper
 
-
-@pytest.fixture(scope="module", autouse=True)
-def twin():
-    backend = register_backend(TwinBackend())
+    for name, kernel in originals.items():
+        NUMPY.register_kernel(name, counted(name, kernel))
     try:
-        yield backend
+        yield calls
     finally:
-        del backend_module._REGISTRY[backend.name]
+        for name, kernel in originals.items():
+            NUMPY.register_kernel(name, kernel)
+
+
+@contextlib.contextmanager
+def table(name):
+    """The table, as :data:`BACKEND_NAMES` ``name`` says."""
+    if name == "twin":
+        with counting_kernels():
+            yield NUMPY
+    else:
+        yield NUMPY
 
 
 def _random_csr(rows, cols, density=0.15, seed=0):
@@ -177,69 +166,23 @@ SHAPES = [(40, 40, 8), (64, 64, 16), (25, 25, 1), (96, 96, 5)]
 # Registry / resolution behaviour
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_builtin_backends_registered(self, twin):
-        # One backend ships; the twin is this module's own registration.
-        assert list_array_backends() == BACKEND_NAMES
-        assert type(NUMPY) is NumpyBackend and twin.name == "twin"
+    def test_builtin_backends_registered(self):
+        # One table ships, filled with the reference kernels.
+        assert type(NUMPY) is NumpyBackend and NUMPY.name == "numpy"
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
-            get_backend("quantum")
+        # Nothing is looked up by name: there is one table.
+        with pytest.raises(TypeError, match="one kernel table"):
+            resolve_backend("quantum")
 
-    def test_a_backend_nobody_registered_fails_by_name(self):
-        # ``jit`` shipped once; a config, env var, pickle or snapshot still
-        # naming it gets the registry's sentence, not an alias.
-        with pytest.raises(KeyError, match="unknown array backend 'jit'"):
-            get_backend("jit")
+    def test_backends_are_singletons(self):
+        # The object the tracer swaps kernels on is the one the hot paths
+        # dispatch through.
+        assert resolve_backend(None) is NUMPY
+        assert F.backend is NUMPY
 
-        class Gone(NumpyBackend):
-            name = "jit"
-
-        by_name = pickle.dumps(Gone())      # reduces to get_backend("jit")
-        with pytest.raises(KeyError, match="unknown array backend 'jit'"):
-            pickle.loads(by_name)
-
-    def test_env_naming_an_unregistered_backend_fails_at_import(self):
-        env = dict(os.environ, REPRO_ARRAY_BACKEND="jit")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        result = subprocess.run(
-            [sys.executable, "-c", "import repro.autograd"],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert result.returncode != 0
-        assert "unknown array backend 'jit' (registered: ['numpy'])" \
-            in result.stderr
-        assert "REPRO_ARRAY_BACKEND" in result.stderr
-
-    def test_backends_are_singletons(self, twin):
-        assert get_backend("numpy") is NUMPY
-        assert get_backend("twin") is twin
-
-    def test_resolve_precedence(self, twin):
-        assert resolve_backend(None) is default_backend()
-        assert resolve_backend("twin") is twin
-        assert resolve_backend(twin) is twin
-        with use_backend("twin"):
-            assert resolve_backend(None) is twin
-            assert current_backend() is twin
-            with use_backend("numpy"):
-                assert resolve_backend(None) is NUMPY
-        assert resolve_backend(None) is default_backend()
-
-    def test_use_backend_accepts_none_as_noop(self):
-        before = current_backend()
-        with use_backend(None):
-            assert current_backend() is before
-
-    def test_pickling_resolves_to_singleton(self, twin):
-        # Pool workers receive backends by name, never by deep copy.
-        assert pickle.loads(pickle.dumps(twin)) is twin
-        assert pickle.loads(pickle.dumps(NUMPY)) is NUMPY
-
-    def test_all_kernels_registered(self, twin):
+    def test_all_kernels_registered(self):
         assert not NUMPY.missing_kernels()
-        assert not twin.missing_kernels()
 
     def test_missing_kernels_reported(self):
         class Partial(ArrayBackend):
@@ -250,26 +193,13 @@ class TestRegistry:
         with pytest.raises(NotImplementedError):
             partial.kernel("spmm")
 
-    def test_register_rejects_incomplete_backend(self):
-        class Incomplete(ArrayBackend):
-            name = "incomplete-test"
-
-        with pytest.raises(ValueError, match="missing kernels"):
-            register_backend(Incomplete())
-
-    def test_tensor_carries_backend(self, twin):
-        t = Tensor(np.ones((2, 2)), backend="twin")
-        assert t.backend is twin
-        assert t.device == "twin"
-        assert (t + t).backend is twin
-        assert t.detach().backend is twin
-
-    def test_cli_offers_a_registered_backend(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["run", "--help"])
-        assert "--array-backend {numpy,twin}" in capsys.readouterr().out
+    def test_tensor_carries_backend(self):
+        # A tensor is its array: no per-tensor backend to carry.
+        assert "backend" not in Tensor.__slots__
+        t = Tensor(np.ones((2, 2)))
+        assert not hasattr(t, "backend")
+        with pytest.raises(TypeError):
+            Tensor(np.ones((2, 2)), backend="numpy")
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +221,9 @@ class TestKernelParity:
         adjacency = _random_csr(30, 30, seed=3)
         adjacency_t = adjacency.T.tocsr()
         grad = np.random.default_rng(4).standard_normal((30, 6))
-        expected = adjacency.T @ grad
-        for name in list_array_backends():
-            assert np.array_equal(
-                get_backend(name).spmm_backward(adjacency, adjacency_t, grad),
-                expected)
+        assert np.array_equal(
+            NUMPY.spmm_backward(adjacency, adjacency_t, grad),
+            adjacency.T @ grad)
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_spmm_batched(self, batch):
@@ -311,7 +239,6 @@ class TestKernelParity:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_spmm_batched_and_backward_fill_a_given_out(self, name):
         """``out=`` is where the product lands, not another product."""
-        backend = get_backend(name)
         n, f, batch = 20, 7, 3
         block = sp.block_diag(
             [_random_csr(n, n, seed=20 + b) for b in range(batch)],
@@ -319,24 +246,27 @@ class TestKernelParity:
         stacked = np.random.default_rng(5).standard_normal((batch, n, f))
         flat = stacked.reshape(batch * n, f)
         out = np.full((batch, n, f), np.nan)
-        result = backend.spmm_batched(block, stacked, out=out)
+        with table(name) as backend:
+            result = backend.spmm_batched(block, stacked, out=out)
         assert np.shares_memory(result, out)
         assert result.tobytes() == (block @ flat).tobytes()
         out = np.full((batch * n, f), np.nan)
-        result = backend.spmm_backward(block, None, flat, out=out)
+        with table(name) as backend:
+            result = backend.spmm_backward(block, None, flat, out=out)
         assert result is out
         assert out.tobytes() == (block.T @ flat).tobytes()
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_unfit_out_is_left_alone(self, name):
         """A buffer of another shape, dtype or layout is not written."""
-        backend = get_backend(name)
         adjacency = _random_csr(12, 12, seed=30)
         grad = np.random.default_rng(31).standard_normal((12, 4))
         expected = adjacency.T @ grad
         for out in (np.zeros((12, 5)), np.zeros((12, 4), dtype=np.float32),
                     np.zeros((4, 12)).T):
-            result = backend.spmm_backward(adjacency, None, grad, out=out)
+            with table(name) as backend:
+                result = backend.spmm_backward(adjacency, None, grad,
+                                               out=out)
             assert not np.shares_memory(result, out)
             assert not out.any()
             assert np.array_equal(result, expected)
@@ -370,11 +300,9 @@ class TestKernelParity:
                                need_b=True):
         oracle = _scatter_sddmm_backward(rows, cols, a, b, grad,
                                          need_a, need_b)
-        for name in list_array_backends():
-            out = get_backend(name).sddmm_backward(rows, cols, a, b, grad,
-                                                   need_a, need_b)
-            assert _same_bits(out[0], oracle[0])
-            assert _same_bits(out[1], oracle[1])
+        out = NUMPY.sddmm_backward(rows, cols, a, b, grad, need_a, need_b)
+        assert _same_bits(out[0], oracle[0])
+        assert _same_bits(out[1], oracle[1])
 
     @staticmethod
     def _fallback_case():
@@ -400,14 +328,13 @@ class TestKernelParity:
 
     def test_sddmm_backward_out_of_range_index_raises(self):
         # Neither sparse product validates indices, so an index past the
-        # operand must reach the scatter and raise there, on every backend.
+        # operand must reach the scatter and raise there.
         rows, cols, a, b, grad = self._fallback_case()
         for bad_rows, bad_cols in ((rows, cols + 30), (rows + 30, cols)):
             assert support_indptr(bad_rows, bad_cols, (30, 30)) is None
-            for name in list_array_backends():
-                with pytest.raises(IndexError):
-                    get_backend(name).sddmm_backward(
-                        bad_rows, bad_cols, a, b, grad, True, True)
+            with pytest.raises(IndexError):
+                NUMPY.sddmm_backward(bad_rows, bad_cols, a, b, grad,
+                                     True, True)
 
     def test_sddmm_backward_partial_grads(self):
         pattern = _random_csr(20, 20, seed=11)
@@ -416,14 +343,12 @@ class TestKernelParity:
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal((20, 3))
         grad = rng.standard_normal(rows.size)
-        for name in list_array_backends():
-            backend = get_backend(name)
-            grad_a, grad_b = backend.sddmm_backward(rows, cols, a, b, grad,
-                                                    True, False)
-            assert grad_a is not None and grad_b is None
-            grad_a, grad_b = backend.sddmm_backward(rows, cols, a, b, grad,
-                                                    False, True)
-            assert grad_a is None and grad_b is not None
+        grad_a, grad_b = NUMPY.sddmm_backward(rows, cols, a, b, grad,
+                                              True, False)
+        assert grad_a is not None and grad_b is None
+        grad_a, grad_b = NUMPY.sddmm_backward(rows, cols, a, b, grad,
+                                              False, True)
+        assert grad_a is None and grad_b is not None
 
     @pytest.mark.parametrize("n,m,f", SHAPES)
     def test_spmm_pattern_forward_backward(self, n, m, f):
@@ -460,10 +385,11 @@ class TestKernelParity:
     def test_functional_ops_match_through_autograd(self):
         adjacency = _random_csr(30, 30, seed=14)
         feats = np.random.default_rng(15).standard_normal((30, 5))
-        for name in list_array_backends():
-            x = Tensor(feats.copy(), requires_grad=True, backend=name)
-            out = F.spmm(adjacency, x)
-            out.sum().backward()
+        for name in BACKEND_NAMES:
+            x = Tensor(feats.copy(), requires_grad=True)
+            with table(name):
+                out = F.spmm(adjacency, x)
+                out.sum().backward()
             assert np.array_equal(out.numpy(), adjacency @ feats)
             assert np.array_equal(x.grad, adjacency.T @ np.ones((30, 5)))
 
@@ -611,8 +537,8 @@ class TestDropoutRng:
 
 
 # ----------------------------------------------------------------------
-# End-to-end TrainingHistory parity: numpy vs the registered twin, every
-# engine path
+# End-to-end TrainingHistory parity: the table vs the table with counting
+# wrappers registered, every engine path
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def parity_clients():
@@ -634,42 +560,40 @@ class TestEndToEndParity:
         ("process_pool", {"num_workers": 2}),
         ("process_pool", {"num_workers": 2, "hierarchical": True}),
     ], ids=["serial", "batched", "persistent-pool", "hierarchical"])
-    def test_step1_history_bitwise(self, parity_clients, twin, backend,
-                                   extra):
-        # The pool cells keep the default ``pipe`` transport: forked workers
-        # inherit the registry, spawned TCP workers would not.
-        histories = {}
-        twin.calls.clear()
-        for array_backend in BACKEND_NAMES:
+    def test_step1_history_bitwise(self, parity_clients, backend, extra):
+        # The pool cells keep the default ``pipe`` transport, and the counts
+        # are the coordinator's (its evaluation, at least): forked workers
+        # inherit the wrappers but count into their own copies.
+        def run():
             config = FederatedConfig(rounds=2, local_epochs=2, lr=0.02,
-                                     seed=0, backend=backend,
-                                     array_backend=array_backend, **extra)
-            trainer = FederatedGNN(parity_clients, "gcn", hidden=8,
-                                   config=config)
-            histories[array_backend] = trainer.run()
-        _histories_equal(histories["numpy"], histories["twin"])
-        # the knob reached the kernels (the coordinator's evaluation, at
-        # least, on the pool paths), not only the config
-        assert twin.calls["spmm"] + twin.calls["spmm_batched"] > 0
+                                     seed=0, backend=backend, **extra)
+            return FederatedGNN(parity_clients, "gcn", hidden=8,
+                                config=config).run()
 
-    def test_adafgl_step2_history_bitwise(self, parity_clients, twin):
-        histories, accuracies = {}, {}
-        twin.calls.clear()
-        for array_backend in BACKEND_NAMES:
+        reference = run()
+        with counting_kernels() as calls:
+            wrapped = run()
+        _histories_equal(reference, wrapped)
+        assert calls["spmm"] + calls["spmm_batched"] > 0
+
+    def test_adafgl_step2_history_bitwise(self, parity_clients):
+        def run():
             config = AdaFGLConfig(rounds=2, local_epochs=2,
                                   personalized_epochs=3, hidden=8, seed=0,
-                                  sparse_propagation=True,
-                                  array_backend=array_backend)
+                                  sparse_propagation=True)
             trainer = AdaFGL(list(parity_clients), config)
-            histories[array_backend] = trainer.run()
-            accuracies[array_backend] = trainer.evaluate("test")
-        _histories_equal(histories["numpy"], histories["twin"])
-        assert accuracies["numpy"] == accuracies["twin"]
-        assert twin.calls["sddmm"] and twin.calls["spmm_pattern"]
+            return trainer.run(), trainer.evaluate("test")
+
+        reference, accuracy = run()
+        with counting_kernels() as calls:
+            wrapped, wrapped_accuracy = run()
+        _histories_equal(reference, wrapped)
+        assert accuracy == wrapped_accuracy
+        assert calls["sddmm"] and calls["spmm_pattern"]
 
     def test_step2_epochs_bitwise_against_the_scatter_kernels(self):
         """Ten Step-2 epochs on a sparse chameleon split: the reference
-        kernels against a backend that has the scatter (and the fancy-index
+        kernels against the table with the scatter (and the fancy-index
         gathers they replaced) registered in their place."""
         calls = []
 
@@ -701,7 +625,7 @@ class TestEndToEndParity:
             return losses, [client.model.state_dict() for client in clients]
 
         losses, states = step2()
-        backend = default_backend()
+        backend = resolve_backend(None)
         old = {"sddmm_backward": scatter, "sddmm": fancy_sddmm,
                "spmm_pattern_backward_values": fancy_values_backward}
         current = {name: backend.kernel(name) for name in old}
@@ -718,13 +642,6 @@ class TestEndToEndParity:
             assert state.keys() == old_state.keys()
             for name in state:
                 assert _same_bits(state[name], old_state[name]), name
-
-    def test_env_default_matches_explicit(self, parity_clients, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY_BACKEND", "twin")
-        from repro.experiments import ExperimentSettings
-        settings = ExperimentSettings(seed=0)
-        assert settings.array_backend == "twin"
-        assert settings.federated_config().array_backend == "twin"
 
 
 class TestDispatchLintGuard:

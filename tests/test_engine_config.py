@@ -49,7 +49,7 @@ CHAIN = (EngineConfig, FederatedConfig, AdaFGLConfig, ExperimentSettings)
 #: before the classes became one chain (ExperimentSettings: the fields it
 #: had; the rest it now inherits)
 ENGINE_DEFAULTS = dict(
-    backend=None, array_backend=None, aggregation="fedavg", num_workers=0,
+    backend=None, aggregation="fedavg", num_workers=0,
     intra_worker="auto", round_mode="sync", hierarchical=False,
     async_buffer=1, staleness_cap=3, delta_codec="bitdelta", delta_top_k=32,
     delta_bits=8, worker_speeds=None, transport="pipe",
@@ -91,8 +91,8 @@ def _config(**kwargs):
 # Declaration
 # ----------------------------------------------------------------------
 class TestDeclaration:
-    def test_twenty_one_knobs_each_declared_once(self):
-        assert len(KNOBS) == 21
+    def test_twenty_knobs_each_declared_once(self):
+        assert len(KNOBS) == 20
         for config_class in (FederatedConfig, AdaFGLConfig,
                              ExperimentSettings):
             assert issubclass(config_class, EngineConfig)
@@ -223,7 +223,7 @@ SCENARIOS = [
     (dict(ASYNC, delta_codec="topk", aggregation=GCFL), _store_round, 4,
      "a client-store round is synchronous hierarchical FedAvg over lossless "
      "partials; it cannot serve round_mode='async', "
-     f"aggregation={GCFL!r}, delta_codec='topk'"),
+     "aggregation='gcfl+', delta_codec='topk'"),
     (dict(backend="serial", round_mode="chaotic"), None, 4,
      "round_mode must be 'sync' or 'async', got 'chaotic'"),
     (dict(ASYNC, hierarchical=True), None, 4,
@@ -362,9 +362,9 @@ def _non_default(knob):
 
 
 class TestCliRoundTrip:
-    def test_eighteen_scalar_knobs_have_flags(self):
+    def test_seventeen_scalar_knobs_have_flags(self):
         flagged = [knob.name for knob in KNOBS if cli_flag(knob)]
-        assert len(flagged) == 18
+        assert len(flagged) == 17
         assert {knob.name for knob in KNOBS} - set(flagged) == {
             "worker_speeds", "transport_options", "fault_plan"}
 
@@ -485,7 +485,7 @@ class TestKnobDocsGuard:
     def test_chain_walk_counts_and_catches_a_second_declaration(self):
         guard, _ = self._guard()
         findings, declarations, redefaults, names = guard.check_chain()
-        assert (findings, declarations, redefaults, names) == ([], 51, 3, 51)
+        assert (findings, declarations, redefaults, names) == ([], 50, 3, 50)
 
         @dataclasses.dataclass
         class Forked(ExperimentSettings):
@@ -502,4 +502,4 @@ class TestKnobDocsGuard:
             "Forked.lr re-declares the field of FederatedConfig with an "
             "unchanged default",
             "Store(rounds=) re-declares an option of FederatedConfig"]
-        assert (declarations, redefaults, names) == (51, 4, 50)
+        assert (declarations, redefaults, names) == (50, 4, 49)

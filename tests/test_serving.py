@@ -35,6 +35,7 @@ from repro.serving import (
     run_open_loop,
 )
 from repro.models.base import prepare_propagation
+from repro.serving.snapshot import SNAPSHOT_FORMAT
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,48 @@ class TestArtefactOfTheWrongKind:
             pickle.dump([1, 2, 3], handle)
         with pytest.raises(ValueError, match="it holds a list, not a dict"):
             trained_trainer.load_checkpoint(path)
+
+    @pytest.mark.parametrize("lost", ["class", "module", "slot"])
+    def test_a_pickle_naming_what_this_code_lost(self, tmp_path, monkeypatch,
+                                                 trained_trainer, lost):
+        """A file whose pickle names a class, module or slot this code no
+        longer has — one written by another version — is refused by name,
+        not with the unpickler's ``AttributeError`` / ``ImportError``."""
+        import pickle
+        import sys
+        import types
+
+        module = types.ModuleType("repro_test_lost_names")
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+
+        def declare(*slots):
+            cls = type("Old", (), {"__slots__": slots,
+                                   "__module__": module.__name__})
+            module.Old = cls
+            return cls
+
+        old = declare("kept", "gone")()
+        old.kept = old.gone = 1.0
+        paths = {}
+        for kind, version in (("snapshot", SNAPSHOT_FORMAT),
+                              ("checkpoint", 1)):
+            paths[kind] = os.path.join(tmp_path, f"old.{kind}")
+            with open(paths[kind], "wb") as handle:
+                pickle.dump({"kind": kind, "format": version, "old": old},
+                            handle)
+        if lost == "class":
+            del module.Old
+        elif lost == "module":
+            monkeypatch.delitem(sys.modules, module.__name__)
+        else:
+            declare("kept")
+        cannot = r"this code can rebuild \((AttributeError|ModuleNotFound)"
+        with pytest.raises(ValueError, match=r"old\.snapshot is not a "
+                                             r"snapshot: .* " + cannot):
+            ServingSnapshot.load(paths["snapshot"])
+        with pytest.raises(ValueError, match=r"old\.checkpoint is not a "
+                                             r"checkpoint: .* " + cannot):
+            trained_trainer.load_checkpoint(paths["checkpoint"])
 
 
 def test_snapshot_hop_blocks_are_exact(snapshot):

@@ -1,21 +1,22 @@
 #!/usr/bin/env python
-"""Lint guard: the autograd hot-path primitives must stay backend-dispatched.
+"""Lint guard: the autograd hot-path primitives must stay behind the table.
 
 ``repro/autograd/functional.py``'s sparse/fused hot-path functions (``spmm``,
 ``spmm_batched``, ``sddmm``, ``spmm_pattern``, ``dropout``) are required to
-route every array operation through the operand tensor's
-:class:`~repro.autograd.backend.ArrayBackend` — either a registered kernel
-(``backend.spmm(...)``) or the backend namespace (``backend.xp.asarray``).
-A bare ``np.`` call inside one of them silently pins that op to host numpy
-and breaks the CuPy seam, so this guard walks the AST and rejects any
-``np.<attr>`` usage (and any ``scipy.sparse`` *math* beyond ``sp.issparse``
-type checks) inside the hot-path function bodies.  A call that passes a
-result buffer (``out=``) must be a call on ``backend`` — a registered kernel
-fills it; ``xp.add(..., out=...)`` or a buffer method there would write a
-workspace's host array from outside the seam.
+route every array operation through the kernel table ``backend``
+(:class:`~repro.autograd.backend.ArrayBackend`): ``backend.spmm(...)`` and
+its siblings.  The table is where the end-to-end tracer wraps its
+``kernel.*`` spans and where a test swaps a kernel for its oracle, so a bare
+``np.`` call inside a hot path is math neither of them sees.  This guard
+walks the AST and rejects any ``np.<attr>`` usage (and any ``scipy.sparse``
+*math* beyond ``sp.issparse`` type checks) inside the hot-path function
+bodies.  A call that passes a result buffer (``out=``) must be a call on
+``backend`` — a kernel of the table fills it; ``np.add(..., out=...)`` or a
+buffer method there would write a workspace's array from outside the
+table.
 
 Exit status: 0 when clean, 1 with a findings listing otherwise.  Run from
-the repository root (CI wires it into the backend-matrix job)::
+the repository root (the CI ``tests`` job runs it)::
 
     python tools/check_backend_dispatch.py
 """
@@ -100,7 +101,7 @@ def main() -> int:
     print(f"backend dispatch guard: bare array math in {TARGET} hot paths —")
     for name, lineno, expr in violations:
         print(f"  {TARGET}:{lineno}: {expr} inside {name}() "
-              f"(route through the tensor's ArrayBackend instead)")
+              f"(route through the kernel table instead)")
     return 1
 
 
