@@ -17,8 +17,9 @@ timed beside the numpy row.  The ``numba`` version (or ``absent``) stays in
 the artifact's host stamp — a host fact, and the first thing such a number
 will be read against.
 
-The reference ``sddmm_backward`` is the **scatter-free** formulation (one
-CSR assembly + two sparse products on the CSR-ordered support).  What it
+The reference ``sddmm_backward`` is the **scatter-free** formulation (two
+sparse products on the CSR-ordered support, run on its arrays without
+assembling a matrix).  What it
 replaced — the ``np.add.at`` scatter — is frozen in this file as
 ``scatter_sddmm_backward`` and timed beside it (``scatter_us`` /
 ``speedup_vs_scatter``), so the row keeps measuring the formulation.
@@ -168,7 +169,9 @@ def run_kernel_suite(scale: float = 1.0, repeats: int = 20) -> List[Dict]:
             repeats,
             scatter=lambda: scatter_sddmm_backward(
                 support_rows, support_cols, a, b, edge_grad, True, True)))
-        _, matrix = NUMPY.spmm_pattern(pattern, values, b)
+        # What ``spmm_pattern`` returns beside the product is opaque: the
+        # dense backward gets it back as is.
+        _, handle = NUMPY.spmm_pattern(pattern, values, b)
         rows_entries.append(_compare(
             "spmm_pattern", label,
             lambda backend: backend.spmm_pattern(pattern, values, b),
@@ -180,7 +183,7 @@ def run_kernel_suite(scale: float = 1.0, repeats: int = 20) -> List[Dict]:
         rows_entries.append(_compare(
             "spmm_pattern_backward_dense", label,
             lambda backend: backend.spmm_pattern_backward_dense(
-                matrix, dense_grad), repeats))
+                handle, dense_grad), repeats))
 
     # -- dropout mask/apply (memory-bound; parity sanity, not a speedup) --
     (nodes, width), = shapes((4000, 32))
@@ -214,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> Dict:
 
     # Smoke keeps ~1/3-size shapes: small enough for CI seconds, large
     # enough that the sddmm-backward gate is still measured in the
-    # scatter-dominated regime it exists for (at toy nnz the CSR-assembly
+    # scatter-dominated regime it exists for (at toy nnz the per-call
     # constant term wins and the comparison is meaningless).
     scale = 0.3 if args.smoke else 1.0
     repeats = args.repeats or (3 if args.smoke else 20)

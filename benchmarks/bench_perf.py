@@ -138,6 +138,7 @@ def run_benchmark(sizes: List[int], epochs: int = 10, step1_rounds: int = 5,
         use_propagation_cache=True)
 
     report: Dict = {
+        "host": host_stamp(),
         "config": {
             "epochs": epochs, "step1_rounds": step1_rounds, "top_k": top_k,
             "num_features": NUM_FEATURES, "num_classes": NUM_CLASSES,

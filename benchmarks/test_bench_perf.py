@@ -21,6 +21,8 @@ def test_perf_harness_smoke():
                                             nodes_per_client=80, epochs=4,
                                             step1_rounds=2))
     assert len(report["sizes"]) == 2
+    # The numbers name the host, versions and commit they were taken on.
+    assert {"nproc", "numpy", "numba", "git_sha"} <= set(report["host"])
     for entry in report["sizes"]:
         assert entry["epoch_speedup"] > 0
         assert entry["dense"]["matrix_mb"] >= entry["sparse"]["matrix_mb"]

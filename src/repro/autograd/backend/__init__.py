@@ -96,8 +96,9 @@ class ArrayBackend:
         return self._kernels["spmm_pattern_backward_values"](pattern, grad,
                                                              dense)
 
-    def spmm_pattern_backward_dense(self, matrix, grad):
-        return self._kernels["spmm_pattern_backward_dense"](matrix, grad)
+    # ``handle`` is what ``spmm_pattern`` returned beside the product.
+    def spmm_pattern_backward_dense(self, handle, grad):
+        return self._kernels["spmm_pattern_backward_dense"](handle, grad)
 
     def dropout_mask(self, rng, shape, p):
         return self._kernels["dropout_mask"](rng, shape, p)

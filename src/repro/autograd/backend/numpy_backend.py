@@ -27,13 +27,18 @@ Accumulation-order contract (what "bitwise" rests on):
   ``support_indptr`` decides) keeps the scatter itself.
 * ``sddmm`` / ``spmm_pattern`` values-backward — ``np.einsum`` row dots over
   ``np.take`` gathers (the same ``(nnz, c)`` operands fancy indexing built).
+* ``spmm_pattern`` / its dense backward / the ``sddmm`` backward products —
+  ``S @ dense`` and ``S.T @ dense`` for a CSR matrix ``S`` given as arrays
+  (a fixed structure and per-call values) are the routine scipy's own
+  product runs, called on those arrays (:func:`structure_product`): no
+  ``csr_matrix`` is built per call, and the bits are scipy's.
 * ``dropout_mask`` — consumes ``rng.random(shape)`` exactly once, so a
   module's generator advances as the defining expression advances it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,10 +50,12 @@ from repro.autograd.backend import (
     support_indptr,
 )
 
-try:  # the routine behind scipy's own ``csr @ dense``; private, so optional
-    from scipy.sparse._sparsetools import csr_matvecs
-except ImportError:  # pragma: no cover - a scipy without it ignores ``out=``
-    csr_matvecs = None
+try:  # the routines behind scipy's own ``csr @ dense`` / ``csr.T @ dense``;
+    # private, so optional
+    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+except ImportError:  # pragma: no cover - a scipy without them ignores
+    # ``out=`` and builds every matrix
+    csc_matvecs = csr_matvecs = None
 
 
 def usable_out(out: Optional[np.ndarray], adjacency: sp.csr_matrix,
@@ -91,6 +98,33 @@ def spmm_batched(adjacency: sp.csr_matrix, dense: np.ndarray,
     return spmm(adjacency, flat, out).reshape(batch, nodes, channels)
 
 
+def structure_product(shape: tuple, indptr: np.ndarray, indices: np.ndarray,
+                      values: np.ndarray, dense: np.ndarray,
+                      transpose: bool = False) -> np.ndarray:
+    """``S @ dense`` — ``S.T @ dense`` with ``transpose`` — for the CSR
+    matrix ``S = (values, indices, indptr)`` of ``shape``, never built.
+
+    Runs what scipy's ``_matmul_multivector`` runs for that product:
+    ``csr_matvecs`` (``csc_matvecs`` on the same arrays for the transpose)
+    into a zeroed result.  Operands scipy routes elsewhere — one column, a
+    dtype other than float64, mismatched rows — and a scipy without the
+    routines go through the built matrix, so the result is scipy's product
+    either way.
+    """
+    n_out, n_in = shape[::-1] if transpose else shape
+    if (csr_matvecs is None or type(dense) is not np.ndarray
+            or dense.ndim != 2 or dense.shape[0] != n_in
+            or dense.shape[1] == 1
+            or not values.dtype == dense.dtype == np.float64):
+        matrix = sp.csr_matrix((values, indices, indptr), shape=shape)
+        return (matrix.T if transpose else matrix) @ dense
+    out = np.zeros((n_out, dense.shape[1]))
+    (csc_matvecs if transpose else csr_matvecs)(
+        n_out, n_in, dense.shape[1], indptr, indices, values, dense.ravel(),
+        out.ravel())
+    return out
+
+
 def sddmm(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarray
           ) -> np.ndarray:
     return np.einsum("ij,ij->i", np.take(a, rows, axis=0),
@@ -111,19 +145,32 @@ def sddmm_backward(rows, cols, a, b, grad, need_a, need_b):
             grad_b = np.zeros_like(b)
             np.add.at(grad_b, cols, column * a[rows])
         return grad_a, grad_b
-    support = sp.csr_matrix((grad, cols, indptr), shape=shape)
     if need_a:
-        grad_a = support @ b
+        grad_a = structure_product(shape, indptr, cols, grad, b)
     if need_b:
-        grad_b = support.T @ a
+        grad_b = structure_product(shape, indptr, cols, grad, a,
+                                   transpose=True)
     return grad_a, grad_b
+
+
+class ValuedPattern(NamedTuple):
+    """``S(values)``: a CSR pattern's structure with one value per stored
+    element — the handle :func:`spmm_pattern` returns for
+    :func:`spmm_pattern_backward_dense`."""
+
+    pattern: sp.csr_matrix
+    values: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.pattern.nnz
 
 
 def spmm_pattern(pattern: sp.csr_matrix, values: np.ndarray,
                  dense: np.ndarray):
-    matrix = sp.csr_matrix((values, pattern.indices, pattern.indptr),
-                           shape=pattern.shape)
-    return matrix @ dense, matrix
+    return (structure_product(pattern.shape, pattern.indptr, pattern.indices,
+                              values, dense),
+            ValuedPattern(pattern, values))
 
 
 def spmm_pattern_backward_values(pattern: sp.csr_matrix, grad: np.ndarray,
@@ -132,9 +179,11 @@ def spmm_pattern_backward_values(pattern: sp.csr_matrix, grad: np.ndarray,
                      np.take(dense, pattern.indices, axis=0))
 
 
-def spmm_pattern_backward_dense(matrix: sp.csr_matrix, grad: np.ndarray
+def spmm_pattern_backward_dense(handle: ValuedPattern, grad: np.ndarray
                                 ) -> np.ndarray:
-    return matrix.T @ grad
+    pattern = handle.pattern
+    return structure_product(pattern.shape, pattern.indptr, pattern.indices,
+                             handle.values, grad, transpose=True)
 
 
 def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:

@@ -5,11 +5,13 @@ into the autodiff graph.  Sparse propagation matrices (scipy CSR) enter the
 graph as constants through :func:`spmm`.
 
 The sparse/fused hot-path primitives (``spmm``, ``spmm_batched``, ``sddmm``,
-``spmm_pattern``, ``dropout``) contain **no array math of their own**: they
-dispatch to the kernel table ``backend``
+``spmm_pattern``, ``signed_spmm_pattern``, ``dropout``) contain **no array
+math of their own**: they dispatch to the kernel table ``backend``
 (:class:`~repro.autograd.backend.ArrayBackend`;
 ``tools/check_backend_dispatch.py`` rejects bare ``np.`` calls inside them),
-so a kernel swapped on the table serves every caller.
+so a kernel swapped on the table serves every caller.  Only
+``signed_spmm_pattern``'s sign masks are elementwise operators of its own,
+as ``Tensor.relu`` and ``Tensor.__neg__`` would compute them.
 """
 
 from __future__ import annotations
@@ -128,6 +130,20 @@ def sddmm(rows: np.ndarray, cols: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out_data, (a, b), backward)
 
 
+def _checked_pattern(pattern: sp.csr_matrix, values: Tensor, name: str
+                    ) -> sp.csr_matrix:
+    """``pattern`` as CSR, checked to hold one entry of ``values`` per
+    stored element."""
+    if not sp.issparse(pattern):
+        raise TypeError(f"{name} expects a scipy sparse pattern")
+    pattern = pattern.tocsr()
+    if values.data.shape != (pattern.nnz,):
+        raise ValueError(
+            f"values must have one entry per stored element "
+            f"({pattern.nnz}), got shape {values.data.shape}")
+    return pattern
+
+
 def spmm_pattern(pattern: sp.csr_matrix, values: Tensor,
                  dense: Tensor) -> Tensor:
     """``S(values) @ dense`` where ``S`` has the fixed CSR ``pattern``.
@@ -137,14 +153,8 @@ def spmm_pattern(pattern: sp.csr_matrix, values: Tensor,
     sparsity structure is constant.  Gradients: ``d values = sddmm(grad,
     dense)`` on the pattern and ``d dense = Sᵀ grad``.
     """
-    if not sp.issparse(pattern):
-        raise TypeError("spmm_pattern expects a scipy sparse pattern")
-    pattern = pattern.tocsr()
-    if values.data.shape != (pattern.nnz,):
-        raise ValueError(
-            f"values must have one entry per stored element "
-            f"({pattern.nnz}), got shape {values.data.shape}")
-    out_data, matrix = backend.spmm_pattern(pattern, values.data, dense.data)
+    pattern = _checked_pattern(pattern, values, "spmm_pattern")
+    out_data, handle = backend.spmm_pattern(pattern, values.data, dense.data)
 
     def backward(grad):
         if values.requires_grad:
@@ -152,10 +162,51 @@ def spmm_pattern(pattern: sp.csr_matrix, values: Tensor,
                 backend.spmm_pattern_backward_values(pattern, grad,
                                                      dense.data))
         if dense.requires_grad:
-            dense._accumulate(backend.spmm_pattern_backward_dense(matrix,
+            dense._accumulate(backend.spmm_pattern_backward_dense(handle,
                                                                   grad))
 
     return Tensor._make(out_data, (values, dense), backward)
+
+
+def signed_spmm_pattern(pattern: sp.csr_matrix, values: Tensor,
+                        dense: Tensor) -> Tensor:
+    """``S(relu(values)) @ dense − S(relu(−values)) @ dense`` as one node.
+
+    The positive and negative messages of the learnable message passing
+    (Eq. 11–12) on the fixed CSR ``pattern``, bit for bit the composition
+    ``spmm_pattern(pattern, relu(values), dense) − spmm_pattern(pattern,
+    relu(−values), dense)`` it replaces: the same two products and
+    difference forward, and backward the same contributions, accumulated
+    into ``values`` and ``dense`` in the composition's order.  ``grad`` is
+    gathered once: with ``d`` the positive product's values-gradient, the
+    negative product's is ``−d`` exactly (``sddmm(−grad, dense)``), so the
+    composition's ``−((−d) · [−values > 0])`` is ``d · [−values > 0]``,
+    bit for bit.
+    """
+    pattern = _checked_pattern(pattern, values, "signed_spmm_pattern")
+    negated = -values.data
+    positive = values.data > 0
+    negative = negated > 0
+    pos_data, pos_handle = backend.spmm_pattern(
+        pattern, values.data * positive, dense.data)
+    neg_data, neg_handle = backend.spmm_pattern(
+        pattern, negated * negative, dense.data)
+
+    def backward(grad):
+        if values.requires_grad:
+            values_grad = backend.spmm_pattern_backward_values(
+                pattern, grad, dense.data)
+            values._accumulate(values_grad * positive)
+        if dense.requires_grad:
+            dense._accumulate(
+                backend.spmm_pattern_backward_dense(pos_handle, grad))
+        if values.requires_grad:
+            values._accumulate(values_grad * negative)
+        if dense.requires_grad:
+            dense._accumulate(
+                backend.spmm_pattern_backward_dense(neg_handle, -grad))
+
+    return Tensor._make(pos_data - neg_data, (values, dense), backward)
 
 
 # ----------------------------------------------------------------------

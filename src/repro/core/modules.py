@@ -102,7 +102,12 @@ class LearnableMessagePassing(Module):
         return h_m
 
     def _forward_sparse(self, h_m: Tensor, pattern: sp.csr_matrix) -> Tensor:
-        """Eq. 11–12 on the fixed support of a sparse P̃ (never ``(n, n)``)."""
+        """Eq. 11–12 on the fixed support of a sparse P̃ (never ``(n, n)``).
+
+        Eq. 12's positive and negative messages are one node,
+        :func:`~repro.autograd.functional.signed_spmm_pattern`, bitwise the
+        two-product composition it stands for.
+        """
         rows = pattern_rows(pattern)
         cols = pattern.indices
         p_values = Tensor(pattern.data)
@@ -111,9 +116,8 @@ class LearnableMessagePassing(Module):
             h_m = F.relu(getattr(self, name)(h_m))
             similarity = F.sddmm(rows, cols, h_m, h_m)
             p_values = p_values * self.beta + similarity * (1.0 - self.beta)
-            h_pos = F.spmm_pattern(pattern, F.relu(p_values), h_m)
-            h_neg = F.spmm_pattern(pattern, F.relu(-p_values), h_m)
-            h_m = h_m + (h_pos - h_neg) * scale
+            messages = F.signed_spmm_pattern(pattern, p_values, h_m)
+            h_m = h_m + messages * scale
         return h_m
 
 

@@ -1,4 +1,5 @@
-"""Tests for functional ops: softmax, spmm, dropout, concat and losses."""
+"""Tests for functional ops: softmax, spmm, the pattern products, dropout,
+concat and losses."""
 
 import numpy as np
 import pytest
@@ -157,10 +158,118 @@ class TestSparsePropagation:
         matrix = np.array([[0.0, 2.0], [3.0, 4.0]])
         assert np.allclose(dense.grad, matrix.T @ np.ones((2, 2)))
 
+    @staticmethod
+    def _signed_messages(fused, pattern, values, dense, upstream,
+                         need_values=True, need_dense=True):
+        """Forward, ``values.grad`` and ``dense.grad`` of ``S(relu(v)) @ H −
+        S(relu(−v)) @ H``, fused or as the composition it replaces.  The
+        loss reads both operands once more (``H`` through a residual, as in
+        the message passing), and the backward reaches those reads first:
+        each gradient already holds a term when the messages' two arrive,
+        so the order they are added in shows in the bits."""
+        values = Tensor(values, requires_grad=need_values)
+        dense = Tensor(dense, requires_grad=need_dense)
+        if fused:
+            out = F.signed_spmm_pattern(pattern, values, dense)
+        else:
+            out = (F.spmm_pattern(pattern, F.relu(values), dense)
+                   - F.spmm_pattern(pattern, F.relu(-values), dense))
+        loss = (values * values).sum() \
+            + ((dense + out) * Tensor(upstream)).sum()
+        if need_values or need_dense:
+            loss.backward()
+        return out.data, values.grad, dense.grad
+
+    @staticmethod
+    def _signed_case(kind, seed=0):
+        rng = np.random.default_rng(seed)
+        pattern = sp.random(40, 40, density=0.3, format="csr",
+                            random_state=seed + 1)
+        values = rng.normal(size=pattern.nnz)
+        if kind == "mixed":
+            values[:4] = [0.0, -0.0, 0.0, -0.0]
+        elif kind == "positive":
+            values = np.abs(values) + 0.1
+        elif kind == "negative":
+            values = -np.abs(values) - 0.1
+        else:
+            values = np.where(np.arange(pattern.nnz) % 2, 0.0, -0.0)
+        dense = rng.normal(size=(40, 3))
+        dense[[2, 5]] = 0.0          # all-zero rows: zero row dots
+        dense[7] = -0.0
+        upstream = rng.normal(size=(40, 3))
+        upstream[4] = 0.0
+        return pattern, values, dense, upstream
+
+    @staticmethod
+    def _same_bits(left, right):
+        if left is None or right is None:
+            return left is right
+        return (left.shape == right.shape and left.dtype == right.dtype
+                and left.tobytes() == right.tobytes())
+
+    @pytest.mark.parametrize("kind", ["mixed", "positive", "negative",
+                                      "zeros"])
+    @pytest.mark.parametrize("need_values,need_dense",
+                             [(True, True), (True, False), (False, True)])
+    def test_signed_spmm_pattern_is_the_composition_bit_for_bit(
+            self, kind, need_values, need_dense):
+        pattern, values, dense, upstream = self._signed_case(kind)
+        fused = self._signed_messages(True, pattern, values, dense, upstream,
+                                      need_values, need_dense)
+        unfused = self._signed_messages(False, pattern, values, dense,
+                                        upstream, need_values, need_dense)
+        for got, want in zip(fused, unfused):
+            assert self._same_bits(got, want)
+        assert (fused[1] is None) != need_values
+        assert (fused[2] is None) != need_dense
+
+    def test_signed_spmm_pattern_without_grad(self):
+        from repro.autograd.tensor import no_grad
+
+        pattern, values, dense, _ = self._signed_case("mixed")
+        values_t = Tensor(values, requires_grad=True)
+        dense_t = Tensor(dense, requires_grad=True)
+        with no_grad():
+            out = F.signed_spmm_pattern(pattern, values_t, dense_t)
+        reference = (F.spmm_pattern(pattern, F.relu(Tensor(values)),
+                                    Tensor(dense))
+                     - F.spmm_pattern(pattern, F.relu(-Tensor(values)),
+                                      Tensor(dense)))
+        assert not out.requires_grad and out._backward is None
+        assert self._same_bits(out.data, reference.data)
+
+    def test_signed_spmm_pattern_finite_difference(self):
+        pattern, values, dense, upstream = self._signed_case("mixed", seed=3)
+        # Keep every value off relu's kink so the central difference is
+        # the derivative.
+        values = np.where(np.abs(values) < 0.05, 0.3, values)
+        _, grad_values, grad_dense = self._signed_messages(
+            True, pattern, values, dense, upstream)
+
+        def loss(v, h):
+            out = F.signed_spmm_pattern(pattern, Tensor(v), Tensor(h))
+            return float((v * v).sum() + ((h + out.data) * upstream).sum())
+
+        eps = 1e-6
+        for array, analytic in ((values, grad_values), (dense, grad_dense)):
+            numeric = np.zeros_like(array)
+            for index in np.ndindex(array.shape):
+                plus, minus = array.copy(), array.copy()
+                plus[index] += eps
+                minus[index] -= eps
+                args = ((plus, dense), (minus, dense)) if array is values \
+                    else ((values, plus), (values, minus))
+                numeric[index] = (loss(*args[0]) - loss(*args[1])) / (2 * eps)
+            assert np.allclose(analytic, numeric, atol=1e-6)
+
     def test_spmm_pattern_rejects_wrong_value_count(self):
         pattern = sp.csr_matrix(np.eye(3))
         with pytest.raises(ValueError):
             F.spmm_pattern(pattern, Tensor(np.ones(5)), Tensor(np.ones((3, 2))))
+        with pytest.raises(ValueError):
+            F.signed_spmm_pattern(pattern, Tensor(np.ones(5)),
+                                  Tensor(np.ones((3, 2))))
 
     def test_propagate_accepts_dense_or_sparse(self):
         x = Tensor(np.ones((4, 2)))

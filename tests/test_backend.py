@@ -7,6 +7,8 @@ The contract under test (see ``repro/autograd/backend``):
   dot over fancy-index gathers, ...) exactly.  The sddmm backward no longer
   *is* the ``np.add.at`` scatter, so the scatter lives here as the oracle
   (``_scatter_sddmm_backward``), per kernel and through ten Step-2 epochs;
+  likewise the fused ``signed_spmm_pattern`` node is held to the unfused
+  Eq. 11–12 composition (``_unfused_forward_sparse``) through ten epochs;
 * the **swap**: there is one table, ``resolve_backend(None)``, and a kernel
   registered on it — here counting wrappers, the way the end-to-end tracer
   wraps its spans — is what every federation engine path (serial, batched,
@@ -45,6 +47,7 @@ from repro.autograd.backend import (
 )
 from repro.core import AdaFGL, AdaFGLConfig
 from repro.core.adafgl import PersonalizedClient
+from repro.core.modules import LearnableMessagePassing
 from repro.datasets import load_dataset
 from repro.federated import FederatedConfig
 from repro.fgl.fedgnn import FederatedGNN
@@ -360,14 +363,44 @@ class TestKernelParity:
         grad = rng.standard_normal((n, f))
         valued = sp.csr_matrix((values, pattern.indices, pattern.indptr),
                                shape=pattern.shape)
-        out, matrix = NUMPY.spmm_pattern(pattern, values, dense)
+        out, handle = NUMPY.spmm_pattern(pattern, values, dense)
         assert np.array_equal(out, valued @ dense)
         assert np.array_equal(
             NUMPY.spmm_pattern_backward_values(pattern, grad, dense),
             np.einsum("ij,ij->i", grad[rows], dense[cols]))
         assert np.array_equal(
-            NUMPY.spmm_pattern_backward_dense(matrix, grad),
+            NUMPY.spmm_pattern_backward_dense(handle, grad),
             valued.T @ grad)
+
+    @pytest.mark.parametrize("operand", ["c-order", "f-order", "one-column",
+                                         "float32", "no-routines"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_structure_product_is_scipys_product(self, monkeypatch, operand,
+                                                 transpose):
+        """The pattern kernels call scipy's sparsetools routine on the
+        structure's arrays; every operand gives scipy's own product's bits
+        (and dtype), the routine or the built-matrix fallback."""
+        from repro.autograd.backend import numpy_backend
+
+        pattern = _random_csr(30, 24, seed=21)
+        rng = np.random.default_rng(22)
+        values = rng.standard_normal(pattern.nnz)
+        dense = rng.standard_normal((24 if not transpose else 30,
+                                     1 if operand == "one-column" else 5))
+        if operand == "f-order":
+            dense = np.asfortranarray(dense)
+        elif operand == "float32":
+            dense = dense.astype(np.float32)
+        elif operand == "no-routines":
+            monkeypatch.setattr(numpy_backend, "csr_matvecs", None)
+            monkeypatch.setattr(numpy_backend, "csc_matvecs", None)
+        valued = sp.csr_matrix((values, pattern.indices, pattern.indptr),
+                               shape=pattern.shape)
+        expected = (valued.T if transpose else valued) @ dense
+        out = numpy_backend.structure_product(
+            pattern.shape, pattern.indptr, pattern.indices, values, dense,
+            transpose=transpose)
+        assert _same_bits(out, expected)
 
     def test_dropout_mask_rng_stream_identical(self):
         # A kernel must consume the rng stream exactly as the defining
@@ -644,6 +677,62 @@ class TestEndToEndParity:
                 assert _same_bits(state[name], old_state[name]), name
 
 
+def _unfused_forward_sparse(self, h_m, pattern):
+    """Eq. 11–12 on the fixed support as the op-by-op composition that
+    ``signed_spmm_pattern`` fused: per layer ``relu``, ``neg``, ``relu``,
+    two ``spmm_pattern`` products and their difference (the oracle)."""
+    rows = pattern_rows(pattern)
+    cols = pattern.indices
+    p_values = Tensor(pattern.data)
+    scale = 1.0 / max(1.0, float(h_m.shape[0]))
+    for name in self._layer_names:
+        h_m = F.relu(getattr(self, name)(h_m))
+        similarity = F.sddmm(rows, cols, h_m, h_m)
+        p_values = p_values * self.beta + similarity * (1.0 - self.beta)
+        h_pos = F.spmm_pattern(pattern, F.relu(p_values), h_m)
+        h_neg = F.spmm_pattern(pattern, F.relu(-p_values), h_m)
+        h_m = h_m + (h_pos - h_neg) * scale
+    return h_m
+
+
+class TestFusedMessagePassing:
+    def test_step2_epochs_bitwise_against_the_unfused_composition(
+            self, monkeypatch):
+        """Ten Step-2 epochs on a sparse chameleon split through the fused
+        signed product and through the composition it replaced: the same
+        losses and the same bits in every parameter."""
+        def step2():
+            graph = load_dataset("chameleon", seed=0, num_nodes=400)
+            config = AdaFGLConfig(hidden=16, sparse_propagation=True,
+                                  propagation_top_k="auto", seed=0)
+            method = AdaFGL(structure_noniid_split(graph, 3, seed=0), config)
+            method.run_step1(rounds=2)
+            clients = [
+                PersonalizedClient(index, graph, probs, config)
+                for index, (graph, probs) in enumerate(zip(
+                    method.extractor.client_graphs(),
+                    method.extractor.client_probabilities()))]
+            with counting_kernels() as calls:
+                losses = [[client.train_epoch() for client in clients]
+                          for _ in range(10)]
+            return (losses, [client.model.state_dict() for client in clients],
+                    calls)
+
+        losses, states, calls = step2()
+        monkeypatch.setattr(LearnableMessagePassing, "_forward_sparse",
+                            _unfused_forward_sparse)
+        old_losses, old_states, old_calls = step2()
+        # One values-gradient per layer fused, two unfused.
+        assert calls["spmm_pattern"] == old_calls["spmm_pattern"] > 0
+        assert 2 * calls["spmm_pattern_backward_values"] \
+            == old_calls["spmm_pattern_backward_values"] > 0
+        assert np.array(losses).tobytes() == np.array(old_losses).tobytes()
+        for state, old_state in zip(states, old_states):
+            assert state.keys() == old_state.keys()
+            for name in state:
+                assert _same_bits(state[name], old_state[name]), name
+
+
 class TestDispatchLintGuard:
     @staticmethod
     def _guard():
@@ -682,6 +771,30 @@ class TestDispatchLintGuard:
         violations = guard.check(target)
         assert any(fn == "spmm" and expr == "np.asarray"
                    for fn, _, expr in violations)
+
+    def test_guard_catches_bare_numpy_in_the_signed_product(self, tmp_path):
+        repo, guard = self._guard()
+        source = (repo / "src/repro/autograd/functional.py").read_text()
+        bad = source.replace(
+            "neg_data, neg_handle = backend.spmm_pattern(",
+            "neg_data, neg_handle = np.zeros_like(dense.data), None\n"
+            "    _ = backend.spmm_pattern(")
+        assert bad != source
+        target = tmp_path / "functional.py"
+        target.write_text(bad)
+        assert [(fn, expr) for fn, _, expr in guard.check(target)] \
+            == [("signed_spmm_pattern", "np.zeros_like")]
+
+    def test_signed_product_runs_on_the_table(self):
+        pattern = _random_csr(12, 12, seed=5)
+        rng = np.random.default_rng(6)
+        values = Tensor(rng.standard_normal(pattern.nnz), requires_grad=True)
+        dense = Tensor(rng.standard_normal((12, 3)), requires_grad=True)
+        with counting_kernels() as calls:
+            F.signed_spmm_pattern(pattern, values, dense).sum().backward()
+        assert calls == {"spmm_pattern": 2,
+                         "spmm_pattern_backward_values": 1,
+                         "spmm_pattern_backward_dense": 2}
 
     def test_guard_catches_out_buffers_filled_outside_a_kernel(self,
                                                                tmp_path):

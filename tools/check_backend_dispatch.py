@@ -2,12 +2,13 @@
 """Lint guard: the autograd hot-path primitives must stay behind the table.
 
 ``repro/autograd/functional.py``'s sparse/fused hot-path functions (``spmm``,
-``spmm_batched``, ``sddmm``, ``spmm_pattern``, ``dropout``) are required to
-route every array operation through the kernel table ``backend``
-(:class:`~repro.autograd.backend.ArrayBackend`): ``backend.spmm(...)`` and
-its siblings.  The table is where the end-to-end tracer wraps its
-``kernel.*`` spans and where a test swaps a kernel for its oracle, so a bare
-``np.`` call inside a hot path is math neither of them sees.  This guard
+``spmm_batched``, ``sddmm``, ``spmm_pattern``, ``signed_spmm_pattern``,
+``dropout``) are required to route every array operation through the
+kernel table ``backend`` (:class:`~repro.autograd.backend.ArrayBackend`):
+``backend.spmm(...)`` and its siblings.  The table is where the end-to-end
+tracer wraps its ``kernel.*`` spans and where a test swaps a kernel for its
+oracle, so a bare ``np.`` call inside a hot path is math neither of them
+sees.  This guard
 walks the AST and rejects any ``np.<attr>`` usage (and any ``scipy.sparse``
 *math* beyond ``sp.issparse`` type checks) inside the hot-path function
 bodies.  A call that passes a result buffer (``out=``) must be a call on
@@ -29,7 +30,7 @@ import sys
 
 #: functions in functional.py whose bodies must contain no bare numpy math
 HOT_PATH_FUNCTIONS = ("spmm", "spmm_batched", "sddmm", "spmm_pattern",
-                      "dropout")
+                      "signed_spmm_pattern", "dropout")
 
 #: ``sp.`` attributes that are type plumbing, not array math
 ALLOWED_SPARSE_ATTRS = {"issparse", "spmatrix", "csr_matrix"}
