@@ -299,7 +299,6 @@ def run_serving_suite(*, smoke: bool = False,
 
     best = max(transductive, key=lambda point: point["achieved_qps"])
     report = {
-        "host": host_stamp(),
         "setup": {"dataset": "cora", "num_nodes": num_nodes,
                   "num_clients": num_clients, "rounds": rounds,
                   "model_family": snapshot.model_family,

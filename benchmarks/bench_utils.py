@@ -114,9 +114,12 @@ def host_stamp() -> Dict:
 def record_json(name: str, payload: Dict) -> Path:
     """Persist a structured result under benchmarks/results/<name>.json.
 
-    Used by the timing harness (``bench_perf.py``) so perf trajectories can
-    be diffed across PRs; returns the written path.
+    Used by the timing harnesses so perf trajectories can be diffed across
+    commits; returns the written path.  A payload without a ``host`` key is
+    stamped with :func:`host_stamp` in place, so every recorded file names
+    the host, versions and commit its numbers were taken on.
     """
+    payload.setdefault("host", host_stamp())
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -152,7 +152,10 @@ class StreamingAggregate:
         actual reporters, so the sealed result is the weighted average of
         the surviving contributions — the statistically principled
         partial-participation FedAvg.  A round with no drops is bitwise
-        untouched (no renormalisation runs).
+        untouched (no renormalisation runs).  The renormalised seal can be
+        an ulp from :func:`fedavg_aggregate` over the reporters, so the sync
+        loop drops only from hierarchical rounds, whose per-client states
+        it never sees; a flat round with a drop gathers its reporters.
         """
         self._check_index(index)
         if index in self._dropped:

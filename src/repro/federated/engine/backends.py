@@ -57,6 +57,13 @@ from repro.federated.engine.persistent import (
 )
 from repro.federated.engine.transport import make_transport
 
+#: Upper bound, in pickled bytes, on the clients one ``adopt`` frame carries
+#: (a client larger than this ships alone).  Bootstrap and crash re-adopt
+#: ship a worker's clients frame by frame, pickling each frame's clients
+#: only when the previous frame is acknowledged, so the coordinator builds,
+#: and a worker receives, one frame at a time.
+ADOPT_FRAME_BYTES = 1 << 20
+
 
 # ----------------------------------------------------------------------
 # Client state snapshots (used to move training state across processes)
@@ -371,7 +378,8 @@ class ProcessPoolBackend(ExecutionBackend):
         #: lagging worker is excluded from dispatch until it is drained
         self._lagging: Set[int] = set()
         #: worker → commands waiting for its owed reply to be read, in
-        #: order: ``("adopt", batch)`` and ``("train", client ids)``
+        #: order: ``("adopt", mirror clients)`` (pickled when sent) and
+        #: ``("train", client ids)``
         self._waiting: Dict[int, List[Tuple[str, object]]] = {}
 
     # ------------------------------------------------------------------
@@ -427,28 +435,21 @@ class ProcessPoolBackend(ExecutionBackend):
                    key=lambda w: ((counts[w] + 1) / speeds[w], w))
 
     def _bootstrap(self, clients: Sequence) -> List:
-        """Ship not-yet-resident clients to their owners; return the pooled.
+        """Make not-yet-resident clients resident; return the pooled.
 
-        Pickles each new client once; unpicklable clients become
-        coordinator-resident.  Returns the subset of ``clients`` that is
-        worker-resident after the call.
+        Assigns each new client its owner and queues it there as an
+        ``adopt``; :meth:`_drain` pickles and ships it, at once to an idle
+        worker, after its stale reply to a lagging one.  A client that
+        cannot be pickled becomes coordinator-resident.  Returns the subset
+        of ``clients`` that is worker-resident after the call.
         """
-        pool = self._pool
         batches: Dict[int, List] = {}
-        pooled = []
         for client in clients:
             cid = client.client_id
             if cid in self._owner:
-                pooled.append(client)
-                continue
-            try:
-                blob = pickle.dumps(client,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                self._local.add(cid)
                 continue
             worker = self._assign_worker(cid)
-            batches.setdefault(worker, []).append((cid, blob))
+            batches.setdefault(worker, []).append(client)
             self._owner[cid] = worker
             if self.config.on_worker_failure != "fail":
                 # Baseline recovery snapshot: the worker-owned state (moments
@@ -456,19 +457,54 @@ class ProcessPoolBackend(ExecutionBackend):
                 # its first train reply can still re-bootstrap it exactly.
                 self._recovery[cid] = snapshot_client_state(
                     client, include_weights=False)
+        for worker, batch in batches.items():
+            self._waiting.setdefault(worker, []).append(("adopt", batch))
+            self._drain(None, worker)
+        return [client for client in clients
+                if client.client_id in self._owner]
+
+    def _adopt(self, pending: Optional["PendingRound"], worker: int,
+               clients: Sequence) -> None:
+        """Pickle ``clients`` and ship them to ``worker`` in bounded frames.
+
+        Each ``adopt`` frame carries at most :data:`ADOPT_FRAME_BYTES` of
+        pickles (a larger client ships alone), and a frame's pickles are
+        made only once the previous frame is acknowledged, so the
+        coordinator holds — and the worker receives — one frame at a time.
+        A client that fails to pickle becomes coordinator-resident; a
+        waiting shard that listed it drops it from ``pending``.
+        """
+        frame: List[Tuple[int, bytes]] = []
+        size = 0
+        for client in clients:
+            cid = client.client_id
+            try:
+                blob = pickle.dumps(client, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                self._make_local(pending, worker, cid)
+                continue
+            if frame and size + len(blob) > ADOPT_FRAME_BYTES:
+                self._pool.call(worker, "adopt", frame)
+                frame, size = [], 0
+            frame.append((cid, blob))
+            size += len(blob)
             self.transport.record_download("bootstrap_payload",
                                            len(blob) / 8.0)
-            pooled.append(client)
-        for worker, batch in batches.items():
-            if pool.owed(worker):
-                # A lagging worker adopts once its stale reply is drained.
-                self._waiting.setdefault(worker, []).append(("adopt", batch))
-            else:
-                pool.send(worker, "adopt", batch)
-        for worker in batches:
-            if pool.owed(worker) == "adopt":    # sent above, not queued
-                pool.recv(worker)
-        return pooled
+        if frame:
+            self._pool.call(worker, "adopt", frame)
+
+    def _make_local(self, pending: Optional["PendingRound"], worker: int,
+                    cid: int) -> None:
+        """Keep a client that cannot be shipped to ``worker`` in-process."""
+        self._owner.pop(cid, None)
+        self._recovery.pop(cid, None)
+        self._local.add(cid)
+        for command, ids in self._waiting.get(worker, []):
+            if command == "train" and cid in ids:
+                ids.remove(cid)
+                if pending is not None:
+                    pending.dropped.add(cid)
+                self.fault_stats["dropped_reports"] += 1
 
     def _evict(self, client) -> None:
         """Move a worker-resident client back in-process (exactly).
@@ -608,7 +644,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def _drain(self, pending: Optional["PendingRound"], worker: int) -> None:
         """Send ``worker``'s waiting commands, in order, while it owes none.
 
-        An adopt is a ``call`` (its ack is read at once); a shard becomes
+        An adopt is pickled here and sent one ``call`` per frame (each
+        frame's ack is read at once, see :meth:`_adopt`); a shard becomes
         the worker's owed ``train``, so draining stops behind it.  Only the
         round that owes ``worker`` a shard reply queues shards there, so
         ``pending`` is the round every waiting shard belongs to.  A worker
@@ -619,7 +656,7 @@ class ProcessPoolBackend(ExecutionBackend):
             command, payload = waiting.pop(0)
             try:
                 if command == "adopt":
-                    self._pool.call(worker, "adopt", payload)
+                    self._adopt(pending, worker, payload)
                 else:
                     self._send_shard(pending, worker, payload)
             except WorkerCrash as error:
@@ -946,19 +983,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 # trained from.
                 restore_client_state(client, snapshot,
                                      include_weights=False)
-            try:
-                blob = pickle.dumps(client,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                self._local.add(cid)
-                continue
             new_worker = self._assign_worker(cid)
             self._owner[cid] = new_worker
-            adopt_batches.setdefault(new_worker, []).append((cid, blob))
+            adopt_batches.setdefault(new_worker, []).append(client)
             self._recovery[cid] = snapshot_client_state(
                 client, include_weights=False)
-            self.transport.record_download("bootstrap_payload",
-                                           len(blob) / 8.0)
         for new_worker, batch in adopt_batches.items():
             self._waiting.setdefault(new_worker, []).append(("adopt", batch))
         # Re-dispatch (or drop) the shards that died with the worker.

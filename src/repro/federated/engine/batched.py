@@ -482,9 +482,10 @@ class _BatchedPlan(_Plan):
             return
         params, moments_m, moments_v = [], [], []
         for j, (name, role) in enumerate(self.param_specs):
+            moments = [c.optimizer.moments(j) for c in self.clients]
             stacks = [np.stack([p[name].data for p in self._client_params]),
-                      np.stack([c.optimizer._m[j] for c in self.clients]),
-                      np.stack([c.optimizer._v[j] for c in self.clients])]
+                      np.stack([m for m, _v in moments]),
+                      np.stack([v for _m, v in moments])]
             if role == BIAS:  # (B, h) → (B, 1, h) for row broadcasting
                 stacks = [stack[:, None, :] for stack in stacks]
             params.append(Tensor(stacks[0], requires_grad=True))
@@ -523,7 +524,7 @@ class _BatchedPlan(_Plan):
             opt = client.optimizer
             opt._step_count = int(steps[index])
             for j, (m, v) in enumerate(zip(moments_m, moments_v)):
-                target_shape = opt._m[j].shape
+                target_shape = opt.parameters[j].data.shape
                 opt._m[j] = m[index].reshape(target_shape).copy()
                 opt._v[j] = v[index].reshape(target_shape).copy()
         self.hot = None

@@ -311,10 +311,13 @@ class ClientStore:
         opt = client.optimizer
         opt._step_count = int(slot[1])
         for moments in (opt._m, opt._v):
-            for array in moments:
-                array[...] = slot[offset:offset + array.size].reshape(
-                    array.shape)
-                offset += array.size
+            for j, param in enumerate(opt.parameters):
+                size = param.data.size
+                if opt._step_count:
+                    # A never-stepped optimizer keeps its moments uncreated.
+                    moments[j] = slot[offset:offset + size].reshape(
+                        param.data.shape).copy()
+                offset += size
         words = np.asarray(
             slot[offset:offset + _RNG_WORDS * self.num_rngs]
         ).view(np.uint64)
@@ -337,8 +340,10 @@ class ClientStore:
             value = np.asarray(state[key], dtype=np.float64)
             slot[offset:offset + value.size] = value.ravel()
             offset += value.size
-        for moments in (client.optimizer._m, client.optimizer._v):
-            for array in moments:
+        opt = client.optimizer
+        for which in (0, 1):
+            for j in range(len(opt.parameters)):
+                array = opt.moments(j)[which]
                 slot[offset:offset + array.size] = \
                     np.asarray(array, dtype=np.float64).ravel()
                 offset += array.size

@@ -334,6 +334,11 @@ class SyncRoundLoop:
                             fold.add(index_of[cid], pending.states[cid])
                 if collected:
                     first_wave = False
+            if pending.dropped and not hierarchical:
+                # A drop re-weights the round over its reporters: gather
+                # them as depth 0 does, which is bitwise FedAvg over the
+                # reporters (a renormalised seal is an ulp off).
+                fold = None
             for cid in sorted(pending.dropped):
                 trainer.history.record_drop(cid)
                 if fold is not None:

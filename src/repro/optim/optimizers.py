@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +76,14 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
+    """Adam optimizer (Kingma & Ba, 2015).
+
+    A parameter's moments ``_m[j]`` / ``_v[j]`` are ``None`` until the first
+    step that updates it, which starts them from zeros: an optimizer that
+    never steps (a coordinator mirror, a pickled client in transit) holds
+    and ships no moment memory.  Readers of the lists treat ``None`` as
+    zeros (:meth:`moments`).
+    """
 
     def __init__(self, parameters: Iterable[Tensor], lr: float = 0.01,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
@@ -85,16 +92,29 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._m: List[Optional[np.ndarray]] = [None] * len(self.parameters)
+        self._v: List[Optional[np.ndarray]] = [None] * len(self.parameters)
+
+    def moments(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Parameter ``j``'s ``(m, v)``, to read; before its first update
+        both are one read-only array of zeros."""
+        if self._m[j] is None:
+            zeros = np.zeros_like(self.parameters[j].data)
+            zeros.flags.writeable = False
+            return zeros, zeros
+        return self._m[j], self._v[j]
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
-        for param, m, v in zip(self.parameters, self._m, self._v):
+        for j, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
+            m, v = self._m[j], self._v[j]
+            if m is None:
+                m = self._m[j] = np.zeros_like(param.data)
+                v = self._v[j] = np.zeros_like(param.data)
             grad = self._grad(param)
             m *= self.beta1
             m += (1.0 - self.beta1) * grad

@@ -351,6 +351,30 @@ class TestRoundTimeout:
         assert all(history.client_round_sec)
         assert trainer.backend.last_pipeline_stats is None   # depth 0
 
+    @pytest.mark.parametrize("aggregation", ["fedavg", "topology_weighted"])
+    def test_dropped_shard_is_fedavg_over_the_reporters_at_both_depths(
+            self, aggregation, four_clients, monkeypatch):
+        """A round that lost a shard at the deadline aggregates its
+        reporters bit for bit alike at depth 1 (streaming) and depth 0
+        (gathered): a streamed FedAvg renormalised by the kept weight was
+        an ulp off from round 3 on, and a streamed topology-weighted fold
+        weighted by statistics of the whole selection."""
+        def run():
+            plan = FaultPlan([FaultEvent(1, 2, "stall", duration=2.0)])
+            return _run(four_clients, on_worker_failure="restart",
+                        fault_plan=plan, round_timeout=0.6,
+                        aggregation=aggregation)
+
+        streamed_trainer, streamed = run()
+        assert streamed_trainer.backend.last_pipeline_stats is not None
+        monkeypatch.setattr(FederatedGNN, "after_round",
+                            lambda self, round_index, participants: None)
+        gathered_trainer, gathered = run()
+        assert gathered_trainer.backend.last_pipeline_stats is None
+        assert set(streamed.client_drops) == {1, 3}   # worker 1's shard
+        assert streamed.client_drops == gathered.client_drops
+        _assert_history_bitwise(streamed, gathered)
+
     @pytest.mark.parametrize("method", [FedPub, GCFLPlus],
                              ids=["fed-pub", "gcfl+"])
     def test_gathering_strategy_sees_only_the_reporters(self, method,
@@ -447,6 +471,32 @@ class TestCheckpointResume:
         ckpt = tmp_path / "round_0003.ckpt"
         assert ckpt.exists() and (tmp_path / "latest.ckpt").exists()
         _, resumed = run(rounds=6, resume_from=str(ckpt))
+        _assert_history_bitwise(full, resumed)
+        for a, b in zip(full.client_accuracy, resumed.client_accuracy):
+            assert a == b
+
+    @pytest.mark.parametrize("backend", ["serial", "process_pool"])
+    def test_resume_over_never_stepped_clients_is_bitwise(
+            self, backend, four_clients, tmp_path):
+        """A checkpoint taken while some clients have never trained holds
+        them without optimizer moments; resuming from it is bitwise."""
+        def run(rounds, **kwargs):
+            return _run(four_clients, rounds=rounds, backend=backend,
+                        num_workers=2 if backend == "process_pool" else 0,
+                        participation=0.5, **kwargs)
+
+        _, full = run(rounds=4)
+        run(rounds=1, checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        ckpt = tmp_path / "round_0001.ckpt"
+        with open(ckpt, "rb") as handle:
+            clients = pickle.load(handle)["clients"]
+        idle = [cid for cid, snapshot in clients.items()
+                if snapshot["optimizer"]["_step_count"] == 0]
+        assert len(idle) == 2
+        for cid in idle:
+            optimizer = clients[cid]["optimizer"]
+            assert all(m is None for m in optimizer["_m"] + optimizer["_v"])
+        _, resumed = run(rounds=4, resume_from=str(ckpt))
         _assert_history_bitwise(full, resumed)
         for a, b in zip(full.client_accuracy, resumed.client_accuracy):
             assert a == b

@@ -113,6 +113,43 @@ class TestAdam:
             opt.step()
         assert abs(p.data[0]) < 5.0
 
+    def test_never_stepped_adam_holds_no_moments(self):
+        mlp = MLP(5, [16], 2, dropout=0.0, seed=0)
+        opt = Adam(mlp.parameters(), lr=0.05)
+        assert opt._m == opt._v == [None] * len(opt.parameters)
+        for j, param in enumerate(opt.parameters):
+            m, v = opt.moments(j)
+            assert m.shape == v.shape == param.data.shape
+            assert not m.any() and not v.any()
+        assert opt._m[0] is None   # reading creates nothing
+
+    def test_first_steps_are_bitwise_steps_from_explicit_zeros(self):
+        """Lazy moments change when the zeros are made, not the arithmetic:
+        ten steps equal an optimizer that held zero moments from the start,
+        bit for bit, and a parameter no step reached keeps no moment."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 5))
+        labels = (x[:, 1] > 0).astype(int)
+        lazy_mlp = MLP(5, [8], 2, dropout=0.0, seed=1)
+        eager_mlp = MLP(5, [8], 2, dropout=0.0, seed=1)
+        idle = Parameter(np.ones(4))
+        lazy = Adam([*lazy_mlp.parameters(), idle], lr=0.05,
+                    weight_decay=5e-4)
+        eager = Adam(eager_mlp.parameters(), lr=0.05, weight_decay=5e-4)
+        eager._m = [np.zeros_like(p.data) for p in eager.parameters]
+        eager._v = [np.zeros_like(p.data) for p in eager.parameters]
+        for _ in range(10):
+            for mlp, opt in ((lazy_mlp, lazy), (eager_mlp, eager)):
+                opt.zero_grad()
+                F.cross_entropy(mlp(Tensor(x)), labels).backward()
+                opt.step()
+        for a, b in zip(lazy_mlp.parameters(), eager_mlp.parameters()):
+            assert np.array_equal(a.data, b.data)
+        for a, b in zip(lazy._m[:-1] + lazy._v[:-1], eager._m + eager._v):
+            assert np.array_equal(a, b)
+        assert lazy._m[-1] is None and lazy._v[-1] is None
+        assert np.array_equal(idle.data, np.ones(4))
+
 
 class TestClipGradNorm:
     def test_no_clipping_below_threshold(self):

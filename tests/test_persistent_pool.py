@@ -6,15 +6,21 @@ context-manager lifecycle of trainers, and exact serial-history
 reconstruction in every fallback configuration.
 """
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.autograd import functional as F
 from repro.federated import FederatedConfig, ProcessPoolBackend
 from repro.federated.engine import (
+    FaultEvent,
+    FaultPlan,
     PersistentWorkerPool,
     WorkerError,
     apply_state_delta,
+    backends,
     encode_state_delta,
 )
 from repro.federated.engine.persistent import (
@@ -22,6 +28,8 @@ from repro.federated.engine.persistent import (
     encode_stacked_delta,
 )
 from repro.fgl.fedgnn import FederatedGNN
+from repro.simulation import structure_noniid_split
+from tests.conftest import small_csbm
 
 
 def _config(backend="process_pool", rounds=3, **kwargs):
@@ -284,6 +292,145 @@ class TestResidency:
         # Second run: the pool respawns and re-bootstraps from the synced
         # mirrors; histories must stay bitwise identical to serial.
         _assert_history_equal(serial.run(), pooled.run())
+
+
+@pytest.fixture(scope="module")
+def sixteen_clients():
+    graph = small_csbm(num_nodes=400, homophily=0.85, seed=1)
+    return structure_noniid_split(graph, 16, seed=0)
+
+
+def _pickle_sizes(trainer):
+    return {client.client_id: len(pickle.dumps(
+        client, protocol=pickle.HIGHEST_PROTOCOL))
+        for client in trainer.clients}
+
+
+class TestAdoptFrames:
+    """Clients ship to their worker in ``adopt`` frames of at most
+    ``ADOPT_FRAME_BYTES`` of pickles, made one frame at a time."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every adopt frame as ``(worker, client ids, bytes)``."""
+        frames = []
+        send = PersistentWorkerPool.send
+
+        def spying(pool, worker, command, payload=None):
+            if command == "adopt":
+                frames.append((worker, [cid for cid, _ in payload],
+                               sum(len(blob) for _, blob in payload)))
+            return send(pool, worker, command, payload)
+        monkeypatch.setattr(PersistentWorkerPool, "send", spying)
+        return frames
+
+    @staticmethod
+    def _assert_bounded(frames, budget):
+        for _worker, ids, size in frames:
+            assert size <= budget or len(ids) == 1
+
+    def _pooled(self, clients, **kwargs):
+        return FederatedGNN(clients, "gcn", hidden=64, config=_config(
+            intra_worker="serial", **kwargs))
+
+    def test_bootstrap_frames_stay_within_the_budget(self, sixteen_clients,
+                                                     monkeypatch):
+        serial = FederatedGNN(sixteen_clients, "gcn", hidden=64,
+                              config=_config("serial")).run()
+        trainer = self._pooled(sixteen_clients)
+        sizes = _pickle_sizes(trainer)
+        budget = int(2.5 * max(sizes.values()))
+        monkeypatch.setattr(backends, "ADOPT_FRAME_BYTES", budget)
+        frames = self._spy(monkeypatch)
+        with trainer:
+            history = trainer.run()
+            owners = {cid: trainer.backend.owner_of(cid) for cid in sizes}
+        self._assert_bounded(frames, budget)
+        # Two clients per frame, each client shipped once, to its owner,
+        # in exactly the bytes a pickle of the untrained client takes.
+        assert all(len(ids) == 2 for _worker, ids, _size in frames)
+        shipped = [(cid, worker) for worker, ids, _size in frames
+                   for cid in ids]
+        assert sorted(shipped) == sorted(owners.items())
+        assert sum(size for *_rest, size in frames) == sum(sizes.values())
+        assert trainer.backend.transport.downloaded["bootstrap_payload"] \
+            == sum(sizes.values()) / 8.0
+        _assert_history_equal(serial, history)
+
+    def test_a_client_over_the_budget_ships_alone(self, sixteen_clients,
+                                                  monkeypatch):
+        serial = FederatedGNN(sixteen_clients, "gcn", hidden=64,
+                              config=_config("serial")).run()
+        monkeypatch.setattr(backends, "ADOPT_FRAME_BYTES", 1)
+        frames = self._spy(monkeypatch)
+        history = self._pooled(sixteen_clients).run()
+        assert [len(ids) for _worker, ids, _size in frames] == [1] * 16
+        _assert_history_equal(serial, history)
+
+    @pytest.mark.parametrize("policy", ["restart", "redistribute"])
+    def test_crash_readopt_stays_within_the_budget(self, policy,
+                                                   sixteen_clients,
+                                                   monkeypatch):
+        """Recovery re-adopts the crashed worker's residents through the
+        same bounded frames, and the run stays bitwise serial."""
+        serial = FederatedGNN(sixteen_clients, "gcn", hidden=64,
+                              config=_config("serial")).run()
+        plan = FaultPlan([FaultEvent(worker=0, dispatch=2, kind="crash")])
+        trainer = self._pooled(sixteen_clients, on_worker_failure=policy,
+                               fault_plan=plan)
+        sizes = _pickle_sizes(trainer)
+        budget = int(1.5 * max(sizes.values()))
+        monkeypatch.setattr(backends, "ADOPT_FRAME_BYTES", budget)
+        frames = self._spy(monkeypatch)
+        history = trainer.run()
+        assert trainer.backend.fault_stats["crashes"] == 1
+        bootstrap = [cid for _worker, ids, _size in frames[:16]
+                     for cid in ids]
+        assert sorted(bootstrap) == sorted(sizes)
+        readopted = [cid for _worker, ids, _size in frames[16:]
+                     for cid in ids]
+        assert sorted(readopted) == list(range(0, 16, 2))   # worker 0's
+        self._assert_bounded(frames, budget)
+        _assert_history_equal(serial, history)
+
+    def test_first_dispatch_holds_one_frame_at_a_time(self, sixteen_clients,
+                                                      monkeypatch):
+        """The first dispatch's transient memory is bounded by one frame,
+        not by the cohort: the frame, the channel's serialisation of it,
+        and the next client's pickle — each pickle made in a growing buffer
+        of up to twice its size."""
+        trainer = self._pooled(sixteen_clients)
+        largest = max(_pickle_sizes(trainer).values())
+        monkeypatch.setattr(backends, "ADOPT_FRAME_BYTES", largest)
+        backend = trainer.backend
+        backend.ensure_pool()
+        try:
+            tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            pooled = backend._bootstrap(trainer.clients)
+            transient = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            backend.close()
+        assert len(pooled) == 16
+        # The cohort's pickles alone are 16 × ``largest`` or so.
+        assert transient <= 3 * (backends.ADOPT_FRAME_BYTES + largest)
+
+    def test_a_never_stepped_client_pickles_without_moments(
+            self, community_clients):
+        client = FederatedGNN(community_clients, "gcn", hidden=64,
+                              config=_config("serial")).clients[0]
+        blob = pickle.dumps(client, protocol=pickle.HIGHEST_PROTOCOL)
+        shipped = pickle.loads(blob)
+        assert shipped.optimizer._m == [None] * len(
+            shipped.optimizer.parameters)
+        assert shipped.optimizer._v == shipped.optimizer._m
+        optimizer = client.optimizer
+        optimizer._m = [np.zeros_like(p.data) for p in optimizer.parameters]
+        optimizer._v = [np.zeros_like(p.data) for p in optimizer.parameters]
+        eager = pickle.dumps(client, protocol=pickle.HIGHEST_PROTOCOL)
+        moment_bytes = 2 * 8 * client.model.num_parameters()
+        assert len(eager) - len(blob) >= moment_bytes
 
 
 class TestExtraLossFallback:

@@ -245,6 +245,25 @@ class TestClientStore:
         # Resumed streams continue identically.
         assert resumed.local_train() == client.local_train()
 
+    def test_never_stepped_client_roundtrip_is_bitwise(self, store):
+        """A slot saved before any step restores a client that holds no
+        moments, and the two train on bit for bit alike."""
+        client = store.materialize(2, local_epochs=2)
+        store.save_mutable(client)
+        store.flush()
+        resumed = ClientStore.open(store.path).materialize(2, local_epochs=2)
+        opt = resumed.optimizer
+        assert opt._step_count == 0
+        assert opt._m == opt._v == [None] * len(opt.parameters)
+        for key, value in client.get_weights().items():
+            assert np.array_equal(resumed.get_weights()[key], value)
+        assert resumed.local_train() == client.local_train()
+        for key, value in client.get_weights().items():
+            assert np.array_equal(resumed.get_weights()[key], value)
+        for mine, theirs in zip(client.optimizer._m + client.optimizer._v,
+                                opt._m + opt._v):
+            assert np.array_equal(mine, theirs)
+
     def test_materialization_is_zero_copy(self, store):
         client = store.materialize(1)
         # Immutable tensors are views into the memory-mapped arenas, not
