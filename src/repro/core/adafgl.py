@@ -17,11 +17,12 @@ from repro.core.modules import AdaFGLClientModel
 from repro.core.propagation import PropagationCache
 from repro.federated import FederatedConfig, ProcessPoolBackend
 from repro.federated.engine.config import project
-from repro.graph import Graph, edge_homophily
+from repro.graph import Graph
 from repro.graph.normalize import normalize_adjacency
 from repro.metrics import (
     ClientReport,
     TrainingHistory,
+    client_reports,
     count_weighted_mean,
     masked_accuracy,
 )
@@ -475,18 +476,8 @@ class AdaFGL:
 
     def client_reports(self, split: str = "test") -> List[ClientReport]:
         """Per-client accuracy and homophily breakdown."""
-        source = self.personalized or self.extractor.trainer.clients
-        reports = []
-        for client in source:
-            mask = getattr(client.graph, f"{split}_mask")
-            reports.append(ClientReport(
-                client_id=client.client_id,
-                num_nodes=client.graph.num_nodes,
-                num_test_nodes=int(mask.sum()),
-                accuracy=client.evaluate(split),
-                homophily=edge_homophily(client.graph.adjacency,
-                                         client.graph.labels)))
-        return reports
+        return client_reports(
+            self.personalized or self.extractor.trainer.clients, split)
 
     def client_hcs(self) -> Dict[int, float]:
         """Per-client Homophily Confidence Score (Fig. 7)."""

@@ -12,9 +12,7 @@ from repro.federated.engine import (
     ProcessPoolBackend,
     SerialBackend,
     StoreFederatedTrainer,
-    list_aggregations,
     list_backends,
-    make_aggregation,
     make_backend,
 )
 from repro.federated.trainer import FederatedTrainer, FederatedConfig
@@ -37,8 +35,6 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "BatchedBackend",
-    "list_aggregations",
     "list_backends",
-    "make_aggregation",
     "make_backend",
 ]

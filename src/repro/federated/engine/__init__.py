@@ -9,26 +9,20 @@ five FGL baselines and AdaFGL:
   (:mod:`~repro.federated.engine.batched`).  All backends reconstruct the
   serial training state (weights, optimizer moments, RNG streams) exactly.
 * **Aggregation strategies** (:mod:`~repro.federated.engine.aggregation`)
-  decide *what* the server does with the uploaded states — FedAvg,
-  topology-aware weighting à la FedGTA, or the personalized schemes the
-  FED-PUB / GCFL+ baselines declare.
+  decide *what* the server does with the uploaded states — FedAvg for
+  every trainer, or the personalized schemes the FED-PUB / GCFL+ baselines
+  declare.
 
-Select both through :class:`~repro.federated.FederatedConfig`
-(``backend=``/``aggregation=``) or the CLI (``--backend``/``--aggregation``);
-every execution knob is declared once, in
-:class:`~repro.federated.engine.config.EngineConfig`.
+Select the backend through :class:`~repro.federated.FederatedConfig`
+(``backend=``) or the CLI (``--backend``); every execution knob is declared
+once, in :class:`~repro.federated.engine.config.EngineConfig`.
 """
 
 from repro.federated.engine.aggregation import (
-    AGGREGATION_REGISTRY,
     AggregationContext,
     AggregationStrategy,
     FedAvgAggregation,
     StreamingAggregate,
-    TopologyWeightedAggregation,
-    list_aggregations,
-    make_aggregation,
-    register_aggregation,
 )
 from repro.federated.engine.backends import (
     BACKEND_REGISTRY,
@@ -95,15 +89,10 @@ from repro.federated.engine.transport import (
 )
 
 __all__ = [
-    "AGGREGATION_REGISTRY",
     "AggregationContext",
     "AggregationStrategy",
     "FedAvgAggregation",
     "StreamingAggregate",
-    "TopologyWeightedAggregation",
-    "list_aggregations",
-    "make_aggregation",
-    "register_aggregation",
     "BACKEND_REGISTRY",
     "ExecutionBackend",
     "PendingRound",

@@ -5,16 +5,14 @@ other being :mod:`~repro.federated.engine.backends`).  A strategy answers two
 questions every round:
 
 * :meth:`AggregationStrategy.aggregate` — how the uploaded state dicts are
-  combined into the server-side global state (FedAvg, Eq. 4, by default);
+  combined into the server-side global state;
 * :meth:`AggregationStrategy.personalize` — what each client receives back
   (the global state for FedAvg; per-client mixtures for personalized methods
   such as FED-PUB or GCFL+, whose trainers now reduce to strategy
   declarations).
 
-Strategies are plain objects registered by name in
-:data:`AGGREGATION_REGISTRY`, so ``FederatedConfig(aggregation="...")`` — and
-therefore the CLI ``--aggregation`` flag — can select them without touching
-trainer code.
+Every trainer aggregates with :class:`FedAvgAggregation` (Eq. 4); FED-PUB and
+GCFL+ replace ``trainer.strategy`` with their own strategy object.
 
 Streaming aggregation
 ---------------------
@@ -33,12 +31,11 @@ within the merge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.federated.server import DeterministicSum, fedavg_aggregate
-from repro.graph import edge_homophily
 
 StateDict = Dict[str, np.ndarray]
 
@@ -236,109 +233,3 @@ class FedAvgAggregation(AggregationStrategy):
     def begin_stream(self, weights, context=None):
         del context
         return StreamingAggregate(weights)
-
-
-class TopologyWeightedAggregation(AggregationStrategy):
-    """Topology-aware weighting in the spirit of FedGTA (Li et al., 2023).
-
-    Each client is summarised by a static statistic vector — its normalised
-    training-label histogram concatenated with its edge homophily.  Clients
-    whose statistics align with the participation-weighted mean statistic are
-    up-weighted (they carry signal representative of the federation), clients
-    with strongly divergent local topology are down-weighted:
-
-    ``w_i ∝ n_i · exp(τ · cos(s_i, s̄))``
-
-    With ``temperature=0`` this reduces exactly to FedAvg.  Statistics are
-    cached per client id — they depend only on the private subgraph.
-    """
-
-    name = "topology_weighted"
-
-    def __init__(self, temperature: float = 2.0):
-        if temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        self.temperature = temperature
-        self._stats: Dict[int, np.ndarray] = {}
-
-    # ------------------------------------------------------------------
-    def _client_statistic(self, client) -> np.ndarray:
-        cached = self._stats.get(client.client_id)
-        if cached is not None:
-            return cached
-        graph = client.graph
-        labels = graph.labels[graph.train_mask]
-        if labels.size == 0:
-            labels = graph.labels
-        histogram = np.bincount(labels, minlength=graph.num_classes)
-        histogram = histogram / max(1, histogram.sum())
-        stat = np.concatenate([
-            histogram,
-            [edge_homophily(graph.adjacency, graph.labels)],
-        ])
-        self._stats[client.client_id] = stat
-        return stat
-
-    @staticmethod
-    def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-        denom = (np.linalg.norm(a) * np.linalg.norm(b)) + 1e-12
-        return float(np.dot(a, b) / denom)
-
-    def participant_weights(self, weights: Sequence[float],
-                            context: AggregationContext) -> List[float]:
-        """Topology-adjusted aggregation weights (exposed for inspection)."""
-        stats = [self._client_statistic(c) for c in context.participants]
-        base = np.asarray(weights, dtype=np.float64)
-        reference = np.average(np.stack(stats), axis=0,
-                               weights=base / base.sum())
-        similarity = np.array([self._cosine(s, reference) for s in stats])
-        # Shift before exponentiating for numerical stability; the constant
-        # factor cancels in the normalisation inside fedavg_aggregate.
-        scaled = np.exp(self.temperature * (similarity - similarity.max()))
-        return (base * scaled).tolist()
-
-    def aggregate(self, states, weights, context=None):
-        if context is None:
-            return fedavg_aggregate(states, weights)
-        return fedavg_aggregate(
-            states, self.participant_weights(weights, context))
-
-    def begin_stream(self, weights, context=None):
-        # The topology statistics are static per client, so the adjusted
-        # weights are fully known before any upload arrives.
-        if context is None:
-            return StreamingAggregate(weights)
-        return StreamingAggregate(self.participant_weights(weights, context))
-
-
-#: name → zero-argument factory for every built-in strategy.
-AGGREGATION_REGISTRY: Dict[str, Callable[[], AggregationStrategy]] = {
-    FedAvgAggregation.name: FedAvgAggregation,
-    TopologyWeightedAggregation.name: TopologyWeightedAggregation,
-}
-
-
-def list_aggregations() -> List[str]:
-    """Names of every registered aggregation strategy."""
-    return sorted(AGGREGATION_REGISTRY)
-
-
-def register_aggregation(name: str,
-                         factory: Callable[[], AggregationStrategy]) -> None:
-    """Register a custom strategy factory under ``name``."""
-    AGGREGATION_REGISTRY[name.lower()] = factory
-
-
-def make_aggregation(spec: Union[str, AggregationStrategy, None]
-                     ) -> AggregationStrategy:
-    """Resolve a strategy from a registry name or pass an instance through."""
-    if spec is None:
-        return FedAvgAggregation()
-    if isinstance(spec, AggregationStrategy):
-        return spec
-    key = str(spec).lower()
-    if key not in AGGREGATION_REGISTRY:
-        raise KeyError(
-            f"unknown aggregation strategy '{spec}'; "
-            f"available: {', '.join(list_aggregations())}")
-    return AGGREGATION_REGISTRY[key]()

@@ -19,10 +19,7 @@ from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple,
                     Union)
 
-from repro.federated.engine.aggregation import (
-    AggregationStrategy,
-    list_aggregations,
-)
+from repro.federated.engine.aggregation import AggregationStrategy
 from repro.federated.engine.faults import NETWORK_KINDS
 from repro.federated.engine.transport import TRANSPORTS
 
@@ -62,17 +59,14 @@ class EngineConfig:
     Each field's ``help`` metadata is its documentation (it is also the CLI
     help); the README's "The federation engine" section has the knob table
     and the long-form description of round modes, codecs, transports and
-    fault tolerance.  ``backend`` and ``aggregation`` accept a registry name
-    or a ready-made instance.  ``worker_speeds``, ``transport_options`` and
+    fault tolerance.  ``backend`` accepts a registry name or a ready-made
+    instance.  ``worker_speeds``, ``transport_options`` and
     ``fault_plan`` are structured and therefore library-only (no flag).
     """
 
     backend: Union[str, "ExecutionBackend", None] = _knob(
         None, "execution backend for federated local training",
         choices=_backend_names)
-    aggregation: Union[str, AggregationStrategy] = _knob(
-        "fedavg", "server aggregation strategy (methods with a built-in "
-        "strategy, e.g. fed-pub, keep theirs)", choices=list_aggregations)
     num_workers: int = _knob(
         0, "process-pool width (backend=process_pool and AdaFGL Step-2)",
         flag="--workers", env="REPRO_WORKERS")
@@ -225,14 +219,9 @@ def _network_kinds(config) -> list:
                   & set(NETWORK_KINDS))
 
 
-def _shown(value):
-    """A knob's value as a refusal names it: a strategy by its name."""
-    return value.name if isinstance(value, AggregationStrategy) else value
-
-
 #: the knobs a client-store round (``StoreFederatedTrainer``) would have to
 #: ignore: it runs one fixed discipline, so they must stay at their defaults
-_STORE_FIXES = ("round_mode", "aggregation", "delta_codec", "worker_speeds",
+_STORE_FIXES = ("round_mode", "delta_codec", "worker_speeds",
                 "on_worker_failure", "round_timeout", "checkpoint_every",
                 "resume_from", "fault_plan")
 
@@ -266,7 +255,7 @@ COMPOSITION_RULES: Tuple[Tuple[str, Callable, str], ...] = (
     ("config", lambda c: not 0.0 < getattr(c.config, "participation", 1.0)
      <= 1.0, "participation must be in (0, 1]"),
     ("store", lambda c: ", ".join(
-        f"{name}={_shown(getattr(c.config, name))!r}" for name in _STORE_FIXES
+        f"{name}={getattr(c.config, name)!r}" for name in _STORE_FIXES
         if getattr(c.config, name) != _KNOBS[name].default),
      "a client-store round is synchronous hierarchical FedAvg over lossless "
      "partials; it cannot serve {hit}"),

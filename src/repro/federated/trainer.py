@@ -8,9 +8,8 @@ a :class:`~repro.federated.server.Server`, and composes two engine plug-ins
   epochs of every selected participant (``serial`` / ``process_pool`` /
   ``batched``, selected via :attr:`FederatedConfig.backend`);
 * an :class:`~repro.federated.engine.AggregationStrategy` that combines the
-  uploaded states and decides what each client receives back (``fedavg`` /
-  ``topology_weighted`` / method-specific, selected via
-  :attr:`FederatedConfig.aggregation`).
+  uploaded states and decides what each client receives back (FedAvg, Eq. 4,
+  unless a subclass declares its own).
 
 Subclasses customise behaviour by declaring a strategy (FED-PUB and GCFL+
 are single strategy declarations now) or overriding the hooks:
@@ -34,16 +33,17 @@ from repro.federated.engine import (
     AggregationStrategy,
     EngineConfig,
     ExecutionBackend,
+    FedAvgAggregation,
     check_composition,
     engine_fields,
-    make_aggregation,
     make_backend,
     resolve_round_loop,
 )
 from repro.federated.engine.config import env_default
 from repro.federated.server import Server
 from repro.graph import Graph
-from repro.metrics import TrainingHistory, count_weighted_mean
+from repro.metrics import (TrainingHistory, client_reports,
+                           count_weighted_mean)
 from repro.nn import Module
 
 #: stream key that separates participant selection from every other use of
@@ -196,8 +196,7 @@ class FederatedTrainer:
             client.set_weights(initial)
         # Engine plug-ins.  Subclasses may replace ``strategy`` after
         # ``super().__init__`` to declare a method-specific aggregation.
-        self.strategy: AggregationStrategy = make_aggregation(
-            self.config.aggregation)
+        self.strategy: AggregationStrategy = FedAvgAggregation()
         self.backend: ExecutionBackend = make_backend(
             self.config.execution_backend(), **engine_fields(self.config))
         check_composition(self.config, self.backend)
@@ -427,21 +426,7 @@ class FederatedTrainer:
 
     def client_reports(self, split: str = "test"):
         """Per-client accuracy breakdown (Fig. 2(d))."""
-        from repro.graph import edge_homophily
-        from repro.metrics import ClientReport
-
-        reports = []
-        for client in self.clients:
-            mask = getattr(client.graph, f"{split}_mask")
-            reports.append(ClientReport(
-                client_id=client.client_id,
-                num_nodes=client.graph.num_nodes,
-                num_test_nodes=int(mask.sum()),
-                accuracy=client.evaluate(split),
-                homophily=edge_homophily(client.graph.adjacency,
-                                         client.graph.labels),
-            ))
-        return reports
+        return client_reports(self.clients, split)
 
     @property
     def global_state(self) -> Dict[str, np.ndarray]:

@@ -73,8 +73,9 @@ def augment_with_generated_neighbours(graph: Graph, generator: NeighGen,
     Nodes whose degree falls below the ``deficit_quantile`` of the local
     degree distribution are assumed to be missing cross-client neighbours and
     receive up to ``max_new_per_node`` generated neighbours.  Generated nodes
-    inherit the label predicted by majority of their seed node (they are never
-    used for supervision or evaluation).
+    copy their seed node's label, whatever split the seed is in; they sit
+    outside every mask, so that label is never used for supervision or
+    evaluation.
     """
     degrees = graph.degrees
     threshold = np.quantile(degrees, deficit_quantile) if degrees.size else 0

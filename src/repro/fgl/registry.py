@@ -2,9 +2,9 @@
 
 Every trainer built here runs through the federation engine
 (:mod:`repro.federated.engine`): the ``config`` argument's ``backend`` /
-``num_workers`` / ``aggregation`` fields select the execution backend and
-server aggregation strategy.  Methods with a built-in strategy (``fed-pub``,
-``gcfl+``) keep their own aggregation; the rest honour ``config.aggregation``.
+``num_workers`` fields select the execution backend.  ``fed-pub`` and
+``gcfl+`` declare their own aggregation strategy; the rest aggregate with
+FedAvg.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from repro.metrics.classification import (
     macro_f1,
     masked_accuracy,
 )
-from repro.metrics.history import TrainingHistory, ClientReport
+from repro.metrics.history import TrainingHistory, ClientReport, client_reports
 from repro.metrics.distribution import (
     client_label_distribution,
     client_topology_distribution,
@@ -19,6 +19,7 @@ __all__ = [
     "macro_f1",
     "TrainingHistory",
     "ClientReport",
+    "client_reports",
     "client_label_distribution",
     "client_topology_distribution",
 ]

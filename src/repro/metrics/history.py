@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
+
+from repro.graph import edge_homophily
 
 
 @dataclass
@@ -16,6 +18,23 @@ class ClientReport:
     num_test_nodes: int
     accuracy: float
     homophily: Optional[float] = None
+
+
+def client_reports(clients: Iterable, split: str = "test"
+                   ) -> List[ClientReport]:
+    """Per-client accuracy and homophily breakdown (Fig. 2(d)) of any
+    clients with ``client_id``, ``graph`` and ``evaluate(split)``."""
+    reports = []
+    for client in clients:
+        mask = getattr(client.graph, f"{split}_mask")
+        reports.append(ClientReport(
+            client_id=client.client_id,
+            num_nodes=client.graph.num_nodes,
+            num_test_nodes=int(mask.sum()),
+            accuracy=client.evaluate(split),
+            homophily=edge_homophily(client.graph.adjacency,
+                                     client.graph.labels)))
+    return reports
 
 
 @dataclass

@@ -8,24 +8,18 @@ import pytest
 from repro.core import AdaFGL, AdaFGLConfig
 from repro.experiments import ExperimentSettings
 from repro.federated import (
-    AggregationContext,
     FederatedConfig,
-    fedavg_aggregate,
-    list_aggregations,
     list_backends,
-    make_aggregation,
     make_backend,
 )
 from repro.federated.engine import (
     BatchedBackend,
     ProcessPoolBackend,
     SerialBackend,
-    TopologyWeightedAggregation,
     restore_client_state,
     snapshot_client_state,
 )
 from repro.fgl.fedgnn import FederatedGNN, make_model_factory
-from repro.fgl.fedpub import FedPubAggregation
 from repro.federated.trainer import FederatedTrainer
 
 
@@ -51,22 +45,13 @@ class TestRegistries:
     def test_backend_names(self):
         assert {"serial", "process_pool", "batched"} <= set(list_backends())
 
-    def test_aggregation_names(self):
-        assert list_aggregations() == ["fedavg", "topology_weighted"]
-
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError):
             make_backend("quantum")
 
-    def test_unknown_aggregation_raises(self):
-        with pytest.raises(KeyError):
-            make_aggregation("quantum")
-
     def test_instances_pass_through(self):
         backend = SerialBackend()
         assert make_backend(backend) is backend
-        strategy = FedPubAggregation()
-        assert make_aggregation(strategy) is strategy
 
     def test_make_backend_by_name(self):
         assert isinstance(make_backend("batched"), BatchedBackend)
@@ -240,44 +225,6 @@ class TestClientSnapshots:
         second = client.local_train()
         # Same weights AND same dropout stream → identical epoch losses.
         assert first == pytest.approx(second, abs=0.0)
-
-
-class TestAggregationStrategies:
-    def test_topology_weighted_prefers_representative_clients(
-            self, community_clients):
-        trainer = FederatedGNN(community_clients, "gcn", hidden=16,
-                               config=_config("serial", rounds=1))
-        strategy = TopologyWeightedAggregation(temperature=4.0)
-        context = AggregationContext(round_index=1,
-                                     participants=trainer.clients,
-                                     trainer=trainer)
-        base = [float(c.num_samples) for c in trainer.clients]
-        adjusted = strategy.participant_weights(base, context)
-        assert len(adjusted) == len(base)
-        assert all(w > 0 for w in adjusted)
-        # Zero temperature reduces exactly to the FedAvg weighting.
-        neutral = TopologyWeightedAggregation(temperature=0.0)
-        np.testing.assert_allclose(
-            neutral.participant_weights(base, context), base)
-
-    def test_topology_weighted_runs_end_to_end(self, community_clients):
-        trainer, history = _run(community_clients, "serial", rounds=2,
-                                aggregation="topology_weighted")
-        assert len(history.rounds) == 2
-        assert trainer.server.global_state is not None
-
-    def test_topology_weighted_differs_from_fedavg(self, community_clients):
-        _, fedavg_history = _run(community_clients, "serial", rounds=2)
-        _, topo_history = _run(
-            community_clients, "serial", rounds=2,
-            aggregation=TopologyWeightedAggregation(temperature=8.0))
-        assert not np.allclose(fedavg_history.loss, topo_history.loss)
-
-    def test_strategy_without_context_falls_back(self):
-        states = [{"w": np.array([0.0])}, {"w": np.array([2.0])}]
-        out = TopologyWeightedAggregation().aggregate(states, [1.0, 1.0])
-        assert out["w"][0] == pytest.approx(
-            fedavg_aggregate(states)["w"][0])
 
 
 class TestPartialParticipation:

@@ -39,7 +39,6 @@ from repro.federated.engine import (
 from repro.federated.engine.config import COMPOSITION_RULES, cli_flag
 from repro.fgl.fedgnn import FederatedGNN
 from repro.fgl.fedpub import FedPubAggregation
-from repro.fgl.gcfl import GCFLAggregation
 from repro.simulation import community_split
 
 KNOBS = dataclasses.fields(EngineConfig)
@@ -49,7 +48,7 @@ CHAIN = (EngineConfig, FederatedConfig, AdaFGLConfig, ExperimentSettings)
 #: before the classes became one chain (ExperimentSettings: the fields it
 #: had; the rest it now inherits)
 ENGINE_DEFAULTS = dict(
-    backend=None, aggregation="fedavg", num_workers=0,
+    backend=None, num_workers=0,
     intra_worker="auto", round_mode="sync", hierarchical=False,
     async_buffer=1, staleness_cap=3, delta_codec="bitdelta", delta_top_k=32,
     delta_bits=8, worker_speeds=None, transport="pipe",
@@ -91,8 +90,8 @@ def _config(**kwargs):
 # Declaration
 # ----------------------------------------------------------------------
 class TestDeclaration:
-    def test_twenty_knobs_each_declared_once(self):
-        assert len(KNOBS) == 20
+    def test_nineteen_knobs_each_declared_once(self):
+        assert len(KNOBS) == 19
         for config_class in (FederatedConfig, AdaFGLConfig,
                              ExperimentSettings):
             assert issubclass(config_class, EngineConfig)
@@ -194,6 +193,14 @@ def _extra_loss(trainer):
     trainer.clients[0].extra_loss = lambda client, logits: None
 
 
+def _strategy(factory):
+    """A tweak that declares ``factory()`` as the trainer's strategy, the
+    way FED-PUB and GCFL+ do after ``super().__init__``."""
+    def declare(trainer):
+        trainer.strategy = factory()
+    return declare
+
+
 def _store_round(trainer):
     """Hand the trainer's config to a store trainer over the same clients."""
     with tempfile.TemporaryDirectory() as path:
@@ -204,8 +211,6 @@ def _store_round(trainer):
 
 
 ASYNC = dict(round_mode="async")
-#: a gathering strategy; each scenario using it is refused before it runs
-GCFL = GCFLAggregation()
 
 #: (config overrides, trainer tweak or None, client count, exact message)
 SCENARIOS = [
@@ -220,10 +225,9 @@ SCENARIOS = [
      "has no wire to disturb; network fault kinds require transport='tcp'"),
     (dict(backend="serial", participation=1.5), None, 4,
      "participation must be in (0, 1]"),
-    (dict(ASYNC, delta_codec="topk", aggregation=GCFL), _store_round, 4,
+    (dict(ASYNC, delta_codec="topk"), _store_round, 4,
      "a client-store round is synchronous hierarchical FedAvg over lossless "
-     "partials; it cannot serve round_mode='async', "
-     "aggregation='gcfl+', delta_codec='topk'"),
+     "partials; it cannot serve round_mode='async', delta_codec='topk'"),
     (dict(backend="serial", round_mode="chaotic"), None, 4,
      "round_mode must be 'sync' or 'async', got 'chaotic'"),
     (dict(ASYNC, hierarchical=True), None, 4,
@@ -235,7 +239,7 @@ SCENARIOS = [
      "hierarchical=True does not support trainers overriding the "
      "barrier-round hooks (edge aggregators never ship per-client states "
      "up)"),
-    (dict(hierarchical=True, aggregation=FedPubAggregation()), None, 4,
+    (dict(hierarchical=True), _strategy(FedPubAggregation), 4,
      "hierarchical=True requires a streaming-capable aggregation "
      "(got 'fed-pub', which gathers every state)"),
     (dict(ASYNC, async_buffer=0), None, 4, "async_buffer must be >= 1"),
@@ -243,7 +247,7 @@ SCENARIOS = [
     (dict(ASYNC, checkpoint_every=1), None, 4,
      "round_mode='async' does not support checkpoint/resume; "
      "use round_mode='sync'"),
-    (dict(ASYNC, aggregation=_Personal()), None, 4,
+    (dict(ASYNC), _strategy(_Personal), 4,
      "round_mode='async' does not support personalized aggregation "
      "('personal' overrides personalize); use round_mode='sync'"),
     (dict(ASYNC), _hook, 4,
@@ -362,9 +366,9 @@ def _non_default(knob):
 
 
 class TestCliRoundTrip:
-    def test_seventeen_scalar_knobs_have_flags(self):
+    def test_sixteen_scalar_knobs_have_flags(self):
         flagged = [knob.name for knob in KNOBS if cli_flag(knob)]
-        assert len(flagged) == 17
+        assert len(flagged) == 16
         assert {knob.name for knob in KNOBS} - set(flagged) == {
             "worker_speeds", "transport_options", "fault_plan"}
 
@@ -468,24 +472,10 @@ class TestKnobDocsGuard:
         assert any("`delta_bits`: default" in finding for finding in findings)
         assert guard.check(readme.replace(guard.HEADER, "")) != []
 
-    def test_guard_catches_a_stale_strategy_list(self):
-        guard, readme = self._guard()
-        stale = readme.replace("| `topology_weighted` |",
-                               "| `topology_weighted` | `krum` |")
-        assert any(finding.startswith("the engine matrix")
-                   for finding in guard.check(stale))
-        stale = readme.replace("* method-specific",
-                               "* `krum` — robust;\n* method-specific")
-        assert any(finding.startswith("the strategy list")
-                   for finding in guard.check(stale))
-        gone = readme.replace(guard.STRATEGIES, "Strategies")
-        assert "README.md has no aggregation strategy list" \
-            in guard.check(gone)
-
     def test_chain_walk_counts_and_catches_a_second_declaration(self):
         guard, _ = self._guard()
         findings, declarations, redefaults, names = guard.check_chain()
-        assert (findings, declarations, redefaults, names) == ([], 50, 3, 50)
+        assert (findings, declarations, redefaults, names) == ([], 49, 3, 49)
 
         @dataclasses.dataclass
         class Forked(ExperimentSettings):
@@ -502,4 +492,4 @@ class TestKnobDocsGuard:
             "Forked.lr re-declares the field of FederatedConfig with an "
             "unchanged default",
             "Store(rounds=) re-declares an option of FederatedConfig"]
-        assert (declarations, redefaults, names) == (50, 4, 49)
+        assert (declarations, redefaults, names) == (49, 4, 48)

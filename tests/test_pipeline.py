@@ -309,12 +309,15 @@ class TestSyncPipelined:
     def test_non_streaming_strategy_matches_serial(self, community_clients):
         """FED-PUB and GCFL+ cannot stream: the loop gathers, still
         pipelined."""
+        def run(strategy, **kwargs):
+            trainer = FederatedGNN(community_clients, "gcn", hidden=16,
+                                   config=_config(**kwargs))
+            trainer.strategy = strategy()
+            return trainer, trainer.run()
+
         for strategy in (FedPubAggregation, GCFLAggregation):
-            _, serial_history = _run(community_clients, backend="serial",
-                                     aggregation=strategy())
-            trainer, pipelined_history = _run(community_clients,
-                                              aggregation=strategy(),
-                                              intra_worker="serial")
+            _, serial_history = run(strategy, backend="serial")
+            trainer, pipelined_history = run(strategy, intra_worker="serial")
             assert trainer.backend.last_pipeline_stats is not None
             _assert_bitwise_equal(serial_history, pipelined_history)
 
@@ -337,10 +340,10 @@ class TestSyncPipelined:
         def run(**kwargs):
             import copy
             clients = copy.deepcopy(community_clients)
-            if strategy is not None:   # stateful: one instance per run
-                kwargs["aggregation"] = strategy()
             trainer = FederatedGNN(clients, "gcn", hidden=16,
                                    config=_config(**case, **kwargs))
+            if strategy is not None:   # stateful: one instance per run
+                trainer.strategy = strategy()
             if local_client:   # a closure cannot be pickled to a worker
                 trainer.clients[0].extra_loss = \
                     lambda client, logits: (logits * logits).mean() * 0.01

@@ -25,7 +25,6 @@ from repro.federated.trainer import (
     select_participant_ids,
 )
 from repro.fgl import FederatedGNN
-from repro.fgl.gcfl import GCFLAggregation
 from tests.conftest import small_csbm
 
 from repro.simulation import community_split
@@ -343,7 +342,7 @@ class TestClientStore:
 
     @pytest.mark.parametrize("unserved", [
         dict(round_mode="async"), dict(delta_codec="topk"),
-        dict(aggregation=GCFLAggregation()), dict(participation=1.5),
+        dict(participation=1.5),
         dict(participation=0.0)], ids=lambda knobs: "-".join(knobs))
     def test_unservable_config_is_refused_before_a_pool_exists(
             self, store, unserved, monkeypatch):

@@ -9,12 +9,6 @@ when a knob is added, renamed, re-defaulted or re-flagged without the table
 following (or the other way round).  The last column is prose and is not
 checked.  A default cell may continue after the value (``` `None` (auto) ```).
 
-The same section names the registered aggregation strategies twice — as the
-column heads of the backend × aggregation matrix and as the
-**Aggregation strategies** bullet list — and both must be exactly
-:func:`~repro.federated.engine.aggregation.list_aggregations` (the
-method-specific column and bullet are prose).
-
 It also walks the config chain ``EngineConfig`` ← ``FederatedConfig`` ←
 ``AdaFGLConfig`` ← ``ExperimentSettings`` (:func:`check_chain`): a class body
 that annotates an inherited field must give it a different default (a
@@ -33,7 +27,6 @@ from __future__ import annotations
 
 import inspect
 import pathlib
-import re
 import sys
 from dataclasses import fields
 
@@ -42,11 +35,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.experiments import ExperimentSettings  # noqa: E402
 from repro.federated.engine import StoreFederatedTrainer  # noqa: E402
-from repro.federated.engine.aggregation import list_aggregations  # noqa: E402
 from repro.federated.engine.config import EngineConfig, cli_flag  # noqa: E402
 
 HEADER = "| knob | default | flag | env | composes with |"
-STRATEGIES = "**Aggregation strategies**"
 
 
 def _code(value) -> str:
@@ -69,19 +60,6 @@ def documented_rows(readme: str):
             break
         rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
     return rows
-
-
-def documented_strategies(readme: str) -> dict:
-    """Strategy names README lists, by place (``None`` where it is gone)."""
-    matrix = next((line for line in readme.splitlines()
-                   if line.startswith("|") and "method-specific" in line),
-                  None)
-    bullets = None
-    if STRATEGIES in readme:
-        block = readme.split(STRATEGIES, 1)[1].split("* method-specific")[0]
-        bullets = re.findall(r"^\* `([^`]+)`", block, flags=re.M)
-    return {"engine matrix": matrix and re.findall(r"`([^`]+)`", matrix),
-            "strategy list": bullets}
 
 
 def check(readme: str) -> list:
@@ -109,13 +87,6 @@ def check(readme: str) -> list:
                 if have != want:
                     findings.append(f"{name}: {label} is {want} in the "
                                     f"code, {have} in the table")
-    registered = list_aggregations()
-    for place, names in documented_strategies(readme).items():
-        if names is None:
-            findings.append(f"README.md has no aggregation {place}")
-        elif sorted(names) != registered:
-            findings.append(f"the {place} names strategies {names}, "
-                            f"list_aggregations() is {registered}")
     return findings
 
 
