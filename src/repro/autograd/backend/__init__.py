@@ -69,12 +69,12 @@ class ArrayBackend:
         return [name for name in KERNEL_NAMES if name not in self._kernels]
 
     # Attribute-style dispatch for the hot call sites.
-    def spmm(self, adjacency, dense):
-        return self._kernels["spmm"](adjacency, dense)
+    # ``out`` (the three ``spmm`` kernels only) offers a result buffer of
+    # the product's shape and dtype: a kernel may fill and return it or
+    # allocate as usual — callers use the return value.
+    def spmm(self, adjacency, dense, out=None):
+        return self._kernels["spmm"](adjacency, dense, out=out)
 
-    # ``out`` (``spmm_backward`` / ``spmm_batched`` only) offers a result
-    # buffer of the product's shape and dtype: a kernel may fill and return
-    # it or allocate as usual — callers use the return value.
     def spmm_backward(self, adjacency, adjacency_t, grad, out=None):
         return self._kernels["spmm_backward"](adjacency, adjacency_t, grad,
                                               out=out)

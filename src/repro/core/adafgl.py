@@ -312,6 +312,10 @@ class AdaFGL:
                  config: Optional[AdaFGLConfig] = None):
         self.config = config or AdaFGLConfig()
         _check_propagation_top_k(self.config)
+        # Step 2 refuses these too, but only after Step 1 has trained.
+        for name in ("alpha", "beta"):
+            if not 0.0 <= getattr(self.config, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         self.subgraphs = list(subgraphs)
         if not self.subgraphs:
             raise ValueError("AdaFGL requires at least one client subgraph")

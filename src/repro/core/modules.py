@@ -63,6 +63,8 @@ class LearnableMessagePassing(Module):
         super().__init__()
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError("beta must be in [0, 1]")
         self.num_layers = num_layers
         self.beta = beta
         self._layer_names = []

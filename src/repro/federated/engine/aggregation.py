@@ -186,6 +186,12 @@ class AggregationStrategy:
     def aggregate(self, states: Sequence[StateDict],
                   weights: Sequence[float],
                   context: Optional[AggregationContext] = None) -> StateDict:
+        """Combine one round's uploads into the new global state.
+
+        A strategy with the default :meth:`personalize` may be handed views
+        of the batched plan's resident stacks, which the next round trains
+        in place: copy whatever must outlive the call.
+        """
         raise NotImplementedError
 
     def begin_stream(self, weights: Sequence[float],

@@ -182,6 +182,13 @@ class ExecutionBackend:
     #: with their training, and the async loop can run at all.
     supports_pipelining = False
 
+    #: True when a round trains from the broadcast states the sync loop
+    #: hands :meth:`dispatch_round` and reports the trained states in
+    #: ``pending.states`` (the pool, the batched plan's resident stacks),
+    #: so the loop can also evaluate those states in one fused sweep.  The
+    #: serial oracle reads and writes the mirrors, one client at a time.
+    takes_broadcast = False
+
     #: True when workers fold their shard and ship one partial per shard
     hierarchical = False
 
@@ -197,9 +204,15 @@ class ExecutionBackend:
 
     def dispatch_round(self, participants, states=None,
                        fold_weights=None) -> "PendingRound":
-        """Open a round: nothing leaves the process, all of it is local."""
+        """Open a round: nothing leaves the process, all of it is local.
+
+        ``states`` (client id → broadcast state) is kept in
+        ``pending.sent`` for a backend that :attr:`takes_broadcast`."""
         pending = PendingRound(list(participants))
         pending.local_side = pending.participants
+        if states is not None:
+            pending.sent = {client.client_id: states[client.client_id]
+                            for client in pending.participants}
         return pending
 
     def run_local_side(self, pending: "PendingRound") -> None:
@@ -210,7 +223,16 @@ class ExecutionBackend:
 
     def finish_round(self, pending: "PendingRound",
                      apply_states: bool = True) -> List[float]:
-        """Close out the round; reporters' losses in participant order."""
+        """Close out the round; reporters' losses in participant order.
+
+        Writes the trained states the round reported (``pending.states``)
+        into their mirrors, unless ``apply_states=False``: for a caller
+        that read them where they are and overwrites every mirror with the
+        next broadcast before anything reads one.
+        """
+        if apply_states:
+            for cid, state in pending.states.items():
+                pending.mirrors[cid].set_weights(state)
         # Dropped clients (timeouts, lost crash shards) have no loss entry;
         # the round loop reweights the aggregate over the actual reporters.
         return [pending.losses[client.client_id]
@@ -223,6 +245,9 @@ class ExecutionBackend:
         In-process backends are always current; the persistent pool pulls
         worker-resident optimizer/RNG state back into the mirrors.
         """
+
+    def end_run(self) -> None:
+        """Settle what a run's rounds left behind (called once per run)."""
 
     def close(self) -> None:
         """Release backend resources (worker pools, cached plans)."""
@@ -331,6 +356,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     #: shards train on workers while the coordinator does something else
     supports_pipelining = True
+    takes_broadcast = True
 
     def __init__(self, num_workers: Optional[int] = None, **knobs):
         # ``knobs`` are EngineConfig fields (a trainer passes them all; the
@@ -1085,6 +1111,11 @@ class ProcessPoolBackend(ExecutionBackend):
             self.wait_lagging(timeout=max(
                 0.0, min(1.0, deadline - time.monotonic())))
 
+    def end_run(self) -> None:
+        # Stale replies of shards dropped at a deadline: drain them so the
+        # pool ends the run reply-balanced.
+        self.flush_lagging()
+
     def finish_round(self, pending: "PendingRound",
                      advance_round: bool = True,
                      apply_states: bool = True) -> List[float]:
@@ -1092,10 +1123,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
         Applies the collected worker-trained states to the coordinator
         mirrors — from here on the round looks exactly as if every client
-        had trained in-process.  ``apply_states=False`` leaves the mirrors
-        alone: for a caller that folded ``pending.states`` itself and
-        overwrites every mirror with the next broadcast before anything
-        reads one.  ``advance_round=False`` skips the per-round
+        had trained in-process — unless ``apply_states=False`` (see the
+        base method).  ``advance_round=False`` skips the per-round
         IPC tick — the async loop re-dispatches shards many times per server
         round and advances the tracker once per seal instead.
         """
@@ -1103,12 +1132,9 @@ class ProcessPoolBackend(ExecutionBackend):
             raise RuntimeError(
                 f"round not complete: workers {sorted(pending.outstanding)} "
                 "still outstanding")
-        if apply_states:
-            for cid, state in pending.states.items():
-                pending.mirrors[cid].set_weights(state)
         if advance_round:
             self.transport.next_round()
-        return super().finish_round(pending)
+        return super().finish_round(pending, apply_states)
 
     def run_local_training(self, participants):
         pending = self.dispatch_round(participants)

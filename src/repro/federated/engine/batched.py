@@ -26,7 +26,9 @@ which blocks are constant for the whole run (``constants``) and — written
 **once** — its stacked ``forward``, in terms of eight operations a plan
 provides: ``features``, ``hops(k)``, ``propagate(x)``, ``linear(x, name)``,
 ``activate(x, site)``, ``mlp(x, names)``, ``vector(name)`` / ``softmax(v)``
-and ``scale(x, v, column)``.
+and ``scale(x, v, column)``.  ``features`` and ``hops`` are read by
+``constants`` only: a plan keeps the padded features as far as a constant
+holds them.
 
 * **GCN** — constant ``P̃X``, then linear / activate / propagate per layer;
 * **SGC** — constant ``P̃ᵏX``: every epoch is one stacked linear layer;
@@ -34,7 +36,7 @@ and ``scale(x, v, column)``.
   one MLP: no sparse work at all in the epoch loop;
 * **GPR-GNN** — MLP transform, then ``k`` differentiable hops combined with
   per-client GPR weights (the hops act on *learned* features, so nothing is
-  constant but the operator).
+  constant but the operator and the features).
 
 Two plans *are* those operations.  :class:`_BatchedPlan` runs them on stacked
 tensors — differentiable, per-client dropout streams drawn in serial order,
@@ -46,6 +48,13 @@ padded batched matmul is not bit-stable against the per-client call.  It
 fills every client's prediction cache in one sweep — after uniform *and*
 personalized broadcasts — and answers a serving flush of inductive queries.
 Both are bitwise-equal to serial execution.
+
+**Resident rounds.**  Handed the states each client trains from (a
+persistent-pool worker's shard, or the in-process sync round loop, which
+hands over the last broadcast), the plan loads them straight into its
+stacks and keeps those stacks — Adam moments included — hot across rounds;
+the trained states are read back as views.  The client objects are neither
+read nor written until a flush hands the stacked state back.
 
 Adding a family is one class (``constants``, ``forward``) and a
 :data:`FAMILIES` entry; training, fused evaluation and serving follow.
@@ -70,6 +79,7 @@ from repro.autograd import (
     resolve_backend,
 )
 from repro.autograd.backend import cached_transpose, pattern_rows
+from repro.autograd.tensor import scratch
 from repro.federated.engine.backends import (
     ExecutionBackend,
     register_backend,
@@ -256,13 +266,17 @@ class _GAMLPFamily(_Family):
 
 class _GPRGNNFamily(_Family):
     """``Σ γ_k P̃ᵏ MLP(X)``: the hops act on the *learned* transform, so they
-    stay in the epoch loop — one fused hop each — and nothing is constant."""
+    stay in the epoch loop — one fused hop each — and only the features
+    are constant."""
 
     model_type, stack, vector = GPRGNN, "transform", "gamma"
 
+    def constants(self, ops):
+        return [ops.features]
+
     def forward(self, ops, constants):
         gamma = ops.vector(self.vector)
-        current = ops.mlp(ops.features, self.layers)
+        current = ops.mlp(constants[0], self.layers)
         out = ops.scale(current, gamma, 0)
         for step in range(1, self.k + 1):
             current = ops.propagate(current)
@@ -337,6 +351,10 @@ class _Plan:
             _padded_batch(clients)
         self._operands = None
 
+    def _build_constants(self) -> None:
+        self.constants = self.family.constants(self)
+        self.features = None
+
     def _forward(self, operands):
         self._operands = operands
         try:
@@ -406,7 +424,7 @@ class _BatchedPlan(_Plan):
         #: dropout site → (mask tensor, keep flags), resident padded buffers
         self._masks: Dict[int, Tuple[Tensor, np.ndarray]] = {}
         with no_grad():
-            self.constants = self.family.constants(self)
+            self._build_constants()
 
     # -- the operations, on (B, ...) tensors ---------------------------
     def propagate(self, x: Tensor) -> Tensor:
@@ -465,13 +483,14 @@ class _BatchedPlan(_Plan):
     # step counts), ordered like ``Adam.parameters``.  A round stacks it
     # from the clients, trains it in place and writes it back — unless the
     # caller keeps it hot: a persistent-pool worker trains the same shard
-    # every round, so the stacks can live on the plan between rounds
-    # instead of round-tripping through every client's model and optimizer
-    # (B × set_weights + np.stack up, B × write-back down — the dominant
-    # non-epoch cost of small-client shards).  While a plan is hot its
-    # clients' own weights/moments are stale; ``flush`` must run before
-    # anything else reads them (state fetch, eviction, serial fallback, a
-    # different plan over the same clients).
+    # every round, and so does the in-process round loop, so the stacks can
+    # live on the plan between rounds instead of round-tripping through
+    # every client's model and optimizer (B × set_weights + np.stack up,
+    # B × write-back down — the dominant non-epoch cost of small-client
+    # rounds).  While a plan is hot its clients' own moments are stale;
+    # ``flush`` must run before anything else reads them (state fetch,
+    # checkpoint, eviction, serial fallback, a different plan over the
+    # same clients, the end of a run).
     # ------------------------------------------------------------------
     hot: Optional[Tuple] = None
 
@@ -514,13 +533,19 @@ class _BatchedPlan(_Plan):
         return {name: stack[index]
                 for name, stack, index in self._slices(where)}
 
-    def flush(self) -> None:
-        """Write the hot stacked state back into the clients and go cold."""
+    def flush(self, weights: bool = True) -> None:
+        """Write the hot stacked state back into the clients and go cold.
+
+        ``weights=False`` writes back only the optimizer moments and step
+        counts: for clients whose weights the caller has since overwritten
+        (an in-process round loop broadcasts into them).
+        """
         if self.hot is None:
             return
         _params, moments_m, moments_v, steps = self.hot
         for index, client in enumerate(self.clients):
-            client.set_weights(self.read_state(index))
+            if weights:
+                client.set_weights(self.read_state(index))
             opt = client.optimizer
             opt._step_count = int(steps[index])
             for j, (m, v) in enumerate(zip(moments_m, moments_v)):
@@ -639,34 +664,51 @@ class _FusedEvalPlan(_Plan):
 
     The forwards take one state dict per client (in client order), so
     uniform FedAvg broadcasts and personalized per-cluster broadcasts ride
-    the same sweep.
+    the same sweep.  From its second sweep on, a plan replays a
+    :class:`Workspace`: the blocks ``linear``, ``activate`` and
+    ``propagate`` produce land in the previous sweep's arrays
+    (``activate`` overwrites its input, which no family reads again), so a
+    steady-state sweep allocates none of them.  A plan swept once — a
+    serving flush, a snapshot — allocates as it goes and keeps nothing.
     """
 
     def __init__(self, clients):
         super().__init__(clients)
         self._backend = resolve_backend(None)
         self._propagation_csr = self.propagation.tocsr()
-        self.constants = self.family.constants(self)
+        #: created by the first sweep, replayed by every later one
+        self._workspace: Optional[Workspace] = None
+        self._build_constants()
 
     # -- the operations, on (B, n_max, ...) arrays ---------------------
+    # ``scratch`` hands out the replayed workspace's next buffer, and None
+    # outside a replayed sweep (the constants, a first sweep): allocate.
     def propagate(self, block: np.ndarray) -> np.ndarray:
         batch, n_max, width = block.shape
         flat = block.reshape(batch * n_max, width)
-        return self._backend.spmm(self._propagation_csr,
-                                  flat).reshape(batch, n_max, width)
+        return self._backend.spmm(self._propagation_csr, flat,
+                                  out=scratch(flat.shape)
+                                  ).reshape(batch, n_max, width)
 
     def linear(self, block: np.ndarray, name: str) -> np.ndarray:
         weight, bias = f"{name}.weight", f"{name}.bias"
         states = self._operands
-        out = np.zeros((len(states), self.n_max, states[0][weight].shape[1]))
+        shape = (len(states), self.n_max, states[0][weight].shape[1])
+        out = scratch(shape)
+        if out is None:
+            out = np.zeros(shape)
         for index, n in enumerate(self.sizes):
-            out[index, :n] = \
-                block[index, :n] @ states[index][weight] + states[index][bias]
+            # ``block[:n] @ W + b``, the serial expression, into the block
+            rows = out[index, :n]
+            np.matmul(block[index, :n], states[index][weight], out=rows)
+            rows += states[index][bias]
+            out[index, n:] = 0.0
         return out
 
-    @staticmethod
-    def activate(block: np.ndarray, site: int) -> np.ndarray:
-        return block * (block > 0)   # F.relu's expression; dropout is inert
+    def activate(self, block: np.ndarray, site: int) -> np.ndarray:
+        # ``block * (block > 0)``, F.relu's expression; dropout is inert
+        positive = np.greater(block, 0, out=scratch(block.shape, np.bool_))
+        return np.multiply(block, positive, out=block)
 
     def vector(self, name: str) -> np.ndarray:
         return np.stack([state[name] for state in self._operands])
@@ -682,7 +724,12 @@ class _FusedEvalPlan(_Plan):
     def probabilities(self, states: Sequence[StateDict]) -> np.ndarray:
         """``(B, n_max, classes)`` class probabilities, client ``i`` under
         ``states[i]``; rows past a client's size are padding."""
-        return _softmax_rows(self._forward(states))
+        workspace = self._workspace
+        if workspace is None:
+            self._workspace = Workspace()
+            return _softmax_rows(self._forward(states))
+        with workspace:
+            return _softmax_rows(self._forward(states))
 
     def refresh(self, states: Sequence[StateDict]) -> None:
         """Fill every client's probability cache from its broadcast state."""
@@ -719,6 +766,9 @@ class BatchedBackend(ExecutionBackend):
 
     name = "batched"
 
+    #: an in-process round handed the broadcast trains on resident stacks
+    takes_broadcast = True
+
     #: bounded cache of plans keyed by the participant-id tuple
     _MAX_PLANS = 8
 
@@ -732,6 +782,9 @@ class BatchedBackend(ExecutionBackend):
         #: most one — hot plans own their clients' authoritative weights,
         #: so two hot plans sharing a client would desynchronise)
         self._hot_key: Optional[Tuple[int, ...]] = None
+        #: whether flushing the hot plan writes its weights back too (see
+        #: :meth:`try_resident_round`)
+        self._flush_weights = True
         #: replayed by whichever plan runs — one epoch's temporaries for the
         #: whole backend, so the cached plans hold none; a plan of other
         #: shapes re-allocates the slots that differ in its first epoch
@@ -760,17 +813,18 @@ class BatchedBackend(ExecutionBackend):
         return plan
 
     # ------------------------------------------------------------------
-    # Resident rounds (persistent-pool workers)
+    # Resident rounds (persistent-pool workers and in-process rounds)
     # ------------------------------------------------------------------
     def flush_hot(self) -> None:
         """Write any resident stacked state back into its clients."""
         if self._hot_key is not None:
             plan = self._plans.get(self._hot_key)
             if isinstance(plan, _BatchedPlan):
-                plan.flush()
+                plan.flush(weights=self._flush_weights)
             self._hot_key = None
 
-    def try_resident_round(self, participants, states: Dict[int, Dict]
+    def try_resident_round(self, participants, states: Dict[int, Dict],
+                           flush_weights: bool = True
                            ) -> Optional[Tuple[List[float], _BatchedPlan]]:
         """Train a shard on resident stacked state; None = caller fallback.
 
@@ -787,6 +841,11 @@ class BatchedBackend(ExecutionBackend):
         ``None`` guarantees the clients are coherent again (any overlapping
         hot plan has been flushed), so the caller's classic ``set_weights``
         + train path is safe; the reason is left in :attr:`last_fallback`.
+
+        ``flush_weights=False`` makes the eventual flush of this resident
+        state write back only the optimizer moments and step counts: an
+        in-process round loop broadcasts into the clients after every
+        round, and the trained weights must not overwrite that broadcast.
         """
         key = tuple(client.client_id for client in participants)
         if self._hot_key != key:
@@ -799,6 +858,7 @@ class BatchedBackend(ExecutionBackend):
         self.last_fallback = None
         plan.ensure_hot()
         self._hot_key = key
+        self._flush_weights = flush_weights
         groups = group_states_by_identity(
             [states[client.client_id] for client in participants])
         for state, indices in groups:
@@ -806,7 +866,32 @@ class BatchedBackend(ExecutionBackend):
                             state)
         return plan.run_round(self._workspace, keep_hot=True), plan
 
-    def run_local_training(self, participants):
+    def run_local_side(self, pending) -> None:
+        """Train the round; handed the broadcast (``pending.sent``), on the
+        resident stacks, whose trained states become ``pending.states`` —
+        views that the next round trains in place."""
+        participants = pending.local_side
+        losses = self.run_local_training(participants, pending.sent or None)
+        plan = self._plans.get(self._hot_key) if pending.sent else None
+        for index, client in enumerate(participants):
+            pending.losses[client.client_id] = losses[index]
+            if plan is not None:
+                pending.states[client.client_id] = plan.read_state(index)
+
+    def run_local_training(self, participants, states=None):
+        """Train ``participants``; returns their mean losses.
+
+        ``states`` (client id → the broadcast state each trains from, which
+        its mirror also holds) trains on resident stacks that stay hot
+        across rounds (:meth:`try_resident_round`); without it, or when no
+        plan fuses the participants, a classic round reads and writes the
+        client objects.
+        """
+        if states is not None:
+            resident = self.try_resident_round(participants, states,
+                                               flush_weights=False)
+            if resident is not None:
+                return resident[0]
         # Classic rounds read and write the client objects directly, so any
         # resident stacked state must land back in them first.
         self.flush_hot()
@@ -816,6 +901,9 @@ class BatchedBackend(ExecutionBackend):
             return [client.local_train() for client in participants]
         self.last_fallback = None
         return plan.run_round(self._workspace)
+
+    # A checkpoint and the end of a run read the clients' optimizer state.
+    sync_for_checkpoint = end_run = flush_hot
 
     def close(self):
         self.flush_hot()

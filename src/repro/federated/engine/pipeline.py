@@ -23,10 +23,15 @@ observe (:attr:`SyncRoundLoop.overlaps`):
   ``before_round`` / ``after_round`` / ``aggregate``, whose hooks may read or
   write every mirror at the barrier they were written for (FedGL's
   ``after_round`` reads ``client.predict()``).  The round gathers the
-  uploads and calls the ``trainer.aggregate`` hook, dispatch reads the
-  mirrors, and evaluation runs at once, per client, after ``after_round``.
-  On the pool this is still the same body — deadline, drop accounting and
-  per-client round times included.
+  uploads, calls the ``trainer.aggregate`` hook and evaluates at once,
+  after ``after_round``.  With no hook overridden, a backend that
+  :attr:`~repro.federated.engine.backends.ExecutionBackend.takes_broadcast`
+  (``batched``) is still handed the states the last broadcast returned: it
+  trains them on resident stacks, the gather reads the trained states
+  there, and the evaluation is one fused sweep.  Otherwise dispatch reads
+  the mirrors and every client evaluates its own forward — always so on
+  ``serial``, the oracle.  On the pool this is still the same body —
+  deadline, drop accounting and per-client round times included.
 
 * :class:`AsyncRoundLoop` (``round_mode="async"``) is a different algorithm —
   bounded-staleness asynchronous federated rounds: a worker is re-dispatched
@@ -57,6 +62,7 @@ from repro.federated.engine.aggregation import (
     AggregationStrategy,
 )
 from repro.federated.engine.config import overrides_hooks
+from repro.metrics import count_weighted_mean
 
 
 def resolve_round_loop(trainer):
@@ -113,8 +119,12 @@ def _record_eval(trainer, round_index: int, losses: Sequence[float],
         fused_eval.refresh([broadcast_states[client.client_id]
                             for client in fused_eval.clients])
     train_acc = trainer.evaluate("train")
-    test_acc = trainer.evaluate("test")
+    # Each client's test accuracy once: the weighted mean is
+    # ``trainer.evaluate("test")``'s reduction over the same values.
     per_client = {c.client_id: c.evaluate("test") for c in trainer.clients}
+    test_acc = count_weighted_mean(
+        (per_client[client.client_id], count) for client in trainer.clients
+        if (count := int(client.graph.test_mask.sum())))
     # A fully-degraded round (every shard dropped) has no losses to average.
     loss = float(np.mean(losses)) if len(losses) else float("nan")
     trainer.history.record(round_index, train_acc, test_acc,
@@ -186,11 +196,15 @@ class SyncRoundLoop:
     def __init__(self, trainer):
         self.trainer = trainer
         self.backend = trainer.backend
-        #: the depth: True when coordinator work may overlap worker training
-        #: — shards are outstanding on workers, and no overridden round hook
-        #: expects the mirrors at their barrier state
-        self.overlaps = self.backend.supports_pipelining \
+        #: True when the round hands the backend the last broadcast states
+        #: and evaluates them in one fused sweep: the backend trains from
+        #: them (``takes_broadcast``) and no overridden round hook expects
+        #: the mirrors at their barrier state
+        self.hands_over = self.backend.takes_broadcast \
             and not overrides_hooks(trainer)
+        #: the depth: True when coordinator work may overlap worker training
+        #: — shards are outstanding on workers
+        self.overlaps = self.backend.supports_pipelining and self.hands_over
         #: built on first use; None until then, False when unsupported
         self._fused_eval = None
         #: True when the broadcast replaces every mirror's weights without
@@ -204,8 +218,10 @@ class SyncRoundLoop:
               broadcast_states) -> None:
         """Record one round's evaluation, fusing the forwards if possible.
 
-        The fused sweep needs one broadcast state per client (depth 0 hands
-        ``None``: a hook may have written the mirrors since the broadcast);
+        The fused sweep needs one broadcast state per client (a round that
+        does not hand the states over passes ``None``: a hook may have
+        written the mirrors since the broadcast, or the backend is the
+        serial oracle, which evaluates one client at a time);
         uniform FedAvg broadcasts and personalized per-cluster states
         (FED-PUB, GCFL+) both qualify — states are handled group-wise inside
         the plan, so personalized runs no longer fall back to per-client
@@ -278,12 +294,12 @@ class SyncRoundLoop:
                     client.client_id: float(normalized[position])
                     for position, client in enumerate(participants)}
 
-            # Depth 1 hands over the states the last broadcast returned;
-            # depth 0 lets dispatch read the mirrors — a hook may have
-            # written them since.
+            # A round that hands over passes the states the last broadcast
+            # returned; otherwise dispatch reads the mirrors — a hook may
+            # have written them since.
             pending = backend.dispatch_round(
                 participants,
-                states=broadcast_states if overlaps else None,
+                states=broadcast_states if self.hands_over else None,
                 fold_weights=fold_weights)
             deadline = None if config.round_timeout is None \
                 else time.monotonic() + config.round_timeout
@@ -345,9 +361,14 @@ class SyncRoundLoop:
                     fold.drop(index_of[cid])
             # A streaming fold has read the trained states where they were
             # rebuilt, and the broadcast below overwrites every mirror:
-            # writing them into the mirrors first would be dead work.
+            # writing them into the mirrors first would be dead work.  So
+            # is it at depth 0 when the states were handed over: the gather
+            # reads the trained states where the backend left them (the
+            # batched plan's resident stacks).
+            in_place = self._overwrites and self.hands_over and not overlaps
             losses = backend.finish_round(
-                pending, apply_states=fold is None or not self._overwrites)
+                pending, apply_states=not self._overwrites
+                or (fold is None and not in_place))
             reported = [client for client in participants
                         if client.client_id not in pending.dropped]
 
@@ -375,8 +396,11 @@ class SyncRoundLoop:
                     # The gathered states are the call's own arguments: they
                     # are released before the next round trains, not held
                     # beside the next gather.
+                    trained = pending.states if in_place else {}
                     global_state = trainer.aggregate(
-                        [client.get_weights() for client in reported],
+                        [trained[client.client_id]
+                         if client.client_id in trained
+                         else client.get_weights() for client in reported],
                         [samples[client.client_id] for client in reported],
                         reported)
                 broadcast_states = _broadcast(trainer, global_state)
@@ -389,10 +413,11 @@ class SyncRoundLoop:
                     # straggler window.
                     deferred_eval = evaluation
                 else:
-                    # Depth 0 evaluates at once, per client, after the hook
-                    # and before the checkpoint: ``after_round`` may have
-                    # rewritten what the mirrors predict.
-                    self._eval(*evaluation, None)
+                    # Depth 0 evaluates at once, after the hook and before
+                    # the checkpoint — per client when ``after_round`` may
+                    # have rewritten what the mirrors predict.
+                    self._eval(*evaluation, broadcast_states
+                               if self.hands_over else None)
             trainer._completed_rounds = round_index
             if config.checkpoint_every \
                     and round_index % config.checkpoint_every == 0:
@@ -407,10 +432,7 @@ class SyncRoundLoop:
 
         if deferred_eval is not None:  # final round has nothing to overlap
             self._eval(*deferred_eval, broadcast_states)
-        if backend.supports_pipelining:
-            # Stale replies of shards dropped at a deadline: drain them so
-            # the pool ends the run reply-balanced.
-            backend.flush_lagging()
+        backend.end_run()
 
         if meter is not None:
             backend.last_pipeline_stats = {
@@ -621,7 +643,7 @@ class AsyncRoundLoop:
             job = jobs.pop(worker)
             backend.collect_worker(job.pending, worker, redispatch=False)
             backend.finish_round(job.pending, advance_round=False)
-        backend.flush_lagging()
+        backend.end_run()
         # Mirrors must end the run at the sealed model, not at whichever
         # half-stale shard states the drain reconstructed.
         for client in clients:

@@ -391,6 +391,11 @@ class _TcpChannel:
         self._inbox: deque = deque()             # delivered (ftype, payload)
         self._dead = False
         self._dead_reason = ""
+        #: the local process a spawned worker runs in (coordinator side of
+        #: a process-mode transport); one that exits before it ever
+        #: connected fails the channel at once (:meth:`_start_failure`)
+        self.process = None
+        self._start_failed = False
         self._last_heard = time.monotonic()
         self._last_write = 0.0
         self._last_data_write = 0.0
@@ -442,6 +447,9 @@ class _TcpChannel:
                 self._readable.wait()
             if self._inbox:
                 ftype, payload = self._inbox.popleft()
+            elif self._start_failed:
+                # not a crash: no respawn mends a worker that cannot start
+                raise RuntimeError(self._dead_reason)
             else:
                 raise EOFError(
                     f"channel to worker {self.worker} is dead "
@@ -568,6 +576,21 @@ class _TcpChannel:
                 + self.knobs.reconnect_window
             self._work.notify_all()
 
+    def _start_failure(self) -> Optional[str]:
+        """Why the spawned worker process exited before it ever connected
+        (``None`` while it may still connect)."""
+        if self._session_gen or self.process is None:
+            return None
+        code = self.process.exitcode
+        if code is None:
+            return None
+        self._start_failed = True
+        return (f"TCP worker {self.worker} exited with code {code} before it "
+                f"connected.  Workers are forked by the multiprocessing "
+                f"forkserver, which runs the main script again in every "
+                f"worker: a script that starts a TCP pool at module level "
+                f"needs an `if __name__ == \"__main__\":` guard.")
+
     def _die(self, reason: str) -> None:
         with self._work:
             if self._dead:
@@ -669,6 +692,7 @@ class _TcpChannel:
                              knobs.retransmit_timeout) / 2.0)
         backoff_attempt = 0
         while True:
+            failure = None
             with self._work:
                 if self._dead:
                     return
@@ -677,10 +701,14 @@ class _TcpChannel:
                     if now >= self._attach_deadline:
                         dead_line = True
                     elif self._dial is None:
-                        # Passive side: wait for the acceptor to re-attach.
-                        self._work.wait(
-                            min(tick, self._attach_deadline - now))
-                        continue
+                        failure = self._start_failure()
+                        if failure is None:
+                            # Passive side: wait for the acceptor to
+                            # re-attach.
+                            self._work.wait(
+                                min(tick, self._attach_deadline - now))
+                            continue
+                        dead_line = True
                     else:
                         dead_line = False
                 else:
@@ -709,7 +737,8 @@ class _TcpChannel:
                             self._work.wait(tick)
                             continue
             if dead_line:
-                self._die("no connection within the reconnect window")
+                self._die(failure
+                          or "no connection within the reconnect window")
                 return
             if self._sock is None:
                 # Active side: dial with exponential backoff + jitter.
@@ -1053,6 +1082,7 @@ class TcpTransport(WorkerTransport):
                       asdict(self.knobs), link_spec),
                 daemon=True)
             process.start()
+            channel.process = process
         return channel, process
 
     def _accept_loop(self) -> None:

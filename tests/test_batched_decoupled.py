@@ -185,6 +185,35 @@ class TestFusedEvalFamilies:
             client.invalidate_cache()
             np.testing.assert_array_equal(fused, client.predict())
 
+    @pytest.mark.parametrize("personalized", [False, True])
+    @pytest.mark.parametrize("model", EVAL_FAMILIES)
+    def test_steady_sweep_replays_its_workspace(self, model, personalized,
+                                                community_clients):
+        """A plan swept once (a serving flush) keeps no buffer; from the
+        second sweep on each sweep writes into the one before's arrays, and
+        its probabilities are still each client's own forward, bit for
+        bit."""
+        trainer = FederatedGNN(community_clients, model, hidden=16,
+                               config=_config("serial", rounds=1))
+        trainer.run()
+        states = [client.get_weights() for client in trainer.clients]
+        if personalized:
+            states = [{name: value * (1.0 + 0.25 * index)
+                       for name, value in state.items()}
+                      for index, state in enumerate(states)]
+        plan = build_eval_plan(trainer.clients)
+        plan.refresh(states)
+        assert plan._workspace.fresh == 0
+        plan.refresh(states)
+        fresh = plan._workspace.fresh
+        assert fresh > 0
+        plan.refresh(states)
+        assert plan._workspace.fresh == fresh
+        cached = [client._prob_cache[1] for client in trainer.clients]
+        for client, state, fused in zip(trainer.clients, states, cached):
+            client.set_weights(state)
+            np.testing.assert_array_equal(fused, client.predict())
+
     def test_eval_plan_none_for_unplanned_model(self, community_clients):
         trainer = FederatedGNN(community_clients, "gcnii", hidden=16,
                                config=_config("serial", rounds=1))

@@ -143,6 +143,15 @@ class TestModules:
         assert out.shape == (n, c)
         assert np.all(np.isfinite(out.data))
 
+    @pytest.mark.parametrize("beta", [-0.1, 1.5])
+    def test_invalid_beta(self, beta):
+        with pytest.raises(ValueError, match=r"beta must be in \[0, 1\]"):
+            LearnableMessagePassing(3, beta=beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_beta_bounds_are_accepted(self, beta):
+        assert LearnableMessagePassing(3, beta=beta).beta == beta
+
     def test_client_model_outputs(self, tiny_graph):
         model = AdaFGLClientModel(tiny_graph.num_features, 8,
                                   tiny_graph.num_classes, k_prop=2,
@@ -192,6 +201,13 @@ class TestAdaFGLTrainer:
     def test_requires_clients(self):
         with pytest.raises(ValueError):
             AdaFGL([], FAST_CONFIG)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_out_of_range_mixing_is_refused_before_step1(
+            self, name, community_clients):
+        config = dataclasses.replace(FAST_CONFIG, **{name: 1.2})
+        with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\]"):
+            AdaFGL(community_clients, config)
 
     def test_step2_before_step1_raises(self, community_clients):
         method = AdaFGL(community_clients, FAST_CONFIG)

@@ -1,5 +1,6 @@
 """Tests for the federation engine: execution backends × aggregation."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.federated.engine import (
     BatchedBackend,
     ProcessPoolBackend,
     SerialBackend,
+    resolve_round_loop,
     restore_client_state,
     snapshot_client_state,
 )
@@ -543,3 +545,124 @@ class TestStackedEpochParity:
                                                six_clients):
         assert _stacked_digest(six_clients, case, backend) \
             == STACKED_DIGESTS[case][backend]
+
+
+#: SHA-256 (first 128 bits) over seeds 0-1 of every client's Adam moments
+#: and step count after ``run()`` on the batched backend, recorded before
+#: in-process rounds trained on resident stacks (869e260; numpy 2.4.6,
+#: scipy 1.17.1, OpenBLAS).  "with" reads them inside a ``with trainer:``
+#: block after two ``run()`` calls, where the backend is not closed.
+MOMENT_CASES = {
+    "full": {},
+    "partial": {"participation": 0.67},
+    "clipped": {"lr": 1.0},
+}
+MOMENT_DIGESTS = {
+    ("full", "standalone"): "b512986b270e029d4a273527e92be776",
+    ("full", "with"): "2dba03e5b51e393395065f461e17b069",
+    ("partial", "standalone"): "314e631fd3f4d4a5d9d6ac9eb7e95b83",
+    ("partial", "with"): "e1ccdbd11ac56eab796ffa6413ff215e",
+    ("clipped", "standalone"): "1469c00ba0104bf52140b8ac62d9ed28",
+    ("clipped", "with"): "09b2fe246444b0efb80da40fb0cb3085",
+}
+
+
+def _moment_digest(clients, case, scope):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for seed in range(2):
+        config = dict(rounds=4, local_epochs=3, seed=seed)
+        config.update(MOMENT_CASES[case])
+        trainer = FederatedGNN(clients, "gcn", hidden=16,
+                               config=_config("batched", **config))
+        if scope == "standalone":
+            trainer.run()
+            digest.update(_moments(trainer).encode())
+        else:
+            with trainer:
+                trainer.run(rounds=3)
+                trainer.run(rounds=2)
+                digest.update(_moments(trainer).encode())
+    return digest.hexdigest()[:32]
+
+
+def _moments(trainer) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for client in trainer.clients:
+        optimizer = client.optimizer
+        digest.update(np.int64(optimizer._step_count).tobytes())
+        for index in range(len(optimizer.parameters)):
+            for moment in optimizer.moments(index):
+                digest.update(np.ascontiguousarray(moment).tobytes())
+    return digest.hexdigest()
+
+
+class TestInProcessResidentRounds:
+    """A hookless batched run hands each round the last broadcast: the
+    plan's stacks, Adam moments included, stay hot across rounds and the
+    evaluation is one fused sweep.  Nothing it computes moves, and the
+    clients end every ``run()`` with the optimizer state serial training
+    leaves them (the mirrors keep the broadcast, never the trained
+    weights)."""
+
+    @pytest.fixture(scope="class")
+    def six_clients(self, homophilous_graph):
+        from repro.simulation import structure_noniid_split
+
+        return structure_noniid_split(homophilous_graph, 6, seed=0)
+
+    @pytest.mark.parametrize("scope", ["standalone", "with"])
+    @pytest.mark.parametrize("case", list(MOMENT_CASES))
+    def test_moments_after_run_equal_the_parents(self, case, scope,
+                                                 six_clients):
+        assert _moment_digest(six_clients, case, scope) \
+            == MOMENT_DIGESTS[case, scope]
+
+    def test_steady_round_stacks_nothing_and_forwards_no_client(
+            self, six_clients, monkeypatch):
+        from repro.federated.client import Client
+        from repro.federated.engine import batched
+
+        calls = collections.Counter()
+
+        def spy(owner, name, counted=None):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                if counted is None or counted(self):
+                    calls[name] += 1
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(batched._BatchedPlan, "ensure_hot",
+            lambda plan: plan.hot is None)
+        spy(batched._BatchedPlan, "flush", lambda plan: plan.hot is not None)
+        spy(batched._FusedEvalPlan, "refresh")
+        spy(Client, "local_train")
+        spy(Client, "forward")
+        trainer = FederatedGNN(six_clients, "gcn", hidden=16,
+                               config=_config("batched"))
+        loop = resolve_round_loop(trainer)
+        assert loop.hands_over and not loop.overlaps
+        with trainer:
+            for _ in range(2):
+                calls.clear()
+                trainer.run(rounds=6)
+                # Round 1 has no broadcast to hand over: it stacks, trains
+                # and flushes classically, and round 2 stacks again.  The
+                # run's end flushes the optimizer state back.  Rounds 3-6
+                # neither stack nor flush, and never forward one client.
+                assert calls == {"ensure_hot": 2, "flush": 2, "refresh": 6}
+                assert trainer.backend.last_fallback is None
+
+    def test_hooked_trainer_keeps_the_classic_round(self, six_clients):
+        trainer = FederatedGNN(six_clients, "gcn", hidden=16,
+                               config=_config("batched"))
+        trainer.after_round = lambda round_index, participants: None
+        assert not resolve_round_loop(trainer).hands_over
+        serial = FederatedGNN(six_clients, "gcn", hidden=16,
+                              config=_config("serial"))
+        assert not resolve_round_loop(serial).hands_over

@@ -520,6 +520,50 @@ class TestLiveness:
 # ----------------------------------------------------------------------
 # Worker start-up: a fork of the preloaded forkserver, not an interpreter
 # ----------------------------------------------------------------------
+#: a script that builds a TCP pool at module level, with no ``__main__``
+#: guard: every worker the forkserver starts runs it again and dies
+_UNGUARDED = """
+from repro.datasets import load_dataset
+from repro.federated import FederatedConfig
+from repro.fgl.fedgnn import FederatedGNN
+from repro.simulation import community_split
+
+clients = community_split(load_dataset("cora", seed=0, num_nodes=120), 2,
+                          seed=0)
+FederatedGNN(clients, "gcn", hidden=8, config=FederatedConfig(
+    rounds=1, local_epochs=1, backend="process_pool", num_workers=2,
+    transport="tcp", on_worker_failure="restart")).run()
+"""
+
+
+@pytest.mark.skipif("forkserver" not in
+                    __import__("multiprocessing").get_all_start_methods(),
+                    reason="workers start through the forkserver")
+def test_unguarded_script_fails_fast_and_names_the_guard(tmp_path):
+    """A worker that exits before it connects is not a crash a respawn
+    mends: the coordinator raises at once, well inside ``connect_timeout``
+    (30 s), naming the forkserver and the missing guard."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      os.pardir, "src"),
+         env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    elapsed = time.monotonic() - start
+    assert done.returncode != 0
+    assert elapsed < 15.0, elapsed
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: TCP worker ") and \
+        "exited with code 1 before it connected" in last, done.stderr
+    assert "forkserver" in last and \
+        'if __name__ == "__main__":' in last, last
+
+
 #: a worker forked from the preloaded forkserver spends a few CPU-ms up to
 #: its first reply; one that imports numpy, scipy and ``repro`` itself
 #: spends ≈ 0.5–1 s
